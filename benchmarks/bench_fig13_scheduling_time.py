@@ -17,9 +17,11 @@ def test_fig13_scheduling_time(benchmark, save_result):
     by_key = {r.key: r for r in rows}
 
     # tractability: the paper's "less than one minute average extra
-    # compilation time" claim, on our (pure-Python) implementation
+    # compilation time" claim. The array-kernel DP averages ~0.15 s per
+    # cell here; the per-transition loop it replaced averaged ~1.1 s, so
+    # 0.5 s catches a regression to it with room for a slow host
     mean_gr = sum(r.time_gr_s for r in rows) / len(rows)
-    assert mean_gr < 120, f"mean scheduling time {mean_gr:.1f}s is not edge-practical"
+    assert mean_gr < 0.5, f"mean scheduling time {mean_gr:.2f}s: DP kernel regressed"
 
     # rewriting adds scheduling work exactly where it fires
     for key in ("swiftnet-a", "swiftnet-b", "swiftnet-c"):

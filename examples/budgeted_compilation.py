@@ -24,8 +24,8 @@ def manual_probes(graph) -> None:
         try:
             res = DPScheduler(budget=tau).schedule(graph)
             outcome, states = f"{res.peak_kib:.1f}KB", res.states_expanded
-        except NoSolutionError:
-            outcome, states = "no solution", 0
+        except NoSolutionError as exc:
+            outcome, states = "no solution", exc.states_expanded
         print(f"  {tau / 1024:>8.1f}KB  {outcome:>12}  {states:>8,}")
 
 

@@ -41,8 +41,12 @@ class NoSolutionError(SchedulingError):
     """Budget-pruned DP exhausted every path: the soft budget ``tau`` is
     below the optimal peak footprint (Algorithm 2's ``'no solution'``)."""
 
-    def __init__(self, budget: float, message: str | None = None) -> None:
+    def __init__(
+        self, budget: float, message: str | None = None, *, states_expanded: int = 0
+    ) -> None:
         self.budget = budget
+        #: transitions the DP had evaluated when it gave up
+        self.states_expanded = states_expanded
         super().__init__(message or f"no schedule fits within budget {budget}")
 
 
@@ -50,9 +54,12 @@ class StepTimeoutError(SchedulingError):
     """A DP search step exceeded its time/state allowance (Algorithm 2's
     ``'timeout'``)."""
 
-    def __init__(self, step: int, states: int, message: str | None = None) -> None:
+    def __init__(
+        self, step: int, states: int, message: str | None = None, *, states_expanded: int = 0
+    ) -> None:
         self.step = step
         self.states = states
+        self.states_expanded = states_expanded
         super().__init__(
             message
             or f"search step {step} exceeded its allowance ({states} states)"

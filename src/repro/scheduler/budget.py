@@ -43,6 +43,7 @@ class BudgetProbe:
     tau: int
     outcome: str  # 'solution' | 'no solution' | 'timeout'
     wall_time_s: float
+    #: transitions the DP evaluated, whatever the outcome
     states_expanded: int = 0
 
 
@@ -65,6 +66,11 @@ class BudgetSearchResult:
     @property
     def total_wall_time_s(self) -> float:
         return sum(p.wall_time_s for p in self.probes)
+
+    @property
+    def total_states_expanded(self) -> int:
+        """Over *all* probes; ``result.states_expanded`` is the last one's."""
+        return sum(p.states_expanded for p in self.probes)
 
 
 @dataclass
@@ -90,7 +96,8 @@ class AdaptiveSoftBudgetScheduler:
         # The Kahn schedule starts from scratch; when a prefix is
         # preallocated its order must lead the schedule for simulation.
         if self.preallocated:
-            rest = [n for n in kahn.order if n not in set(self.preallocated)]
+            pre = set(self.preallocated)
+            rest = [n for n in kahn.order if n not in pre]
             kahn = Schedule(tuple(self.preallocated) + tuple(rest), graph.name)
         tau_max = simulate_schedule(graph, kahn, model=model).peak_bytes
 
@@ -109,14 +116,18 @@ class AdaptiveSoftBudgetScheduler:
             t0 = time.perf_counter()
             try:
                 result = runner.schedule(graph, model=model)
-            except StepTimeoutError:
+            except StepTimeoutError as exc:
                 probes.append(
-                    BudgetProbe(tau, "timeout", time.perf_counter() - t0)
+                    BudgetProbe(
+                        tau, "timeout", time.perf_counter() - t0, exc.states_expanded
+                    )
                 )
                 tau_old, tau = tau, tau // 2
-            except NoSolutionError:
+            except NoSolutionError as exc:
                 probes.append(
-                    BudgetProbe(tau, "no solution", time.perf_counter() - t0)
+                    BudgetProbe(
+                        tau, "no solution", time.perf_counter() - t0, exc.states_expanded
+                    )
                 )
                 infeasible_lo = max(infeasible_lo, tau)
                 tau_old, tau = tau, (tau + tau_old) // 2

@@ -1,26 +1,52 @@
 """Dynamic-programming memory-optimal scheduler (paper Algorithm 1).
 
 The search sweeps *search steps* ``i = 0 .. n-1``; the states at step
-``i`` are the downsets (scheduled sets) of size ``i``, keyed by bitmask.
-The paper keys states by the zero-indegree set ``z``; the two are
-equivalent (``z`` uniquely determines the downset — see
+``i`` are the downsets (scheduled sets) of size ``i``. The paper keys
+states by the zero-indegree set ``z``; the two are equivalent (``z``
+uniquely determines the downset — see
 :meth:`repro.graph.analysis.GraphIndex.downset_of_frontier`) and the
-downset mask is cheaper to maintain incrementally. Per state we memoise
-the best-known ``(mu, mu_peak)`` and a parent pointer for schedule
-reconstruction; among schedules reaching the same downset it is
-sufficient to keep one with minimal peak (paper Theorem 1 — re-proved
-against brute force in the test suite, including for graphs with
-buffer aliasing).
+downset mask is cheaper to maintain incrementally. Among schedules
+reaching the same downset it is sufficient to keep one with minimal peak
+(paper Theorem 1 — re-proved against brute force in the test suite,
+including for graphs with buffer aliasing).
 
-Supports the two pruning controls Algorithm 2 (adaptive soft budgeting)
-drives:
+**State layout.** A search step is a set of parallel NumPy arrays, one
+row per state: the downset as ``ceil(n / 64)`` ``uint64`` *columns* (bit
+``u % 64`` of column ``u // 64`` is node ``u``), ``mu``, ``peak`` and
+``prev_u`` (the node scheduled last on the memoised path, -1 for the
+seed). One step is one array sweep: for each node ``u`` a vectorised
+pass finds the states where ``u`` is ready and applies
+:meth:`~repro.scheduler.memory.BufferModel.step` to all of them from the
+constants in :attr:`BufferModel.node_tables`; the passes' candidate rows
+are concatenated and deduplicated with one ``np.lexsort``. Parent
+pointers are one ``int64`` array of order keys per step.
+
+**Tie-break contract.** Of the transitions reaching one new state, the
+survivor is the lexicographic minimum of ``(peak, adj, key)``: ``peak``
+is the running peak along the path; ``adj`` is 0 when ``u`` consumes
+``prev_u``'s output, else 1 (producer->consumer adjacency costs nothing
+in peak but improves cache locality of the emitted schedule, measured in
+Fig 11); ``key = parent_pos * n + u`` is the transition's rank in the
+order a state-by-state, node-by-node loop would visit it — "first seen
+wins", independent of the node-major order the sweep generates rows in.
+New states are ordered by their *smallest* key (first creation), which
+fixes ``parent_pos`` for the next step. This is exactly what the
+per-transition loop in ``tests/scheduler/_reference_dp.py`` computes, so
+every schedule, cache entry and arena derived from it is unchanged;
+``test_dp_differential.py`` and ``test_dp_golden.py`` hold the kernel to it.
+
+**Pruning controls** (driven by Algorithm 2, adaptive soft budgeting):
 
 * ``budget`` — discard transitions whose running peak exceeds the soft
   budget ``tau``; may render the problem infeasible, raising
   :class:`~repro.exceptions.NoSolutionError` (the paper's "no solution").
 * ``max_states_per_step`` / ``step_timeout_s`` — deterministic and
-  wall-clock caps per search step, raising
-  :class:`~repro.exceptions.StepTimeoutError` (the paper's "timeout").
+  wall-clock caps per search step, judged when the step's sweep is
+  complete, raising :class:`~repro.exceptions.StepTimeoutError` (the
+  paper's "timeout").
+
+Either exception carries ``states_expanded``, the transitions evaluated
+up to and including the failing step.
 """
 
 from __future__ import annotations
@@ -28,10 +54,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import NoSolutionError, StepTimeoutError
-from repro.graph.analysis import bits
 from repro.graph.graph import Graph
-from repro.scheduler.memory import BufferModel
+from repro.scheduler.memory import BufferModel, Words, mask_words
 from repro.scheduler.schedule import Schedule
 
 __all__ = ["DPScheduler", "DPResult", "dp_schedule"]
@@ -88,6 +115,8 @@ class DPScheduler:
         idx = model.index
         n = idx.n
         budget = self.budget
+        cap = self.max_states_per_step
+        timeout = self.step_timeout_s
 
         # --- seed state (possibly with preallocated entry tensors) -----
         scheduled0, mu0, peak0 = 0, 0, 0
@@ -100,87 +129,110 @@ class DPScheduler:
                 )
             transient, mu0, scheduled0 = model.step(scheduled0, mu0, u)
             peak0 = max(peak0, transient)
-        frontier0 = idx.frontier_of(scheduled0)
 
-        # state: mask -> [mu, peak, frontier, adjacency-penalty];
-        # parent: mask -> (pmask, u). The adjacency penalty (0 when the
-        # chosen node consumes the previously scheduled node's output) is
-        # a tie-break among equal-peak paths: producer->consumer
-        # adjacency costs nothing in peak but improves cache locality of
-        # the emitted schedule (measured in Fig 11).
-        states: dict[int, list[int]] = {scheduled0: [mu0, peak0, frontier0, 0]}
-        parents: dict[int, tuple[int, int]] = {}
+        seed = dict(mask_words(scheduled0))
+        cols = [
+            np.array([seed.get(w, 0)], dtype=np.uint64) for w in range(max(1, -(-n // 64)))
+        ]
+        mu = np.array([mu0], dtype=np.int64)
+        peak = np.array([peak0], dtype=np.int64)
+        prev_u = np.array([-1], dtype=np.int64)
+        #: per search step, the winning order key of each state
+        trail: list[np.ndarray] = []
         expanded = 0
         memoized = 1
         max_step_states = 1
-        preset = scheduled0.bit_count()
-
-        succs = idx.succs
+        tables = model.node_tables
         preds_mask = idx.preds_mask
-        step_fn = model.step
 
-        for step in range(preset, n):
-            step_start = time.perf_counter() if self.step_timeout_s else 0.0
-            nxt: dict[int, list[int]] = {}
-            nxt_parents: dict[int, tuple[int, int]] = {}
-            for mask, (mu, peak, frontier, _) in states.items():
-                prev = parents.get(mask)
-                prev_u = prev[1] if prev is not None else -1
-                for u in bits(frontier):
-                    transient, mu2, new_mask = step_fn(mask, mu, u)
-                    new_peak = peak if peak >= transient else transient
-                    if budget is not None and new_peak > budget:
-                        continue
-                    expanded += 1
-                    adj = 0 if prev_u >= 0 and (preds_mask[u] >> prev_u) & 1 else 1
-                    cur = nxt.get(new_mask)
-                    if cur is None:
-                        new_frontier = frontier & ~(1 << u)
-                        for s in succs[u]:
-                            if not (preds_mask[s] & ~new_mask):
-                                new_frontier |= 1 << s
-                        nxt[new_mask] = [mu2, new_peak, new_frontier, adj]
-                        nxt_parents[new_mask] = (mask, u)
-                        if self.max_states_per_step is not None and len(nxt) > self.max_states_per_step:
-                            raise StepTimeoutError(step, len(nxt))
-                    elif (new_peak, adj) < (cur[1], cur[3]):
-                        cur[0], cur[1], cur[3] = mu2, new_peak, adj
-                        nxt_parents[new_mask] = (mask, u)
-                if (
-                    self.step_timeout_s is not None
-                    and time.perf_counter() - step_start > self.step_timeout_s
-                ):
-                    raise StepTimeoutError(step, len(nxt))
-            if not nxt:
+        for step in range(scheduled0.bit_count(), n):
+            step_start = time.perf_counter()
+            # a node every state has scheduled, or with a predecessor no
+            # state has, is ready nowhere: skip its pass
+            in_all = _join(np.bitwise_and.reduce(c) for c in cols)
+            in_any = _join(np.bitwise_or.reduce(c) for c in cols)
+            passes: list[tuple] = []
+            for u in range(n):
+                if (in_all >> u) & 1 or preds_mask[u] & ~in_any:
+                    continue
+                t = tables[u]
+                ready = ((cols[t.word] & t.bit) == 0) & _all_set(cols, t.preds)
+                sel = ready.nonzero()[0]
+                sub = [c[sel] for c in cols]
+                fresh: np.ndarray | bool = True  # u's buffer not allocated yet
+                for w, m in t.co_members:
+                    fresh = fresh & ((sub[w] & m) == 0)
+                mu_u = mu[sel] + t.size * fresh
+                peak_u = np.maximum(peak[sel], mu_u)
+                if budget is not None:
+                    keep = peak_u <= budget
+                    if not keep.all():
+                        sel, mu_u, peak_u = sel[keep], mu_u[keep], peak_u[keep]
+                        sub = [c[keep] for c in sub]
+                if not sel.size:
+                    continue
+                for size, others in t.frees:
+                    mu_u -= size * _all_set(sub, others)
+                sub[t.word] = sub[t.word] | t.bit
+                passes.append(
+                    (mu_u, peak_u, t.adjacency[prev_u[sel] + 1], sel * n + u, *sub)
+                )
+                expanded += len(sel)
+            if not passes:
                 raise NoSolutionError(
                     budget if budget is not None else 0,
                     f"search step {step}: every path exceeds the budget",
+                    states_expanded=expanded,
                 )
-            parents.update(nxt_parents)
-            states = nxt
-            memoized += len(nxt)
-            if len(nxt) > max_step_states:
-                max_step_states = len(nxt)
+            mu, peak, adj, key, *cols = (np.concatenate(rows) for rows in zip(*passes))
+
+            # sort equal masks together, best (peak, adj, key) first ...
+            order = np.lexsort((key, adj, peak, *cols))
+            differs = [c[1:] != c[:-1] for c in (c[order] for c in cols)]
+            starts = np.append(0, np.logical_or.reduce(differs).nonzero()[0] + 1)
+            if cap is not None and len(starts) > cap:
+                raise StepTimeoutError(step, cap + 1, states_expanded=expanded)
+            # ... and the new states by their first-seen (smallest) key
+            winners = order[starts][np.argsort(np.minimum.reduceat(key[order], starts))]
+            if timeout is not None and time.perf_counter() - step_start > timeout:
+                raise StepTimeoutError(step, len(winners), states_expanded=expanded)
+
+            mu, peak, cols = mu[winners], peak[winners], [c[winners] for c in cols]
+            trail.append(key[winners])
+            prev_u = trail[-1] % n
+            memoized += len(winners)
+            max_step_states = max(max_step_states, len(winners))
 
         # --- reconstruct -------------------------------------------------
-        (final_mask, (mu, peak, _, _)) = next(iter(states.items()))
-        assert final_mask == idx.full_mask
+        assert len(mu) == 1 and _join(c[0] for c in cols) == idx.full_mask
         rev: list[int] = []
-        mask = final_mask
-        while mask != scheduled0:
-            pmask, u = parents[mask]
+        pos = 0
+        for keys in reversed(trail):
+            pos, u = divmod(int(keys[pos]), n)
             rev.append(u)
-            mask = pmask
-        order = list(self.preallocated) + [idx.order[u] for u in reversed(rev)]
+        order_names = list(self.preallocated) + [idx.order[u] for u in reversed(rev)]
         return DPResult(
-            schedule=Schedule(tuple(order), graph.name),
-            peak_bytes=int(peak),
+            schedule=Schedule(tuple(order_names), graph.name),
+            peak_bytes=int(peak[0]),
             states_expanded=expanded,
             states_memoized=memoized,
             max_step_states=max_step_states,
             wall_time_s=time.perf_counter() - t0,
             budget=budget,
         )
+
+
+def _join(words) -> int:
+    """Python-int bitmask from its 64-bit words, least significant first."""
+    return sum(int(word) << (64 * w) for w, word in enumerate(words))
+
+
+def _all_set(cols: list[np.ndarray], words: Words) -> np.ndarray | bool:
+    """Per row: does the mask contain every bit of ``words``?"""
+    out: np.ndarray | bool = True
+    for w, m in words:
+        out = out & ((cols[w] & m) == m)
+    return out
 
 
 def dp_schedule(graph: Graph, **kwargs) -> DPResult:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,33 @@ from repro.graph.graph import Graph
 from repro.scheduler.schedule import Schedule
 
 __all__ = ["BufferModel", "MemoryTrace", "simulate_schedule", "peak_of"]
+
+#: a bitmask's nonzero 64-bit words as ``(word index, word)`` pairs — the
+#: form the DP's ``uint64`` state columns consume
+Words = tuple[tuple[int, np.uint64], ...]
+
+
+def mask_words(mask: int) -> Words:
+    """Cut a Python-int bitmask into :data:`Words`."""
+    words = ((w, (mask >> (64 * w)) & (2**64 - 1)) for w in range(-(-mask.bit_length() // 64)))
+    return tuple((w, np.uint64(word)) for w, word in words if word)
+
+
+class NodeTable(NamedTuple):
+    """:meth:`BufferModel.step` for one node ``u``, as constants the DP
+    array kernel applies to many states at once: ``u`` is bit ``bit`` of
+    state column ``word``; its ``size``-byte buffer is allocated iff no
+    ``co_members`` bit is set; each ``(size, others)`` of ``frees`` is
+    released iff every ``others`` bit is set; ``adjacency[prev_u + 1]``
+    is 0 where ``u`` consumes ``prev_u``'s output, else 1."""
+
+    word: int
+    bit: np.uint64
+    preds: Words
+    size: int
+    co_members: Words
+    frees: tuple[tuple[int, Words], ...]
+    adjacency: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,6 +165,30 @@ class BufferModel:
     @property
     def n_buffers(self) -> int:
         return len(self.buf_size)
+
+    @cached_property
+    def node_tables(self) -> tuple[NodeTable, ...]:
+        """Per-node :class:`NodeTable` rows. Built on first DP use, not in
+        :meth:`build`: greedy/Kahn compiles share the model and never
+        need them."""
+        idx, tables = self.index, []
+        for u in range(idx.n):
+            own, others = self.buffer_of[u], ~(1 << u)
+            adjacency = np.ones(idx.n + 1, dtype=np.int8)
+            adjacency[[p + 1 for p in idx.preds[u]]] = 0
+            frees = tuple(
+                (self.buf_size[b], mask_words(self.buf_required[b] & others))
+                for b in self.check_buffers[u]
+                if not self.buf_persistent[b]
+            )
+            tables.append(
+                NodeTable(
+                    u // 64, np.uint64(1 << (u % 64)), mask_words(idx.preds_mask[u]),
+                    self.buf_size[own], mask_words(self.buf_members[own] & others),
+                    frees, adjacency,
+                )
+            )
+        return tuple(tables)
 
     # ------------------------------------------------------------------
     # incremental accounting (used by the DP and the simulator)
