@@ -75,12 +75,10 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
         _STEP_STAGE,
         _STEP_SYNC,
         _STEP_WRITEBACK,
-        _UNBATCHED,
     )
 
     itemsize = px._itemsize
-    n_eff = 1 if n == _UNBATCHED else n
-    tag = f"shadow@batch{n_eff}"
+    tag = f"shadow@batch{n}"
 
     # declared byte budgets per region: the numbers the plan *promises*,
     # not the (possibly larger) allocation the executor defends with
@@ -113,7 +111,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
         for rname, b_lo, b_hi, decl in regions:
             if b_lo <= lo and hi <= b_hi:
                 rel = (lo - b_lo) // cell * itemsize
-                span = (view.size // n_eff) * itemsize
+                span = (view.size // n) * itemsize
                 return (rname, rel, rel + span, decl)
         return None
 
@@ -305,8 +303,8 @@ def shadow_check(px: Any) -> AnalysisReport:
     """Byte-bounds replay of an executor's pinned step tables.
 
     Takes a live :class:`~repro.runtime.plan_executor.PlanExecutor` and
-    checks every pinned compiled plan (the full schedule, single-sample
-    and — when ``batch_size > 1`` — batched). Returns an
+    checks every pinned compiled plan (the full schedule, at width 1
+    and at width ``batch_size``). Returns an
     :class:`AnalysisReport`; ``report.ok`` means every read is covered,
     every view in bounds and no engine transfer can race compute.
     """
@@ -316,7 +314,7 @@ def shadow_check(px: Any) -> AnalysisReport:
         px._pinned, key=lambda k: (k[0] is not None, k[1])
     ):
         plan = px._run_plans[(wanted, nb)]
-        checks.append(f"shadow@batch{max(nb, 1)}")
+        checks.append(f"shadow@batch{nb}")
         _walk_plan(px, plan, nb, diags)
     return AnalysisReport(
         target=px.graph.name,

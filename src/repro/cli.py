@@ -1078,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--scrub",
-        choices=("never", "zero", "fresh"),
+        choices=("never", "zero"),
         default="never",
         help="arena scrub policy between pooled runs (default: never)",
     )

@@ -164,16 +164,20 @@ class Executor:
                         f"feed {node.name!r} has shape {value.shape}, "
                         f"expected {node.output.shape}"
                     )
+                # the kernels' contract is one leading batch axis: a
+                # reference run is the batch of one
+                value = value[None]
             else:
                 kernel = KERNELS.get(node.op)
                 if kernel is None:
                     raise ExecutionError(f"no kernel for op {node.op!r}")
                 args = [values[src] for src in node.inputs]
                 value = kernel(args, node.attrs, self.params.get(node.name, {}))
-                if tuple(value.shape) != node.output.shape:
+                if tuple(value.shape) != (1,) + node.output.shape:
                     raise ExecutionError(
                         f"kernel {node.op!r} produced shape {value.shape} for "
-                        f"{node.name!r}, spec says {node.output.shape}"
+                        f"{node.name!r}, spec says one sample of "
+                        f"{node.output.shape}"
                     )
             values[node.name] = value
             # free dead intermediates unless asked to keep everything
@@ -183,4 +187,4 @@ class Executor:
                     if remaining_uses[src] == 0 and src not in keep:
                         del values[src]
 
-        return {w: values[w] for w in wanted}
+        return {w: values[w][0] for w in wanted}

@@ -6,25 +6,29 @@ taps, never pixels) but written for clarity, not throughput. They give
 the rewriting rules an executable semantics so identity preservation is
 testable with ``allclose`` rather than argued on paper.
 
-Layout conventions: feature maps are ``(C, H, W)``; convolution weights
-``(M, C, kh, kw)``; depthwise weights ``(C, mult, kh, kw)``; dense
-weights ``(units, features)``.
+The one kernel contract
+-----------------------
+Every activation carries **one leading batch axis**: feature maps are
+``(N, C, H, W)``, dense activations ``(N, features)``; a solo run is
+the batch of one. Convolution weights are ``(M, C, kh, kw)``, depthwise
+weights ``(C, mult, kh, kw)``, dense weights ``(units, features)``.
+Computing all ``N`` samples in a single NumPy call amortises per-call
+dispatch overhead, which on the paper's micro cells dominates kernel
+compute.
 
-Batched variants
-----------------
-Every kernel also exists in a **batched** form that takes tensors with
-one extra leading batch axis ``N`` (feature maps ``(N, C, H, W)``,
-dense activations ``(N, features)``) and computes all samples in a
-single NumPy call — that amortises per-call dispatch overhead, which on
-the paper's micro cells dominates kernel compute. The batched kernels
-are held to a *per-sample bitwise* contract: row ``b`` of a batched
-result equals the unbatched kernel applied to row ``b`` of the inputs,
-bit for bit. Each implementation therefore reproduces the unbatched
-float-operation order per sample (same einsum contraction axis, same
-ufunc chains, matrix–vector products kept per sample under matmul
-broadcasting rather than reassociated into one GEMM); the batched
-parity suite in ``tests/runtime`` asserts the contract over every
-operator and suite cell.
+Stacking is held to a *per-sample bitwise* contract: row ``b`` of a
+kernel's result over a stack equals the kernel applied to row ``b``
+alone, bit for bit (the serving layer scatters a stacked run back to
+individual requests that are verified against the reference executor).
+Reductions therefore keep one contraction order per sample whatever
+the width: einsum contracts the channel axis, pooling reduces the tap
+axis, and dense stays a broadcast stack of matrix–vector products
+rather than one reassociated GEMM. ``tests/runtime/test_kernels.py``
+asserts the contract over every key of both tables.
+
+The spatial building blocks (:func:`conv2d`, :func:`depthwise_conv2d`,
+the pools, :func:`pad_same`) index only trailing axes, so they also
+accept a bare ``(C, H, W)`` map.
 """
 
 from __future__ import annotations
@@ -42,12 +46,8 @@ __all__ = [
     "depthwise_conv2d",
     "max_pool2d",
     "avg_pool2d",
-    "batched_conv2d",
-    "batched_depthwise_conv2d",
     "KERNELS",
     "OUT_KERNELS",
-    "BATCH_KERNELS",
-    "BATCH_OUT_KERNELS",
 ]
 
 
@@ -72,21 +72,23 @@ def _padding_amounts(
 
 
 def _padded(x: np.ndarray, pt: int, pb: int, pl: int, pr: int, fill: float):
-    """Constant-pad a (C, H, W) map (cheaper than ``np.pad`` on the
-    micro feature maps these networks run on; same bytes out)."""
-    c, h, w = x.shape
+    """Constant-pad the two spatial axes of a (..., H, W) map (cheaper
+    than ``np.pad`` on the micro feature maps these networks run on;
+    same bytes out)."""
+    h, w = x.shape[-2:]
+    shape = x.shape[:-2] + (h + pt + pb, w + pl + pr)
     if fill == 0.0:
-        xp = np.zeros((c, h + pt + pb, w + pl + pr), dtype=x.dtype)
+        xp = np.zeros(shape, dtype=x.dtype)
     else:
-        xp = np.full((c, h + pt + pb, w + pl + pr), fill, dtype=x.dtype)
-    xp[:, pt : pt + h, pl : pl + w] = x
+        xp = np.full(shape, fill, dtype=x.dtype)
+    xp[..., pt : pt + h, pl : pl + w] = x
     return xp
 
 
 def pad_same(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
-    """Zero-pad a (C, H, W) map for the requested padding mode."""
+    """Zero-pad a (..., H, W) map for the requested padding mode."""
     (pt, pb), (pl, pr) = _padding_amounts(
-        x.shape[1], x.shape[2], kernel, stride, padding
+        x.shape[-2], x.shape[-1], kernel, stride, padding
     )
     if pt == pb == pl == pr == 0:
         return x
@@ -94,8 +96,8 @@ def pad_same(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
 
 
 def _tap_view(xp: np.ndarray, u: int, v: int, oh: int, ow: int, sh: int, sw: int):
-    """The (C, oh, ow) input window hitting kernel tap (u, v)."""
-    return xp[:, u : u + oh * sh : sh, v : v + ow * sw : sw]
+    """The (..., oh, ow) input window hitting kernel tap (u, v)."""
+    return xp[..., u : u + oh * sh : sh, v : v + ow * sw : sw]
 
 
 def conv2d(
@@ -105,16 +107,18 @@ def conv2d(
     stride=1,
     padding="same",
 ) -> np.ndarray:
-    """Standard convolution: ``(C,H,W) x (M,C,kh,kw) -> (M,oh,ow)``."""
+    """Standard convolution: ``(...,C,H,W) x (M,C,kh,kw) -> (...,M,oh,ow)``."""
     kernel = weight.shape[2], weight.shape[3]
     stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kernel, stride, padding)
+    oh, ow = conv_output_hw(x.shape[-2], x.shape[-1], kernel, stride, padding)
     xp = pad_same(x, kernel, stride, padding)
-    out = np.zeros((weight.shape[0], oh, ow), dtype=np.result_type(x, weight))
+    out = np.zeros(
+        x.shape[:-3] + (weight.shape[0], oh, ow), dtype=np.result_type(x, weight)
+    )
     for u in range(kernel[0]):
         for v in range(kernel[1]):
             window = _tap_view(xp, u, v, oh, ow, *stride)
-            out += np.einsum("chw,mc->mhw", window, weight[:, :, u, v])
+            out += np.einsum("...chw,mc->...mhw", window, weight[:, :, u, v])
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -127,7 +131,8 @@ def depthwise_conv2d(
     stride=1,
     padding="same",
 ) -> np.ndarray:
-    """Depthwise convolution: ``(C,H,W) x (C,mult,kh,kw) -> (C*mult,oh,ow)``.
+    """Depthwise convolution:
+    ``(...,C,H,W) x (C,mult,kh,kw) -> (...,C*mult,oh,ow)``.
 
     Output channel ``c*mult + t`` convolves input channel ``c`` with
     kernel ``weight[c, t]`` (the TensorFlow depthwise layout).
@@ -135,14 +140,15 @@ def depthwise_conv2d(
     c, mult = weight.shape[0], weight.shape[1]
     kernel = weight.shape[2], weight.shape[3]
     stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kernel, stride, padding)
+    oh, ow = conv_output_hw(x.shape[-2], x.shape[-1], kernel, stride, padding)
     xp = pad_same(x, kernel, stride, padding)
-    out = np.zeros((c, mult, oh, ow), dtype=np.result_type(x, weight))
+    lead = x.shape[:-3]
+    out = np.zeros(lead + (c, mult, oh, ow), dtype=np.result_type(x, weight))
     for u in range(kernel[0]):
         for v in range(kernel[1]):
-            window = _tap_view(xp, u, v, oh, ow, *stride)  # (C, oh, ow)
-            out += window[:, None] * weight[:, :, u, v][:, :, None, None]
-    out = out.reshape(c * mult, oh, ow)
+            window = _tap_view(xp, u, v, oh, ow, *stride)  # (..., C, oh, ow)
+            out += window[..., None, :, :] * weight[:, :, u, v][:, :, None, None]
+    out = out.reshape(lead + (c * mult, oh, ow))
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -152,13 +158,13 @@ def _pool(x: np.ndarray, attrs: dict[str, Any], reducer) -> np.ndarray:
     kernel = normalize_pair(attrs.get("kernel", 2), "kernel")
     stride = normalize_pair(attrs.get("stride", kernel), "stride")
     padding = attrs.get("padding", "valid")
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kernel, stride, padding)
+    oh, ow = conv_output_hw(x.shape[-2], x.shape[-1], kernel, stride, padding)
     if padding == "valid":
         xp = x
     else:
         fill = -np.inf if reducer is np.maximum else 0.0
         (pt, pb), (pl, pr) = _padding_amounts(
-            x.shape[1], x.shape[2], kernel, stride, padding
+            x.shape[-2], x.shape[-1], kernel, stride, padding
         )
         xp = _padded(x, pt, pb, pl, pr, fill)
     taps = [
@@ -166,7 +172,7 @@ def _pool(x: np.ndarray, attrs: dict[str, Any], reducer) -> np.ndarray:
         for u in range(kernel[0])
         for v in range(kernel[1])
     ]
-    stacked = np.stack(taps)
+    stacked = np.stack(taps)  # (taps, ...): one reduction axis at any width
     if reducer is np.maximum:
         return stacked.max(axis=0)
     # average pooling divides by the window size (zero-padded taps count,
@@ -184,8 +190,11 @@ def avg_pool2d(x: np.ndarray, attrs: dict[str, Any]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# dispatch table: op name -> fn(inputs, attrs, params) -> np.ndarray
+# dispatch table: op name -> fn(inputs, attrs, params) -> (N, ...) ndarray
 # ----------------------------------------------------------------------
+# Positionwise ops are indifferent to the leading batch axis; the
+# axis-relative ones (concat, flatten, slice_channels, global_avg_pool)
+# count the channel axis as axis 1.
 def _k_input(inputs, attrs, params):
     raise ExecutionError("input nodes must be fed, not executed")
 
@@ -223,10 +232,6 @@ def _k_depthwise(inputs, attrs, params):
     )
 
 
-def _k_concat(inputs, attrs, params):
-    return np.concatenate(inputs, axis=0)
-
-
 def _k_add(inputs, attrs, params):
     out = inputs[0]
     for x in inputs[1:]:
@@ -242,6 +247,7 @@ def _k_mul(inputs, attrs, params):
 
 
 def _k_batch_norm(inputs, attrs, params):
+    # (C, 1, 1) factors broadcast across the batch axis
     scale = params["scale"][:, None, None]
     shift = params["shift"][:, None, None]
     return inputs[0] * scale + shift
@@ -259,7 +265,10 @@ def _k_fused_sep(inputs, attrs, params):
 
 
 def _k_dense(inputs, attrs, params):
-    out = params["weight"] @ inputs[0]
+    # (units, features) @ (N, features, 1) broadcasts to N independent
+    # matrix-vector products — bitwise ``weight @ x`` per sample, which
+    # one reassociated (N, features) GEMM would not be
+    out = np.matmul(params["weight"], inputs[0][..., None])[..., 0]
     bias = params.get("bias")
     return out + bias if bias is not None else out
 
@@ -310,21 +319,21 @@ def _o_batch_norm(inputs, attrs, params, out):
 def _o_concat(inputs, attrs, params, out):
     lo = 0
     for x in inputs:
-        out[lo : lo + x.shape[0]] = x
-        lo += x.shape[0]
-    if lo != out.shape[0]:
+        out[:, lo : lo + x.shape[1]] = x
+        lo += x.shape[1]
+    if lo != out.shape[1]:
         raise ExecutionError(
-            f"concat operands fill {lo} of {out.shape[0]} output channels"
+            f"concat operands fill {lo} of {out.shape[1]} output channels"
         )
 
 
 def _o_flatten(inputs, attrs, params, out):
-    np.copyto(out, inputs[0].reshape(-1))
+    np.copyto(out, inputs[0].reshape(out.shape))
 
 
 def _o_slice_channels(inputs, attrs, params, out):
     lo, hi = attrs["range"]
-    np.copyto(out, inputs[0][lo:hi])
+    np.copyto(out, inputs[0][:, lo:hi])
 
 
 OUT_KERNELS = {
@@ -342,240 +351,6 @@ OUT_KERNELS = {
 }
 
 
-# ----------------------------------------------------------------------
-# batched kernels: one leading batch axis, one NumPy call per node
-# ----------------------------------------------------------------------
-# Feature maps are (N, C, H, W); dense activations (N, features).
-# Per-sample bitwise parity with the unbatched kernels is load-bearing
-# (the serving layer scatters a stacked run back to individual requests
-# that are verified against the reference executor), so reductions keep
-# the unbatched contraction order per sample: einsum contracts the same
-# axis, pooling reduces the same tap axis, and dense stays a broadcast
-# stack of matrix–vector products instead of one reassociated GEMM.
-
-
-def _batched_padded(
-    x: np.ndarray, pt: int, pb: int, pl: int, pr: int, fill: float
-) -> np.ndarray:
-    """Constant-pad the spatial dims of a (N, C, H, W) stack."""
-    n, c, h, w = x.shape
-    if fill == 0.0:
-        xp = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=x.dtype)
-    else:
-        xp = np.full((n, c, h + pt + pb, w + pl + pr), fill, dtype=x.dtype)
-    xp[:, :, pt : pt + h, pl : pl + w] = x
-    return xp
-
-
-def _batched_pad_same(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
-    (pt, pb), (pl, pr) = _padding_amounts(
-        x.shape[2], x.shape[3], kernel, stride, padding
-    )
-    if pt == pb == pl == pr == 0:
-        return x
-    return _batched_padded(x, pt, pb, pl, pr, 0.0)
-
-
-def _batched_tap_view(
-    xp: np.ndarray, u: int, v: int, oh: int, ow: int, sh: int, sw: int
-) -> np.ndarray:
-    """The (N, C, oh, ow) input window hitting kernel tap (u, v)."""
-    return xp[:, :, u : u + oh * sh : sh, v : v + ow * sw : sw]
-
-
-def batched_conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride=1,
-    padding="same",
-) -> np.ndarray:
-    """Batched convolution: ``(N,C,H,W) x (M,C,kh,kw) -> (N,M,oh,ow)``."""
-    kernel = weight.shape[2], weight.shape[3]
-    stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[2], x.shape[3], kernel, stride, padding)
-    xp = _batched_pad_same(x, kernel, stride, padding)
-    out = np.zeros(
-        (x.shape[0], weight.shape[0], oh, ow), dtype=np.result_type(x, weight)
-    )
-    for u in range(kernel[0]):
-        for v in range(kernel[1]):
-            window = _batched_tap_view(xp, u, v, oh, ow, *stride)
-            out += np.einsum("bchw,mc->bmhw", window, weight[:, :, u, v])
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
-
-
-def batched_depthwise_conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride=1,
-    padding="same",
-) -> np.ndarray:
-    """Batched depthwise conv: ``(N,C,H,W) x (C,mult,kh,kw) -> (N,C*mult,oh,ow)``."""
-    c, mult = weight.shape[0], weight.shape[1]
-    kernel = weight.shape[2], weight.shape[3]
-    stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[2], x.shape[3], kernel, stride, padding)
-    xp = _batched_pad_same(x, kernel, stride, padding)
-    out = np.zeros((x.shape[0], c, mult, oh, ow), dtype=np.result_type(x, weight))
-    for u in range(kernel[0]):
-        for v in range(kernel[1]):
-            window = _batched_tap_view(xp, u, v, oh, ow, *stride)  # (N,C,oh,ow)
-            out += window[:, :, None] * weight[:, :, u, v][None, :, :, None, None]
-    out = out.reshape(x.shape[0], c * mult, oh, ow)
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
-
-
-def _batched_pool(x: np.ndarray, attrs: dict[str, Any], reducer) -> np.ndarray:
-    kernel = normalize_pair(attrs.get("kernel", 2), "kernel")
-    stride = normalize_pair(attrs.get("stride", kernel), "stride")
-    padding = attrs.get("padding", "valid")
-    oh, ow = conv_output_hw(x.shape[2], x.shape[3], kernel, stride, padding)
-    if padding == "valid":
-        xp = x
-    else:
-        fill = -np.inf if reducer is np.maximum else 0.0
-        (pt, pb), (pl, pr) = _padding_amounts(
-            x.shape[2], x.shape[3], kernel, stride, padding
-        )
-        xp = _batched_padded(x, pt, pb, pl, pr, fill)
-    taps = [
-        _batched_tap_view(xp, u, v, oh, ow, *stride)
-        for u in range(kernel[0])
-        for v in range(kernel[1])
-    ]
-    stacked = np.stack(taps)  # (taps, N, C, oh, ow): same reduction axis
-    if reducer is np.maximum:
-        return stacked.max(axis=0)
-    return stacked.mean(axis=0)
-
-
-def _bk_conv2d(inputs, attrs, params):
-    return batched_conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-
-
-def _bk_partial_conv2d(inputs, attrs, params):
-    out = batched_conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-    if attrs.get("accumulate", False):
-        out = out + inputs[1]
-    return out
-
-
-def _bk_depthwise(inputs, attrs, params):
-    return batched_depthwise_conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-
-
-def _bk_fused_sep(inputs, attrs, params):
-    mid = batched_depthwise_conv2d(
-        inputs[0],
-        params["dw_weight"],
-        None,
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-    return batched_conv2d(
-        mid, params["pw_weight"], params.get("bias"), stride=1, padding="same"
-    )
-
-
-def _bk_dense(inputs, attrs, params):
-    # (units, features) @ (N, features, 1) broadcasts to N independent
-    # matrix-vector products — bitwise the unbatched ``weight @ x`` per
-    # sample, which one reassociated (N,features) GEMM would not be
-    out = np.matmul(params["weight"], inputs[0][:, :, None])[:, :, 0]
-    bias = params.get("bias")
-    return out + bias if bias is not None else out
-
-
-def _bk_batch_norm(inputs, attrs, params):
-    scale = params["scale"][:, None, None]
-    shift = params["shift"][:, None, None]
-    return inputs[0] * scale + shift
-
-
-#: batched op dispatch: fn(inputs, attrs, params) -> (N, ...) ndarray.
-#: Positionwise ops reuse the unbatched callables outright — an extra
-#: leading axis changes nothing about an elementwise ufunc chain.
-BATCH_KERNELS = {
-    "input": _k_input,
-    "conv2d": _bk_conv2d,
-    "partial_conv2d": _bk_partial_conv2d,
-    "depthwise_conv2d": _bk_depthwise,
-    "partial_depthwise_conv2d": _bk_depthwise,
-    "fused_sep_conv3x3": _bk_fused_sep,
-    "concat": lambda i, a, p: np.concatenate(i, axis=1),
-    "add": _k_add,
-    "mul": _k_mul,
-    "relu": lambda i, a, p: np.maximum(i[0], 0.0),
-    "relu6": lambda i, a, p: np.clip(i[0], 0.0, 6.0),
-    "sigmoid": lambda i, a, p: 1.0 / (1.0 + np.exp(-i[0])),
-    "tanh": lambda i, a, p: np.tanh(i[0]),
-    "identity": lambda i, a, p: i[0],
-    "batch_norm": _bk_batch_norm,
-    "max_pool2d": lambda i, a, p: _batched_pool(i[0], a, np.maximum),
-    "avg_pool2d": lambda i, a, p: _batched_pool(i[0], a, np.add),
-    "global_avg_pool": lambda i, a, p: i[0].mean(axis=(2, 3), keepdims=True),
-    "flatten": lambda i, a, p: i[0].reshape(i[0].shape[0], -1),
-    "dense": _bk_dense,
-    "slice_channels": lambda i, a, p: i[0][:, a["range"][0] : a["range"][1]],
-}
-
-
-def _bo_concat(inputs, attrs, params, out):
-    lo = 0
-    for x in inputs:
-        out[:, lo : lo + x.shape[1]] = x
-        lo += x.shape[1]
-    if lo != out.shape[1]:
-        raise ExecutionError(
-            f"concat operands fill {lo} of {out.shape[1]} output channels"
-        )
-
-
-#: batched destination-write variants. The elementwise entries are the
-#: unbatched callables unchanged (``out=`` ufuncs are shape-generic and
-#: batch_norm's (C, 1, 1) factors broadcast across the batch axis); only
-#: the layout ops need to respect the shifted channel axis.
-BATCH_OUT_KERNELS = {
-    "add": _o_add,
-    "mul": _o_mul,
-    "relu": OUT_KERNELS["relu"],
-    "relu6": OUT_KERNELS["relu6"],
-    "sigmoid": _o_sigmoid,
-    "tanh": OUT_KERNELS["tanh"],
-    "identity": OUT_KERNELS["identity"],
-    "batch_norm": _o_batch_norm,
-    "concat": _bo_concat,
-    "flatten": lambda i, a, p, out: np.copyto(out, i[0].reshape(out.shape)),
-    "slice_channels": lambda i, a, p, out: np.copyto(
-        out, i[0][:, a["range"][0] : a["range"][1]]
-    ),
-}
-
-
 KERNELS = {
     "input": _k_input,
     "conv2d": _k_conv2d,
@@ -583,7 +358,7 @@ KERNELS = {
     "depthwise_conv2d": _k_depthwise,
     "partial_depthwise_conv2d": _k_depthwise,
     "fused_sep_conv3x3": _k_fused_sep,
-    "concat": _k_concat,
+    "concat": lambda i, a, p: np.concatenate(i, axis=1),
     "add": _k_add,
     "mul": _k_mul,
     "relu": lambda i, a, p: np.maximum(i[0], 0.0),
@@ -594,8 +369,8 @@ KERNELS = {
     "batch_norm": _k_batch_norm,
     "max_pool2d": lambda i, a, p: max_pool2d(i[0], a),
     "avg_pool2d": lambda i, a, p: avg_pool2d(i[0], a),
-    "global_avg_pool": lambda i, a, p: i[0].mean(axis=(1, 2), keepdims=True),
-    "flatten": lambda i, a, p: i[0].reshape(-1),
+    "global_avg_pool": lambda i, a, p: i[0].mean(axis=(2, 3), keepdims=True),
+    "flatten": lambda i, a, p: i[0].reshape(i[0].shape[0], -1),
     "dense": _k_dense,
-    "slice_channels": lambda i, a, p: i[0][a["range"][0] : a["range"][1]],
+    "slice_channels": lambda i, a, p: i[0][:, a["range"][0] : a["range"][1]],
 }

@@ -30,9 +30,8 @@ layer in :mod:`repro.serving` honest. Correctness over stale bytes is
 structural: every byte a kernel reads was written earlier in the same
 run (inputs are fed, intermediates computed), so no scrub is needed for
 parity — the suite proves bitwise-identical outputs across back-to-back
-runs over a dirty arena. An explicit ``scrub`` policy is still
-available for callers who want defence in depth (``"zero"``) or the
-old fresh-allocation behaviour for baselines (``"fresh"``).
+runs over a dirty arena. An explicit ``scrub="zero"`` policy is still
+available for callers who want defence in depth.
 
 Kernels write **directly into their arena site** when they can
 (:data:`~repro.runtime.kernels.OUT_KERNELS`: elementwise chains,
@@ -45,22 +44,22 @@ so aliased layouts can never corrupt an operand mid-kernel.
 
 Batching
 --------
-``batch_size=N`` makes the executor **batch-native**: the arena becomes
-``N`` per-sample rows (a strided ``(N, arena_elems)`` layout), so every
-planned byte offset, lifetime and hazard verdict from the per-sample
-compilation is reused unchanged — row ``b`` of the batched arena is
-exactly the single-sample arena of sample ``b``, and nothing is
-re-scheduled. :meth:`run_batch` executes up to ``N`` stacked samples
-per step through the batched kernel tables
-(:data:`~repro.runtime.kernels.BATCH_KERNELS` /
-:data:`~repro.runtime.kernels.BATCH_OUT_KERNELS`), paying NumPy's
-per-call dispatch once per node per batch instead of once per node per
-sample. A partial batch ``n < N`` runs on the first ``n`` arena rows at
-its true size — no padding, no wasted compute. Per-sample results are
-bitwise those of :meth:`run` (and therefore of the reference executor);
-the batched parity suite asserts that across the benchmark suite.
-:meth:`run` itself always executes single-sample on row 0 with the
-unbatched kernels, whatever the construction batch size.
+The executor is **batch-native**: every activation view carries one
+leading batch axis (the kernels' single contract, see
+:mod:`repro.runtime.kernels`) and a run has a width ``n >= 1``. The
+arena is ``batch_size`` per-sample rows (a strided
+``(N, arena_elems)`` layout), so every planned byte offset, lifetime
+and hazard verdict from the per-sample compilation is reused unchanged
+— row ``b`` is exactly the single-sample arena of sample ``b``, and
+nothing is re-scheduled. :meth:`run_batch` executes ``n <= N`` stacked
+samples per step, paying NumPy's per-call dispatch once per node per
+batch instead of once per node per sample; a partial batch runs on the
+first ``n`` arena rows at its true size — no padding, no wasted
+compute. :meth:`run` is the width-1 call of the same path (one
+leading axis added to the feeds, stripped from the outputs), whatever
+the construction batch size. Per-sample results are bitwise identical
+across widths (and to the reference executor); the batched parity
+suite asserts that across the benchmark suite.
 
 Tiered arenas & spilling
 ------------------------
@@ -111,12 +110,7 @@ from repro.graph.node import Node
 from repro.memsim.hierarchy import OffchipLink, TrafficReport
 from repro.memsim.trace import tile_spans
 from repro.runtime.executor import Params, init_params
-from repro.runtime.kernels import (
-    BATCH_KERNELS,
-    BATCH_OUT_KERNELS,
-    KERNELS,
-    OUT_KERNELS,
-)
+from repro.runtime.kernels import KERNELS, OUT_KERNELS
 from repro.scheduler.memory import BufferModel
 from repro.scheduler.schedule import Schedule
 
@@ -520,17 +514,12 @@ class _RunPlan:
 
 
 #: arena scrub policies between runs (see :class:`PlanExecutor`)
-SCRUB_POLICIES = ("never", "zero", "fresh")
+SCRUB_POLICIES = ("never", "zero")
 
 #: compiled pruned-output plans kept per executor (the full-schedule
 #: plans are pinned separately); long-lived pooled executors must not
 #: grow without bound under request traffic with varied output subsets
 _RUN_PLAN_CACHE_LIMIT = 32
-
-#: plan-cache batch key for the unbatched single-sample path (row 0,
-#: unbatched kernel tables) — distinct from a batched run at n == 1,
-#: which binds (1, ...)-shaped views and the batched tables
-_UNBATCHED = 0
 
 
 class PlanExecutor:
@@ -555,9 +544,6 @@ class PlanExecutor:
     ``"zero"``
         zero-fill the existing arena before each run (defence in depth,
         e.g. against cross-request data exposure in multi-tenant use).
-    ``"fresh"``
-        allocate a brand-new zeroed arena per run — the historical
-        per-request behaviour, kept as the benchmark baseline.
 
     ``batch_size=N`` provisions ``N`` arena rows with the identical
     per-sample layout, enabling :meth:`run_batch` over up to ``N``
@@ -837,18 +823,16 @@ class PlanExecutor:
         self._direct = self._plan_direct_writes()
         self._alloc_arena()
         #: compiled run plans keyed by (output subset or None for the
-        #: full schedule, batch width; _UNBATCHED = single-sample path)
+        #: full schedule, batch width)
         self._run_plans: dict[tuple[frozenset[str] | None, int], _RunPlan] = {}
-        self._pinned = {(None, _UNBATCHED)}
-        if batch_size > 1:
-            self._pinned.add((None, batch_size))
+        self._pinned = {(None, 1), (None, batch_size)}
         for key in self._pinned:
             self._run_plans[key] = self._compile_run_plan(
                 tuple(self.schedule), 0, key[1]
             )
 
     def _alloc_arena(self) -> None:
-        """(Re)allocate the zeroed region(s) and rebuild every site view."""
+        """Allocate the zeroed region(s) every site view binds into."""
         self._arena = np.zeros(
             (self.batch_size, self._arena_elems), dtype=_EXEC_DTYPE
         )
@@ -867,9 +851,8 @@ class PlanExecutor:
                 sorted(self._spilled) if self._tile_bytes is not None else ()
             )
         }
-        #: per-node views keyed by batch width (_UNBATCHED = row-0
-        #: views with the spec's own shape; n >= 1 = (n, ...) views
-        #: over the first n rows), built lazily per width
+        #: per-node (n, ...) views over the first n rows, keyed by
+        #: batch width and built lazily per width
         self._sites: dict[int, dict[str, np.ndarray]] = {}
 
     def _check_write_hazards(self, intra: dict[str, int]) -> None:
@@ -967,15 +950,13 @@ class PlanExecutor:
         return self._spill_arena.nbytes
 
     def _sites_for(self, n: int) -> dict[str, np.ndarray]:
-        """Per-node arena views at batch width ``n``, built lazily once
-        per arena allocation.
+        """Per-node arena views at batch width ``n``, built lazily once.
 
-        ``n == _UNBATCHED`` binds row-0 views with each spec's own shape
-        (the single-sample hot path); ``n >= 1`` binds ``(n, ...)``
-        views spanning the first ``n`` rows — zero-copy strided views
-        into the same bytes, so batched and single-sample runs share
-        one arena. Spilled nodes are absent: their views move per
-        staging window and are bound at step-table compile time.
+        Width ``n`` binds ``(n, ...)`` views spanning the first ``n``
+        rows — zero-copy strided views into the same bytes, so runs of
+        every width share one arena. Spilled nodes are absent: their
+        views move per staging window and are bound at step-table
+        compile time.
         """
         cached = self._sites.get(n)
         if cached is not None:
@@ -987,14 +968,11 @@ class PlanExecutor:
             node = self.graph.node(name)
             start = self._elem_offset[name]
             stop = start + node.output.elements
-            if n == _UNBATCHED:
-                sites[name] = self._arena[0, start:stop].reshape(node.output.shape)
-            else:
-                # splitting the (contiguous) trailing axis of a strided
-                # (n, elems) slice is always expressible as a view
-                sites[name] = self._arena[:n, start:stop].reshape(
-                    (n,) + node.output.shape
-                )
+            # splitting the (contiguous) trailing axis of a strided
+            # (n, elems) slice is always expressible as a view
+            sites[name] = self._arena[:n, start:stop].reshape(
+                (n,) + node.output.shape
+            )
         self._sites[n] = sites
         return sites
 
@@ -1004,12 +982,11 @@ class PlanExecutor:
 
     def _plan_direct_writes(self) -> dict[str, str]:
         """Choose, per node, a destination-write kernel (recorded by op
-        name; resolved against the unbatched or batched table at plan
-        compile time) that is provably safe for this arena layout (see
-        module docstring); everything else keeps the
-        temporary-then-copy fallback. The safety argument is purely
-        about per-sample element ranges, which batched rows replicate
-        exactly — one verdict covers every batch width."""
+        name) that is provably safe for this arena layout (see module
+        docstring); everything else keeps the temporary-then-copy
+        fallback. The safety argument is purely about per-sample
+        element ranges, which arena rows replicate exactly — one
+        verdict covers every batch width."""
 
         def disjoint_or_equal(src: str, lo: int, hi: int) -> bool:
             s_lo, s_hi = self._elem_range(src)
@@ -1096,8 +1073,6 @@ class PlanExecutor:
             base = self._arena
             start += window.offset // self._itemsize
         stop = start + node.output.elements
-        if n == _UNBATCHED:
-            return base[0, start:stop].reshape(node.output.shape)
         return base[:n, start:stop].reshape((n,) + node.output.shape)
 
     def _stage_and_home(
@@ -1108,11 +1083,6 @@ class PlanExecutor:
         elems = self._buf_elems[b]
         s0 = window.offset // self._itemsize
         h0 = self._home_elem[b]
-        if n == _UNBATCHED:
-            return (
-                self._arena[0, s0 : s0 + elems],
-                self._spill_arena[0, h0 : h0 + elems],
-            )
         return (
             self._arena[:n, s0 : s0 + elems],
             self._spill_arena[:n, h0 : h0 + elems],
@@ -1131,12 +1101,6 @@ class PlanExecutor:
         s0 = window.offset // it + slot_lo // it
         h0 = self._home_elem[b] + lo // it
         c0 = lo // it
-        if n == _UNBATCHED:
-            return (
-                self._arena[0, s0 : s0 + ne],
-                self._spill_arena[0, h0 : h0 + ne],
-                self._scratch[b][0, c0 : c0 + ne],
-            )
         return (
             self._arena[:n, s0 : s0 + ne],
             self._spill_arena[:n, h0 : h0 + ne],
@@ -1147,7 +1111,7 @@ class PlanExecutor:
         self, order: tuple[str, ...], executed0: int, n: int
     ) -> "_RunPlan":
         """Bake one execution order into a flat step table at batch
-        width ``n`` (``_UNBATCHED`` for the single-sample path).
+        width ``n``.
 
         The liveness trace is replayed here, once: which buffers are
         live at each step — and therefore the measured high-water mark —
@@ -1182,12 +1146,6 @@ class PlanExecutor:
         prefetch mode.
         """
         graph, model, params = self.graph, self.model, self.params
-        if n == _UNBATCHED:
-            kernel_table, out_table = KERNELS, OUT_KERNELS
-            batch_dims: tuple[int, ...] = ()
-        else:
-            kernel_table, out_table = BATCH_KERNELS, BATCH_OUT_KERNELS
-            batch_dims = (n,)
         sites = self._sites_for(n)
         idx = model.index
         spill = self.spill
@@ -1330,7 +1288,7 @@ class PlanExecutor:
                 return sites[nm]
 
             site = view_of(name)
-            shape = batch_dims + node.output.shape
+            shape = (n,) + node.output.shape
             if node.op == "input":
                 kernel_rows.append(
                     (_STEP_INPUT, name, site, None, (), {}, {}, shape)
@@ -1345,7 +1303,7 @@ class PlanExecutor:
                             _STEP_DIRECT,
                             name,
                             site,
-                            out_table[direct_op],
+                            OUT_KERNELS[direct_op],
                             args,
                             node.attrs,
                             node_params,
@@ -1354,7 +1312,7 @@ class PlanExecutor:
                     )
                     direct_writes += 1
                 else:
-                    kernel = kernel_table.get(node.op)
+                    kernel = KERNELS.get(node.op)
                     if kernel is None:
                         raise ExecutionError(f"no kernel for op {node.op!r}")
                     kernel_rows.append(
@@ -1534,7 +1492,6 @@ class PlanExecutor:
         for b, _w, oi, _p in wb_events:
             wb_exits.setdefault(b, []).append(oi)
         inline_f: dict[int, list[tuple[int, StageWindow]]] = {}
-        inline_w: dict[int, list[tuple[int, StageWindow]]] = {}
         #: enqueue oi -> [(buffer, window, entry oi, piece|None)]
         eng_f: dict[int, list[tuple]] = {}
         #: exit oi -> [(buffer, window, due oi, piece|None)]
@@ -1686,10 +1643,9 @@ class PlanExecutor:
                         need_at[oi] = max(need_at[oi], hist[i - 1][1])
 
         # assemble: [fetch enqueues][one sync][inline fetches][kernel]
-        # [inline writebacks][writeback enqueues] per step; the FIFO
-        # completes in submit order, so one wait on the highest needed
-        # job covers every earlier one (``guaranteed`` skips redundant
-        # syncs)
+        # [writeback enqueues] per step; the FIFO completes in submit
+        # order, so one wait on the highest needed job covers every
+        # earlier one (``guaranteed`` skips redundant syncs)
         steps = []
         guaranteed = 0
         for oi, row in enumerate(kernel_rows):
@@ -1737,20 +1693,6 @@ class PlanExecutor:
                     )
                 )
             steps.append(row)
-            for b, w in inline_w.get(oi, ()):
-                stage, home = self._stage_and_home(b, w, n)
-                steps.append(
-                    (
-                        _STEP_WRITEBACK,
-                        f"<writeback:b{b}>",
-                        home,
-                        None,
-                        (stage,),
-                        None,
-                        None,
-                        None,
-                    )
-                )
             for b, w, _due, piece in eng_w.get(oi, ()):
                 if piece is None:
                     stage, home = self._stage_and_home(b, w, n)
@@ -1831,8 +1773,18 @@ class PlanExecutor:
         the requested nodes. Sets :attr:`last_stats` with the measured
         arena peak and raises :class:`ExecutionError` if that peak ever
         exceeds the plan's ``arena_bytes``.
+
+        A solo run is the batch of one: feeds gain a leading axis (a
+        view), and the outputs are row 0 of the width-1 snapshots.
         """
-        return self._execute(feeds, outputs, _UNBATCHED)
+        stacked = {
+            k: np.asarray(feeds[k])[None]
+            for k in self.graph.input_nodes
+            if k in feeds
+        }
+        return {
+            k: v[0] for k, v in self._execute(stacked, outputs, 1).items()
+        }
 
     def run_batch(
         self,
@@ -1898,23 +1850,12 @@ class PlanExecutor:
                 f"{self.plan.arena_bytes} bytes per sample"
             )
 
-        if self.scrub == "fresh":
-            # brand-new arena: rebuild the views every step table binds
-            # to, then recompile the plan against the new views
-            self._alloc_arena()
-            self._run_plans = {}
-            for key in self._pinned:
-                self._run_plans[key] = self._compile_run_plan(
-                    tuple(self.schedule), 0, key[1]
-                )
-            plan = self._get_plan(subset, n)
-        elif self.scrub == "zero":
+        if self.scrub == "zero":
             self._arena.fill(0.0)
             if self._spill_elems:
                 self._spill_arena.fill(0.0)
             for scr in self._scratch.values():
                 scr.fill(0.0)
-        reused = self.scrub != "fresh" and self.runs > 0
 
         engine = self._engine
         link = self._link
@@ -1972,7 +1913,8 @@ class PlanExecutor:
                     if tuple(value.shape) != shape:
                         raise ExecutionError(
                             f"kernel produced shape {value.shape} for "
-                            f"{name!r}, spec says {shape}"
+                            f"{name!r}, spec says {n} sample(s) of "
+                            f"{shape[1:]}"
                         )
                     site[...] = value
                 else:  # _STEP_INPUT
@@ -1984,23 +1926,21 @@ class PlanExecutor:
                     if tuple(value.shape) != shape:
                         raise ExecutionError(
                             f"feed {name!r} has shape {value.shape}, "
-                            f"expected {shape}"
+                            f"expected {n} sample(s) of {shape[1:]}"
                         )
                     site[...] = value
                 if name in want:
                     snapshots[name] = site.copy()
             if engine is not None and plan.total_jobs:
                 # end-of-run drain: writebacks due past the last step
-                # must land before the caller (or the next run, or a
-                # fresh-scrub realloc) reads the spill region
+                # must land before the caller (or the next run) reads
+                # the spill region
                 engine_wait_s += engine.wait(base + plan.total_jobs)
         except BaseException:
             if engine is not None:
                 engine.quiesce()
             raise
 
-        self.runs += 1
-        n_eff = 1 if n == _UNBATCHED else n
         hidden_s = 0.0
         if engine is not None:
             hidden_s = max(0.0, (engine.busy_s - busy0) - engine_wait_s)
@@ -2008,19 +1948,19 @@ class PlanExecutor:
             steps=len(plan.steps),
             arena_bytes=self.plan.arena_bytes,
             measured_peak_bytes=plan.measured_peak_bytes,
-            arena_reused=reused,
+            arena_reused=self.runs > 0,
             direct_writes=plan.direct_writes,
             copy_writes=plan.copy_writes,
-            batch=n_eff,
+            batch=n,
             capacity_bytes=(
                 self.spill.capacity_bytes if self.spill is not None else None
             ),
             spilled_buffers=len(self._spilled),
-            spill_fetches=plan.spill_fetches * n_eff,
-            spill_writebacks=plan.spill_writebacks * n_eff,
-            spill_bytes_in=plan.spill_bytes_in * n_eff,
-            spill_bytes_out=plan.spill_bytes_out * n_eff,
-            spill_accesses=plan.spill_accesses * n_eff,
+            spill_fetches=plan.spill_fetches * n,
+            spill_writebacks=plan.spill_writebacks * n,
+            spill_bytes_in=plan.spill_bytes_in * n,
+            spill_bytes_out=plan.spill_bytes_out * n,
+            spill_accesses=plan.spill_accesses * n,
             spill_stall_s=inline_stall_s + engine_wait_s,
             spill_hidden_s=hidden_s,
             prefetch_lead=(
@@ -2028,18 +1968,18 @@ class PlanExecutor:
             ),
             tile_bytes=self._tile_bytes,
         )
+        self.runs += 1
         return {w: snapshots[w] for w in wanted}
 
     def shadow_check(self):
         """Byte-bounds replay of this executor's compiled step tables.
 
         Delegates to :func:`repro.analysis.shadow.shadow_check`: every
-        pinned plan (single-sample, and batched when ``batch_size > 1``)
-        is walked row by row — views bounds-checked against the
-        declared regions, reads proven covered by earlier writes, and
-        transfer-engine rows modelled for races — without executing a
-        kernel. Returns an
-        :class:`~repro.analysis.diagnostics.AnalysisReport`.
+        pinned plan (width 1, and width ``batch_size``) is walked row
+        by row — views bounds-checked against the declared regions,
+        reads proven covered by earlier writes, and transfer-engine
+        rows modelled for races — without executing a kernel. Returns
+        an :class:`~repro.analysis.diagnostics.AnalysisReport`.
         """
         from repro.analysis.shadow import shadow_check
 

@@ -7,16 +7,17 @@ threads. Each worker leases one executor from the
 micro-batching enabled, drains up to ``max_batch`` queued requests for
 the *same model* into that single lease.
 
-When the pool's executors are **batch-capable** (``batch_size > 1``),
-a drained micro-batch becomes *one stacked* ``run_batch`` call: the
-requests' feeds are stacked along a leading batch axis, every kernel
-runs once for the whole batch (amortising NumPy's per-call dispatch,
-which dominates on micro cells), and the outputs are scattered back to
-the individual futures — each sample bitwise what a solo run would
-have produced. Stacking requires identical request shapes (same output
-subset, same feed names, spec-shaped feeds); requests that differ fall
-back to back-to-back runs on the same hot arena, and a partial drain
-runs at its true stacked size — never padded to capacity.
+Every run is *one stacked* ``run_batch`` call: the requests' feeds are
+stacked along a leading batch axis, every kernel runs once for the
+whole batch (amortising NumPy's per-call dispatch, which dominates on
+micro cells), and the outputs are scattered back to the individual
+futures — each sample bitwise what a run of its own would have
+produced. A lone request is the batch of one. When the pool's
+executors are **batch-capable** (``batch_size > 1``), a drained
+micro-batch stacks wider: that requires identical request shapes (same
+output subset, same feed names, spec-shaped feeds); requests that
+differ run back to back at width 1 on the same hot arena, and a
+partial drain runs at its true stacked size — never padded to capacity.
 
 Every response carries a :class:`RequestStats` (queue wait, run time,
 measured arena peak, whether the arena was reused, and the *actual*
@@ -55,14 +56,14 @@ class RequestStats:
     model: str
     #: seconds spent queued before a worker picked the request up
     queue_s: float
-    #: seconds inside ``PlanExecutor.run``
+    #: seconds stacking feeds and inside ``PlanExecutor.run_batch``
     run_s: float
     #: measured arena high-water mark of this run (per sample)
     measured_peak_bytes: int
     #: whether the run reused a previous run's arena bytes
     arena_reused: bool
     #: how many samples actually ran stacked in this request's run
-    #: (1 = solo run; > 1 = one batched kernel pass served them all)
+    #: (1 = ran alone; > 1 = one batched kernel pass served them all)
     batch_size: int
     #: simulated off-chip bytes moved by the run that served this
     #: request (0 on a resident, unspilled executor); run-level, like
@@ -445,8 +446,8 @@ class RequestScheduler:
         feed a spec-shaped graph input (a malformed request — or one
         carrying extra non-input feeds whose shapes np.stack could
         trip over — must fail or succeed *alone*, not poison its
-        neighbours, so it is left as a singleton and the solo path
-        decides). Order within the batch is preserved group-wise.
+        neighbours, so it is left as a singleton and its own width-1
+        run decides). Order within the batch is preserved group-wise.
         """
         specs = self._input_specs.get(model)
         if specs is None:
@@ -480,21 +481,22 @@ class RequestScheduler:
     def _run_batch(self, model: str, batch: list[_Request], executor) -> None:
         """Serve one drained micro-batch on one leased executor.
 
-        With a batch-capable executor, stackable groups execute as ONE
-        ``run_batch`` over their stacked feeds (chunked to the
-        executor's capacity) and the outputs are scattered back per
-        request; everything else falls back to back-to-back solo runs
-        on the same hot arena. Runs always execute at the actual number
-        of drained samples — a partial batch is never padded.
+        Every live chunk of 1..capacity requests is served the same
+        way: stack the feeds, ONE ``run_batch`` at the chunk's true
+        width (a partial batch is never padded; a lone request is the
+        batch of one), scatter the outputs back per request. With a
+        batch-capable executor, stackable groups are chunked to the
+        executor's capacity; everything else is a group of one.
 
         A kernel exception inside a stacked run does **not** fail the
-        whole stack: the chunk's requests are retried solo on the same
-        arena, so only the culpable request sees the exception. Failed
-        requests still contribute their latency (queue wait plus the
-        failed attempt's run time) to the aggregate — error paths must
-        not vanish from the percentiles. A non-``Exception`` escape
-        (``KeyboardInterrupt`` / ``SystemExit``) fails everything still
-        pending, then re-raises so the worker actually stops.
+        whole stack: the chunk's requests re-enter as width-1 chunks on
+        the same arena, so only the culpable request sees the
+        exception. Failed requests still contribute their latency
+        (queue wait plus the failed attempt's run time) to the
+        aggregate — error paths must not vanish from the percentiles.
+        A non-``Exception`` escape (``KeyboardInterrupt`` /
+        ``SystemExit``) fails everything still pending, then re-raises
+        so the worker actually stops.
         """
         completed = 0
         errors = 0
@@ -509,116 +511,76 @@ class RequestScheduler:
         else:
             groups = [[req] for req in batch]
 
-        def run_solo(req: _Request) -> None:
-            """One solo run for a future already marked running."""
-            nonlocal completed, errors, runs
-            nonlocal spill_bytes, spill_stall, spill_hidden
-            t0 = time.perf_counter()
-            try:
-                outputs = executor.run(req.feeds, outputs=req.outputs)
-            except Exception as exc:
-                t1 = time.perf_counter()
-                req.future.set_exception(exc)
-                errors += 1
-                runs += 1
-                latencies.append(t1 - req.enqueued_at)
-                return
-            t1 = time.perf_counter()
-            run_stats = executor.last_stats
-            runs += 1
-            spill_bytes += run_stats.spill_bytes_total
-            spill_stall += run_stats.spill_stall_s
-            spill_hidden += run_stats.spill_hidden_s
-            stats = RequestStats(
-                model=model,
-                queue_s=t0 - req.enqueued_at,
-                run_s=t1 - t0,
-                measured_peak_bytes=run_stats.measured_peak_bytes,
-                arena_reused=run_stats.arena_reused,
-                batch_size=1,
-                spill_bytes=run_stats.spill_bytes_total,
-                spill_stall_s=run_stats.spill_stall_s,
-                spill_hidden_s=run_stats.spill_hidden_s,
-            )
-            req.future.set_result(
-                InferenceResult(outputs=outputs, stats=stats)
-            )
-            completed += 1
-            latencies.append(stats.total_s)
-
         hook = self.run_hook
         if hook is not None:
             hook()
         try:
             for group in groups:
-                chunks = (
-                    [group]
-                    if len(group) <= capacity
-                    else [
-                        group[i : i + capacity]
-                        for i in range(0, len(group), capacity)
-                    ]
-                )
-                for chunk in chunks:
+                for lo in range(0, len(group), capacity):
                     now = time.monotonic()
                     live = []
-                    for req in chunk:
+                    for req in group[lo : lo + capacity]:
                         if req.deadline is not None and req.deadline <= now:
                             # shed before compute: the deadline passed
                             # while the request waited for this dispatch
                             self._expire(req)
                         elif req.future.set_running_or_notify_cancel():
                             live.append(req)
-                    if not live:
-                        continue
-                    if len(live) == 1:
-                        run_solo(live[0])
-                        continue
-                    t0 = time.perf_counter()
-                    try:
-                        feeds = {
-                            k: np.stack(
-                                [np.asarray(req.feeds[k]) for req in live]
+                    pending = [live] if live else []
+                    while pending:
+                        live = pending.pop()
+                        t0 = time.perf_counter()
+                        try:
+                            feeds = {
+                                k: np.stack(
+                                    [np.asarray(req.feeds[k]) for req in live]
+                                )
+                                for k in live[0].feeds
+                            }
+                            outputs = executor.run_batch(
+                                feeds, outputs=live[0].outputs, batch=len(live)
                             )
-                            for k in live[0].feeds
-                        }
-                        outputs = executor.run_batch(
-                            feeds, outputs=live[0].outputs, batch=len(live)
-                        )
-                    except Exception:
-                        # one poisoned batchmate must not fail its
-                        # neighbours: retry each request solo so only
-                        # the culpable one gets the exception
-                        for req in live:
-                            run_solo(req)
-                        continue
-                    t1 = time.perf_counter()
-                    run_stats = executor.last_stats
-                    runs += 1
-                    run_spill = run_stats.spill_bytes_total
-                    spill_bytes += run_spill
-                    spill_stall += run_stats.spill_stall_s
-                    spill_hidden += run_stats.spill_hidden_s
-                    for i, req in enumerate(live):
-                        scattered = {
-                            k: v[i].copy() for k, v in outputs.items()
-                        }
-                        stats = RequestStats(
-                            model=model,
-                            queue_s=t0 - req.enqueued_at,
-                            run_s=t1 - t0,
-                            measured_peak_bytes=run_stats.measured_peak_bytes,
-                            arena_reused=run_stats.arena_reused,
-                            batch_size=len(live),
-                            spill_bytes=run_spill,
-                            spill_stall_s=run_stats.spill_stall_s,
-                            spill_hidden_s=run_stats.spill_hidden_s,
-                        )
-                        req.future.set_result(
-                            InferenceResult(outputs=scattered, stats=stats)
-                        )
-                        completed += 1
-                        latencies.append(stats.total_s)
+                        except Exception as exc:
+                            if len(live) > 1:
+                                # one poisoned batchmate must not fail
+                                # its neighbours: re-enter each request
+                                # alone so only the culpable one gets
+                                # the exception
+                                pending.extend([req] for req in reversed(live))
+                                continue
+                            t1 = time.perf_counter()
+                            live[0].future.set_exception(exc)
+                            errors += 1
+                            runs += 1
+                            latencies.append(t1 - live[0].enqueued_at)
+                            continue
+                        t1 = time.perf_counter()
+                        run_stats = executor.last_stats
+                        runs += 1
+                        run_spill = run_stats.spill_bytes_total
+                        spill_bytes += run_spill
+                        spill_stall += run_stats.spill_stall_s
+                        spill_hidden += run_stats.spill_hidden_s
+                        for i, req in enumerate(live):
+                            scattered = {
+                                k: v[i].copy() for k, v in outputs.items()
+                            }
+                            stats = RequestStats(
+                                model=model,
+                                queue_s=t0 - req.enqueued_at,
+                                run_s=t1 - t0,
+                                measured_peak_bytes=run_stats.measured_peak_bytes,
+                                arena_reused=run_stats.arena_reused,
+                                batch_size=len(live),
+                                spill_bytes=run_spill,
+                                spill_stall_s=run_stats.spill_stall_s,
+                                spill_hidden_s=run_stats.spill_hidden_s,
+                            )
+                            req.future.set_result(
+                                InferenceResult(outputs=scattered, stats=stats)
+                            )
+                            completed += 1
+                            latencies.append(stats.total_s)
         except BaseException as exc:
             # a true BaseException (shutdown signal) aborts the batch:
             # fail whatever is still pending so no client blocks

@@ -115,13 +115,15 @@ class TestBatchedArenaLayout:
             for site in px._sites_for(n).values():
                 assert site.base is not None
                 assert np.shares_memory(site, px._arena)
-        # the solo row-0 views share the same bytes as batched row 0
-        solo_sites = px._sites_for(0)
+        # the width-1 views are row 0 of the wider ones, byte for byte
+        solo_sites = px._sites_for(1)
         for name, site in px._sites_for(4).items():
+            assert solo_sites[name].shape == (1,) + site.shape[1:]
             assert np.shares_memory(site[0], solo_sites[name])
+            assert not np.shares_memory(site[1:], solo_sites[name])
 
     def test_run_on_batched_executor_stays_solo_bitwise(self, diamond_graph):
-        """run() on a batch-capable executor is the plain row-0 path."""
+        """run() on a batch-capable executor is the width-1 call on row 0."""
         schedule, plan = self.compiled(diamond_graph)
         params = init_params(diamond_graph, seed=0)
         ref = Executor(diamond_graph, params=params)
@@ -152,23 +154,6 @@ class TestBatchedArenaLayout:
             for name in want:
                 np.testing.assert_array_equal(want[name], got_solo[name])
                 np.testing.assert_array_equal(want[name], got_batch[name][1])
-
-    def test_fresh_scrub_reallocates_batched_arena(self, diamond_graph):
-        schedule, plan = self.compiled(diamond_graph)
-        params = init_params(diamond_graph, seed=0)
-        ref = Executor(diamond_graph, params=params)
-        px = PlanExecutor(
-            diamond_graph, schedule, plan, params=params,
-            batch_size=2, scrub="fresh",
-        )
-        feeds, stacked = stack_feeds(diamond_graph, 2)
-        for _ in range(2):
-            got = px.run_batch(stacked)
-            for b in range(2):
-                want = ref.run(feeds[b])
-                for name in want:
-                    np.testing.assert_array_equal(want[name], got[name][b])
-            assert px.last_stats.arena_reused is False
 
 
 class TestPartialBatches:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from repro.exceptions import ExecutionError
 from repro.runtime.kernels import (
+    KERNELS,
+    OUT_KERNELS,
     avg_pool2d,
     conv2d,
     depthwise_conv2d,
@@ -118,3 +121,72 @@ class TestPooling:
     def test_pad_same_noop_for_valid(self):
         x = rng.standard_normal((1, 5, 5))
         assert pad_same(x, (3, 3), (1, 1), "valid") is x
+
+
+# per op: (attrs, parameter shapes, per-sample input shapes). Every key
+# of KERNELS has a row, including the ops no suite cell reaches.
+_CONV = {"weight": (4, 3, 3, 3), "bias": (4,)}
+_DW = {"weight": (3, 2, 3, 3), "bias": (6,)}
+CONTRACT_CASES = {
+    "conv2d": ({"stride": 2, "padding": "same"}, _CONV, [(3, 7, 7)]),
+    "partial_conv2d": (
+        {"accumulate": True, "padding": "valid"},
+        {"weight": (4, 3, 3, 3)},
+        [(3, 6, 6), (4, 4, 4)],
+    ),
+    "depthwise_conv2d": ({"padding": "same"}, _DW, [(3, 6, 6)]),
+    "partial_depthwise_conv2d": ({"stride": 2, "padding": "valid"}, _DW, [(3, 7, 7)]),
+    "fused_sep_conv3x3": (
+        {},
+        {"dw_weight": (3, 1, 3, 3), "pw_weight": (5, 3, 1, 1), "bias": (5,)},
+        [(3, 6, 6)],
+    ),
+    "concat": ({}, {}, [(2, 4, 4), (3, 4, 4), (1, 4, 4)]),
+    "add": ({}, {}, [(3, 4, 4)] * 3),
+    "mul": ({}, {}, [(3, 4, 4)] * 3),
+    "relu": ({}, {}, [(3, 4, 4)]),
+    "relu6": ({}, {}, [(3, 4, 4)]),
+    "sigmoid": ({}, {}, [(3, 4, 4)]),
+    "tanh": ({}, {}, [(3, 4, 4)]),
+    "identity": ({}, {}, [(3, 4, 4)]),
+    "batch_norm": ({}, {"scale": (3,), "shift": (3,)}, [(3, 4, 4)]),
+    "max_pool2d": ({"kernel": 3, "stride": 2, "padding": "same"}, {}, [(3, 7, 7)]),
+    "avg_pool2d": ({"kernel": 3, "stride": 1, "padding": "same"}, {}, [(3, 5, 5)]),
+    "global_avg_pool": ({}, {}, [(3, 5, 5)]),
+    "flatten": ({}, {}, [(3, 2, 2)]),
+    "dense": ({}, {"weight": (5, 12), "bias": (5,)}, [(12,)]),
+    "slice_channels": ({"range": (1, 3)}, {}, [(4, 3, 3)]),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestKernelContract:
+    """One leading batch axis, per-sample bitwise: the contract every
+    table entry is held to, whatever the executor does with it."""
+
+    def test_every_table_key_has_a_case(self):
+        assert set(CONTRACT_CASES) == set(KERNELS) - {"input"}
+        assert set(OUT_KERNELS) <= set(CONTRACT_CASES)
+        with pytest.raises(ExecutionError, match="fed, not executed"):
+            KERNELS["input"]([], {}, {})
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("op", sorted(CONTRACT_CASES))
+    def test_rows_are_independent_and_out_kernels_agree(self, op, width):
+        attrs, param_shapes, in_shapes = CONTRACT_CASES[op]
+        gen = np.random.default_rng(7)
+        params = {k: gen.standard_normal(s) for k, s in param_shapes.items()}
+        stack = [gen.standard_normal((width,) + s) * 3.0 for s in in_shapes]
+        full = KERNELS[op](stack, attrs, params)
+        assert full.shape[0] == width
+        for b in range(width):
+            alone = KERNELS[op]([x[b : b + 1] for x in stack], attrs, params)
+            assert alone.shape == (1,) + full.shape[1:]
+            assert _bits(full[b]) == _bits(alone[0])
+        if op in OUT_KERNELS:
+            out = np.full(full.shape, np.nan)
+            OUT_KERNELS[op](stack, attrs, params, out)
+            assert _bits(out) == _bits(full)

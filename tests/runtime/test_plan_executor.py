@@ -270,7 +270,7 @@ class TestArenaReuse:
         params = init_params(g)
         executors = {
             scrub: PlanExecutor(g, schedule, plan, params=params, scrub=scrub)
-            for scrub in ("never", "zero", "fresh")
+            for scrub in ("never", "zero")
         }
         ref = Executor(g, params=params)
         for seed in range(3):
@@ -280,10 +280,8 @@ class TestArenaReuse:
                 got = px.run(feeds)
                 for name in want:
                     np.testing.assert_array_equal(want[name], got[name])
-                # only "fresh" forfeits arena reuse
-                assert px.last_stats.arena_reused == (
-                    seed > 0 and scrub != "fresh"
-                )
+                # every run after the first reuses the arena
+                assert px.last_stats.arena_reused == (seed > 0)
 
     def test_unknown_scrub_policy_rejected(self, chain_graph):
         schedule = Schedule.of(chain_graph, chain_graph.node_names)

@@ -358,23 +358,18 @@ class TestErrorPaths:
     def _poison_executor(self, executor):
         """Make the executor raise whenever a feed carries the sentinel
         (stand-in for a data-dependent kernel exception)."""
-        real_run, real_run_batch = executor.run, executor.run_batch
-
-        def run(feeds, outputs=None):
-            if any(np.any(np.asarray(v) == self.POISON) for v in feeds.values()):
-                raise ExecutionError("poisoned feed")
-            return real_run(feeds, outputs=outputs)
+        real_run_batch = executor.run_batch
 
         def run_batch(feeds, outputs=None, batch=None):
             if any(np.any(np.asarray(v) == self.POISON) for v in feeds.values()):
-                raise ExecutionError("poisoned feed in stacked batch")
+                raise ExecutionError(f"poisoned feed in a batch of {batch}")
             return real_run_batch(feeds, outputs=outputs, batch=batch)
 
-        executor.run, executor.run_batch = run, run_batch
+        executor.run_batch = run_batch
 
     def test_poisoned_batchmate_fails_alone_among_eight(self, registry):
         """A kernel exception inside one stacked run_batch must fail
-        only the culpable request: the other seven are re-run solo and
+        only the culpable request: the other seven are re-run alone and
         answered bitwise-correct."""
         graph = registry.get("diamond").graph
         params = init_params(graph, 0)
@@ -395,17 +390,71 @@ class TestErrorPaths:
             if req is poisoned:
                 continue
             result = req.future.result(timeout=5)
-            assert result.stats.batch_size == 1  # served by the solo retry
+            assert result.stats.batch_size == 1  # served by the width-1 retry
             want = ref.run(random_feeds(graph, seed=i))
             for name in want:
                 np.testing.assert_array_equal(want[name], result.outputs[name])
-        with pytest.raises(ExecutionError, match="poisoned feed"):
+        with pytest.raises(ExecutionError, match="poisoned feed in a batch of 1"):
             poisoned.future.result(timeout=5)
         stats = server.stats()
         assert stats.errors == 1
         assert stats.requests == 7
         # every request — the failed one included — has a latency
         assert len(stats.latencies_s) == 8
+
+    @pytest.mark.parametrize("poison", [False, True], ids=["clean", "poisoned"])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_one_serving_path_at_every_width(self, registry, count, poison):
+        """1, 2 and capacity+1 live requests all go stack -> run_batch
+        -> scatter: chunk widths land in the stats, outputs come back
+        spec-shaped and bitwise, and a poisoned first request fails
+        alone while its chunk re-enters at width 1."""
+        capacity = 4
+        graph = registry.get("diamond").graph
+        params = init_params(graph, 0)
+        pool = ArenaPool(registry, batch_size=capacity)
+        server = RequestScheduler(registry, pool, workers=1, max_batch=8)
+        requests = [self._request(graph, seed=i) for i in range(count)]
+        if poison:
+            spec = graph.node(graph.input_nodes[0]).output.shape
+            requests[0].feeds = {
+                graph.input_nodes[0]: np.full(spec, self.POISON)
+            }
+        executor = pool.acquire("diamond")
+        self._poison_executor(executor)
+        try:
+            server._run_batch("diamond", requests, executor)
+        finally:
+            pool.release("diamond", executor)
+        widths = [
+            min(capacity, count - lo)
+            for lo in range(0, count, capacity)
+            for _ in range(min(capacity, count - lo))
+        ]
+        runs = len(range(0, count, capacity))
+        if poison:
+            # the first chunk's stacked attempt fails without counting
+            # as a run; each of its requests then runs alone
+            runs += widths[0] - 1
+            widths[: widths[0]] = [1] * widths[0]
+        ref = Executor(graph, params=params)
+        for i, req in enumerate(requests):
+            if poison and i == 0:
+                with pytest.raises(ExecutionError, match="batch of 1"):
+                    req.future.result(timeout=5)
+                continue
+            result = req.future.result(timeout=5)
+            assert result.stats.batch_size == widths[i]
+            want = ref.run(random_feeds(graph, seed=i))
+            assert set(result.outputs) == set(want)
+            for name in want:
+                assert result.outputs[name].shape == graph.node(name).output.shape
+                np.testing.assert_array_equal(want[name], result.outputs[name])
+        stats = server.stats()
+        assert stats.batches == runs
+        assert stats.errors == int(poison)
+        assert stats.requests == count - int(poison)
+        assert len(stats.latencies_s) == count
 
     def test_base_exception_fails_pending_futures_and_reraises(self, registry):
         """KeyboardInterrupt inside a run aborts the batch: every
