@@ -246,6 +246,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"planned arena           : {stats.arena_bytes / 1024:9.1f}KB")
     print(f"measured high-water mark: {stats.measured_peak_bytes / 1024:9.1f}KB "
           f"({100.0 * stats.utilization:.1f}% of plan)")
+    print(f"conv kernel workspace   : {executor.workspace_nbytes / 1024:9.1f}KB "
+          "(pad maps + im2col columns, beside the arena)")
     if capacity is not None:
         traffic = executor.traffic_report()
         print(f"on-chip capacity        : {capacity / 1024:9.1f}KB "

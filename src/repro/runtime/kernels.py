@@ -1,10 +1,11 @@
-"""NumPy reference kernels for every operator.
+"""NumPy kernels for every operator.
 
-These are *correctness* kernels: vectorised over the spatial dimensions
-(per the NumPy-idiom guidance — the inner loops run only over kernel
-taps, never pixels) but written for clarity, not throughput. They give
-the rewriting rules an executable semantics so identity preservation is
-testable with ``allclose`` rather than argued on paper.
+These give the graph an executable semantics — the rewriting rules'
+identity preservation is tested with ``allclose`` rather than argued on
+paper — and they are what a served request spends its time in, so the
+convolutions are lowered to BLAS: im2col columns and one GEMM per
+sample (:class:`ConvLowering`). Pooling stays vectorised over the
+spatial dimensions with a loop over kernel taps only.
 
 The one kernel contract
 -----------------------
@@ -21,14 +22,20 @@ kernel's result over a stack equals the kernel applied to row ``b``
 alone, bit for bit (the serving layer scatters a stacked run back to
 individual requests that are verified against the reference executor).
 Reductions therefore keep one contraction order per sample whatever
-the width: einsum contracts the channel axis, pooling reduces the tap
-axis, and dense stays a broadcast stack of matrix–vector products
-rather than one reassociated GEMM. ``tests/runtime/test_kernels.py``
-asserts the contract over every key of both tables.
+the width. A convolution is ``np.matmul`` of a 2-D weight with an
+``(N, K, oh·ow)`` column stack — a broadcast stack of ``N`` identically
+shaped GEMM calls, never one GEMM reassociated over the batch — and
+dense is the same argument with matrix–vector products; pooling reduces
+the tap axis. Every GEMM operand is laid out so that it reaches BLAS
+(see :func:`_view`): ``np.matmul`` has a second, differently-ordered
+loop for layouts BLAS cannot take, and the contract only holds while
+every caller lands in the same one.
+``tests/runtime/test_kernels.py`` asserts the contract over every key
+of both tables at widths 1, 3 and 8, over views into wider buffers,
+and checks the convolutions against scipy.
 
-The spatial building blocks (:func:`conv2d`, :func:`depthwise_conv2d`,
-the pools, :func:`pad_same`) index only trailing axes, so they also
-accept a bare ``(C, H, W)`` map.
+:func:`conv2d`, :func:`depthwise_conv2d` and the pools also accept a
+bare ``(C, H, W)`` map.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ from repro.exceptions import ExecutionError
 from repro.ops.base import conv_output_hw, normalize_pair
 
 __all__ = [
-    "pad_same",
+    "ConvLowering",
+    "CONV_OPS",
+    "lower_conv",
     "conv2d",
     "depthwise_conv2d",
     "max_pool2d",
@@ -85,19 +94,267 @@ def _padded(x: np.ndarray, pt: int, pb: int, pl: int, pr: int, fill: float):
     return xp
 
 
-def pad_same(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
-    """Zero-pad a (..., H, W) map for the requested padding mode."""
-    (pt, pb), (pl, pr) = _padding_amounts(
-        x.shape[-2], x.shape[-1], kernel, stride, padding
-    )
-    if pt == pb == pl == pr == 0:
-        return x
-    return _padded(x, pt, pb, pl, pr, 0.0)
-
-
 def _tap_view(xp: np.ndarray, u: int, v: int, oh: int, ow: int, sh: int, sw: int):
     """The (..., oh, ow) input window hitting kernel tap (u, v)."""
     return xp[..., u : u + oh * sh : sh, v : v + ow * sw : sw]
+
+
+def _view(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``x`` reshaped to ``shape`` if that is a view whose rows BLAS can
+    take (unit stride along the last axis), else ``None``. The second
+    condition is part of the bitwise contract: ``np.matmul`` sends any
+    other layout through its own non-BLAS loop, which sums in another
+    order."""
+    v = x.reshape(shape)
+    if v.strides[-1] == v.itemsize and np.may_share_memory(v, x):
+        return v
+    return None
+
+
+#: most im2col column elements (plus fused intermediate) produced at
+#: once per sample: 64 KiB of float64, scratch on the scale of an edge
+#: target's cache rather than of the feature map (blocks 8x this size
+#: run 15-30% faster on a server core; CHANGES.md, PR 14, has the trade)
+COLS_BLOCK_ELEMS = 1 << 13
+
+
+class ConvLowering:
+    """One conv-family operator lowered to GEMM for one input geometry.
+
+    Construction resolves what the shapes alone decide: the 2-D
+    weight(s), the pad amounts, the output shape and how much scratch a
+    sample needs. :meth:`bind` resolves what the arrays decide and
+    returns the operator as a flat sequence of NumPy calls over
+    preresolved views — nothing is allocated, looked up or reshaped
+    when it runs:
+
+    1. copy the input into the interior of a zero-bordered map (skipped
+       when nothing is padded; only the interior is ever written, so
+       one border serves every call);
+    2. im2col — **one** strided copy of the ``(N, C, kh, kw, oh, ow)``
+       window view into columns (skipped when every output pixel reads
+       exactly its own input pixel: 1x1, stride 1, unpadded);
+    3. ``np.matmul(weight, columns, out)``: a full convolution is
+       ``(M, C·kh·kw) @ (N, C·kh·kw, oh·ow)``, a depthwise one
+       ``(C, mult, kh·kw) @ (N, C, kh·kw, oh·ow)``, a fused separable
+       one the two chained through a scratch intermediate;
+    4. bias, then a partial convolution's accumulator, added in place.
+
+    Steps 2 and 3 run a block of output rows at a time when the columns
+    of the whole map would exceed :data:`COLS_BLOCK_ELEMS`: the columns
+    are ``kh·kw`` times the input, and blocking bounds the scratch a
+    sample needs by a constant instead of by its feature map. The
+    blocking depends on the shapes alone, so it is the same at every
+    batch width.
+    """
+
+    def __init__(
+        self,
+        x_shape: tuple[int, ...],
+        weight: np.ndarray,
+        bias: np.ndarray | None = None,
+        *,
+        stride=1,
+        padding="same",
+        depthwise: bool = False,
+        pointwise: np.ndarray | None = None,
+        accumulate: bool = False,
+    ) -> None:
+        c, h, w = x_shape
+        if weight.ndim != 4 or weight.shape[0 if depthwise else 1] != c:
+            raise ExecutionError(
+                f"weight of shape {weight.shape} does not convolve a "
+                f"{c}-channel input"
+            )
+        kh, kw = weight.shape[2], weight.shape[3]
+        self.x_shape = (c, h, w)
+        self._stride = normalize_pair(stride, "stride")
+        oh, ow = conv_output_hw(h, w, (kh, kw), self._stride, padding)
+        (pt, pb), (pl, pr) = _padding_amounts(h, w, (kh, kw), self._stride, padding)
+        #: per-sample zero-bordered map the input is copied into, and
+        #: where its interior sits (``None``: the input is read as is)
+        self.pad_shape = (
+            (c, h + pt + pb, w + pl + pr) if pt or pb or pl or pr else None
+        )
+        self._interior = (..., slice(pt, pt + h), slice(pl, pl + w))
+        #: lowerings with equal keys can share one pad map
+        self.pad_key = (self.x_shape, self.pad_shape, pt, pl)
+        self._window = (kh, kw, oh, ow)
+        self._im2col = (
+            kh * kw > 1 or self._stride != (1, 1) or self.pad_shape is not None
+        )
+        weight = np.ascontiguousarray(weight)
+        if depthwise:
+            self._weight = weight.reshape(c, weight.shape[1], kh * kw)
+            channels = c * weight.shape[1]
+        else:
+            self._weight = weight.reshape(weight.shape[0], c * kh * kw)
+            channels = weight.shape[0]
+        self._depthwise = depthwise
+        self._pointwise: np.ndarray | None = None
+        #: channels of the scratch map between a fused pair's two GEMMs
+        self._mid = 0
+        if pointwise is not None:
+            self._pointwise = np.ascontiguousarray(pointwise).reshape(
+                pointwise.shape[0], channels
+            )
+            self._mid, channels = channels, pointwise.shape[0]
+        self._bias = None if bias is None else bias[:, None, None]
+        self._accumulate = accumulate
+        self.out_shape = (channels, oh, ow)
+        #: output rows per block of columns (+ fused intermediate)
+        per_row = ow * (c * kh * kw + self._mid)
+        blocks = -(-oh * per_row // COLS_BLOCK_ELEMS)
+        self._rows = -(-oh // blocks)
+        #: upper bound on the scratch elements :meth:`bind` takes per
+        #: sample (a block of columns + accumulate staging)
+        self.scratch_elems = self._rows * per_row + (
+            channels * oh * ow if accumulate else 0
+        )
+
+    def bind(self, inputs, out: np.ndarray, pad: np.ndarray | None, take):
+        """The zero-argument callable that executes the operator over
+        these arrays.
+
+        ``inputs`` are the ``(N, C, H, W)`` operand (plus the
+        accumulator of an accumulating partial convolution), ``out`` the
+        ``(N, M, oh, ow)`` destination, ``pad`` an ``(N, *pad_shape)``
+        map whose border is zero (``None`` without padding) and
+        ``take(shape)`` hands out uninitialised ``(N, *shape)`` scratch.
+        All of them must outlive the callable, which reads the operands'
+        *current* contents each time it runs. Its views are resolved by
+        the first call and replayed by every later one, so an executor
+        that is built but never run pays for none of them.
+        """
+        calls: list[tuple] | None = None
+
+        def run() -> None:
+            nonlocal calls
+            if calls is None:
+                calls = self._resolve(inputs, out, pad, take)
+            for fn, operands in calls:
+                fn(*operands)
+
+        return run
+
+    def _resolve(self, inputs, out, pad, take) -> list[tuple]:
+        x = inputs[0]
+        n = x.shape[0]
+        c = self.x_shape[0]
+        kh, kw, oh, ow = self._window
+        p = oh * ow
+        if x.shape[1:] != self.x_shape or out.shape != (n,) + self.out_shape:
+            raise ExecutionError(
+                f"convolution lowered for {self.x_shape} -> {self.out_shape} "
+                f"bound to {x.shape[1:]} -> {out.shape[1:]}"
+            )
+        calls: list[tuple] = []
+        if pad is not None:
+            calls.append((np.copyto, (pad[self._interior], x)))
+            x = pad
+        # the last GEMM lands in ``out`` unless an accumulator has to be
+        # added to the finished product first
+        last = take(self.out_shape) if self._accumulate else out
+        flat = _view(last, (n, self.out_shape[0], p))
+        if flat is None:
+            raise ExecutionError(
+                "convolution destination must be contiguous over each "
+                "output channel's (oh, ow) map"
+            )
+        whole = None if self._im2col else _view(x, (n, c, 1, p))
+        if whole is not None:
+            spans = [(0, oh)]  # the operand is its own columns
+        else:
+            sn, sc, sh, sw = x.strides
+            window = np.lib.stride_tricks.as_strided(
+                x,
+                (n, c, kh, kw, oh, ow),
+                (sn, sc, sh, sw, sh * self._stride[0], sw * self._stride[1]),
+            )
+            scratch = take((c * kh * kw * self._rows * ow,))
+            spans = [
+                (r0, min(r0 + self._rows, oh)) for r0 in range(0, oh, self._rows)
+            ]
+        mid = take((self._mid * self._rows * ow,)) if self._mid else None
+        for r0, r1 in spans:
+            pb = (r1 - r0) * ow
+            dst = flat[:, :, r0 * ow : r1 * ow]
+            if whole is not None:
+                cols = whole
+            else:
+                cols = scratch[:, : c * kh * kw * pb].reshape(n, c, kh * kw, pb)
+                calls.append(
+                    (
+                        np.copyto,
+                        (
+                            cols.reshape(n, c, kh, kw, r1 - r0, ow),
+                            window[..., r0:r1, :],
+                        ),
+                    )
+                )
+            if not self._depthwise:
+                calls.append(
+                    (np.matmul, (self._weight, cols.reshape(n, -1, pb), dst))
+                )
+                continue
+            stage = dst
+            if mid is not None:
+                stage = mid[:, : self._mid * pb].reshape(n, self._mid, pb)
+            calls.append(
+                (np.matmul, (self._weight, cols, stage.reshape(n, c, -1, pb)))
+            )
+            if mid is not None:
+                calls.append((np.matmul, (self._pointwise, stage, dst)))
+        if self._bias is not None:
+            calls.append((np.add, (last, self._bias, last)))
+        if self._accumulate:
+            calls.append((np.add, (last, inputs[1], out)))
+        return calls
+
+
+#: ops :func:`lower_conv` lowers
+CONV_OPS = frozenset(
+    {
+        "conv2d",
+        "partial_conv2d",
+        "depthwise_conv2d",
+        "partial_depthwise_conv2d",
+        "fused_sep_conv3x3",
+    }
+)
+
+
+def lower_conv(op: str, x_shape, attrs, params) -> ConvLowering:
+    """The GEMM lowering of conv-family node ``op`` over one
+    ``(C, H, W)`` input."""
+    fused = op == "fused_sep_conv3x3"
+    return ConvLowering(
+        x_shape,
+        params["dw_weight" if fused else "weight"],
+        params.get("bias"),
+        stride=attrs.get("stride", 1),
+        padding=attrs.get("padding", "same"),
+        depthwise=fused or "depthwise" in op,
+        pointwise=params["pw_weight"] if fused else None,
+        accumulate=op == "partial_conv2d" and attrs.get("accumulate", False),
+    )
+
+
+def _run_lowered(low: ConvLowering, inputs, out: np.ndarray | None = None):
+    """Bind ``low`` to freshly allocated scratch and run it once — the
+    allocating form of exactly the calls a prebound executor replays."""
+    bare = inputs[0].ndim == 3  # one (C, H, W) map: a batch of one
+    if bare:
+        inputs = [x[None] for x in inputs]
+    n = inputs[0].shape[0]
+    dtype = np.result_type(inputs[0], low._weight)
+    if out is None:
+        out = np.empty((n,) + low.out_shape, dtype)
+    pad = None
+    if low.pad_shape is not None:
+        pad = np.zeros((n,) + low.pad_shape, dtype)
+    low.bind(inputs, out, pad, lambda shape: np.empty((n,) + shape, dtype))()
+    return out[0] if bare else out
 
 
 def conv2d(
@@ -107,21 +364,10 @@ def conv2d(
     stride=1,
     padding="same",
 ) -> np.ndarray:
-    """Standard convolution: ``(...,C,H,W) x (M,C,kh,kw) -> (...,M,oh,ow)``."""
-    kernel = weight.shape[2], weight.shape[3]
-    stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[-2], x.shape[-1], kernel, stride, padding)
-    xp = pad_same(x, kernel, stride, padding)
-    out = np.zeros(
-        x.shape[:-3] + (weight.shape[0], oh, ow), dtype=np.result_type(x, weight)
-    )
-    for u in range(kernel[0]):
-        for v in range(kernel[1]):
-            window = _tap_view(xp, u, v, oh, ow, *stride)
-            out += np.einsum("...chw,mc->...mhw", window, weight[:, :, u, v])
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
+    """Standard convolution: ``(N,C,H,W) x (M,C,kh,kw) -> (N,M,oh,ow)``
+    (or one bare ``(C,H,W)`` map)."""
+    low = ConvLowering(x.shape[-3:], weight, bias, stride=stride, padding=padding)
+    return _run_lowered(low, [x])
 
 
 def depthwise_conv2d(
@@ -132,26 +378,16 @@ def depthwise_conv2d(
     padding="same",
 ) -> np.ndarray:
     """Depthwise convolution:
-    ``(...,C,H,W) x (C,mult,kh,kw) -> (...,C*mult,oh,ow)``.
+    ``(N,C,H,W) x (C,mult,kh,kw) -> (N,C*mult,oh,ow)`` (or one bare
+    ``(C,H,W)`` map).
 
     Output channel ``c*mult + t`` convolves input channel ``c`` with
     kernel ``weight[c, t]`` (the TensorFlow depthwise layout).
     """
-    c, mult = weight.shape[0], weight.shape[1]
-    kernel = weight.shape[2], weight.shape[3]
-    stride = normalize_pair(stride, "stride")
-    oh, ow = conv_output_hw(x.shape[-2], x.shape[-1], kernel, stride, padding)
-    xp = pad_same(x, kernel, stride, padding)
-    lead = x.shape[:-3]
-    out = np.zeros(lead + (c, mult, oh, ow), dtype=np.result_type(x, weight))
-    for u in range(kernel[0]):
-        for v in range(kernel[1]):
-            window = _tap_view(xp, u, v, oh, ow, *stride)  # (..., C, oh, ow)
-            out += window[..., None, :, :] * weight[:, :, u, v][:, :, None, None]
-    out = out.reshape(lead + (c * mult, oh, ow))
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
+    low = ConvLowering(
+        x.shape[-3:], weight, bias, stride=stride, padding=padding, depthwise=True
+    )
+    return _run_lowered(low, [x])
 
 
 def _pool(x: np.ndarray, attrs: dict[str, Any], reducer) -> np.ndarray:
@@ -199,37 +435,15 @@ def _k_input(inputs, attrs, params):
     raise ExecutionError("input nodes must be fed, not executed")
 
 
-def _k_conv2d(inputs, attrs, params):
-    return conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
+def _conv_kernel(op: str):
+    """One entry for both tables: with ``out`` it is the
+    destination-write form, without it the allocating one."""
+    return lambda i, a, p, out=None: _run_lowered(
+        lower_conv(op, i[0].shape[1:], a, p), i, out
     )
 
 
-def _k_partial_conv2d(inputs, attrs, params):
-    out = conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-    if attrs.get("accumulate", False):
-        out = out + inputs[1]
-    return out
-
-
-def _k_depthwise(inputs, attrs, params):
-    return depthwise_conv2d(
-        inputs[0],
-        params["weight"],
-        params.get("bias"),
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
+_CONV_KERNELS = {op: _conv_kernel(op) for op in sorted(CONV_OPS)}
 
 
 def _k_add(inputs, attrs, params):
@@ -253,17 +467,6 @@ def _k_batch_norm(inputs, attrs, params):
     return inputs[0] * scale + shift
 
 
-def _k_fused_sep(inputs, attrs, params):
-    mid = depthwise_conv2d(
-        inputs[0],
-        params["dw_weight"],
-        None,
-        stride=attrs.get("stride", 1),
-        padding=attrs.get("padding", "same"),
-    )
-    return conv2d(mid, params["pw_weight"], params.get("bias"), stride=1, padding="same")
-
-
 def _k_dense(inputs, attrs, params):
     # (units, features) @ (N, features, 1) broadcasts to N independent
     # matrix-vector products — bitwise ``weight @ x`` per sample, which
@@ -280,9 +483,11 @@ def _k_dense(inputs, attrs, params):
 # of materialising a temporary that the executor then copies. Each one
 # reproduces its KERNELS counterpart's float operations in the same
 # order, so results are bitwise-identical to the copy path — the
-# PlanExecutor parity suite depends on that. Only ops whose ufunc chain
-# can target ``out`` safely are here; everything else (convs, pools,
-# dense) keeps the temporary-then-copy fallback.
+# PlanExecutor parity suite depends on that. Only ops whose NumPy calls
+# can target ``out`` safely are here; pools and dense keep the
+# temporary-then-copy fallback. The conv family runs the same lowered
+# calls either way; an executor that binds :func:`lower_conv` itself
+# also skips their per-call set-up and scratch allocation.
 
 
 def _o_add(inputs, attrs, params, out):
@@ -337,6 +542,7 @@ def _o_slice_channels(inputs, attrs, params, out):
 
 
 OUT_KERNELS = {
+    **_CONV_KERNELS,
     "add": _o_add,
     "mul": _o_mul,
     "relu": lambda i, a, p, out: np.maximum(i[0], 0.0, out=out),
@@ -353,11 +559,7 @@ OUT_KERNELS = {
 
 KERNELS = {
     "input": _k_input,
-    "conv2d": _k_conv2d,
-    "partial_conv2d": _k_partial_conv2d,
-    "depthwise_conv2d": _k_depthwise,
-    "partial_depthwise_conv2d": _k_depthwise,
-    "fused_sep_conv3x3": _k_fused_sep,
+    **_CONV_KERNELS,
     "concat": lambda i, a, p: np.concatenate(i, axis=1),
     "add": _k_add,
     "mul": _k_mul,

@@ -35,12 +35,26 @@ available for callers who want defence in depth.
 
 Kernels write **directly into their arena site** when they can
 (:data:`~repro.runtime.kernels.OUT_KERNELS`: elementwise chains,
-concat/flatten/slice copies), eliminating the temporary-plus-copy of
-every produced tensor; ops without a destination-write form (convs,
-pools, dense) keep the copy fallback. Direct writes are planned at
-construction and only enabled where the destination range is disjoint
-from — or exactly equal to, for positionwise ops — every input's range,
-so aliased layouts can never corrupt an operand mid-kernel.
+concat/flatten/slice copies, and the conv family's GEMMs via
+``np.matmul(..., out=site)``), eliminating the temporary-plus-copy of
+every produced tensor; pools and dense keep the copy fallback. Direct
+writes are planned at construction and only enabled where the
+destination range is disjoint from every input's range — or exactly
+equal to it, for positionwise ops and a partial convolution's
+accumulator — so aliased layouts can never corrupt an operand
+mid-kernel. A direct row is bound when its plan is compiled, so the hot
+loop calls it with no arguments. For a convolution that means
+everything its shapes decide (:class:`~repro.runtime.kernels.ConvLowering`:
+2-D weight, pad amounts, the padded-input view, the strided im2col
+window) is resolved against the arena once (by the plan's first run),
+and its scratch — a zero-bordered pad map per distinct geometry, one
+block of columns sized to the hungriest conv — lives in **one
+per-executor workspace** allocated beside the arena
+(:attr:`PlanExecutor.workspace_nbytes`). The workspace is kernel
+working memory in the sense of Liberis & Lane: a bounded, reported part
+of the working set, but not planned activations — it is not counted
+against the plan's capacity or a pool's resident bytes. Nodes that
+touch a spilled buffer keep the allocating kernels.
 
 Batching
 --------
@@ -98,6 +112,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from math import prod
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -110,7 +126,13 @@ from repro.graph.node import Node
 from repro.memsim.hierarchy import OffchipLink, TrafficReport
 from repro.memsim.trace import tile_spans
 from repro.runtime.executor import Params, init_params
-from repro.runtime.kernels import KERNELS, OUT_KERNELS
+from repro.runtime.kernels import (
+    CONV_OPS,
+    KERNELS,
+    OUT_KERNELS,
+    ConvLowering,
+    lower_conv,
+)
 from repro.scheduler.memory import BufferModel
 from repro.scheduler.schedule import Schedule
 
@@ -492,7 +514,9 @@ class _RunPlan:
 
     ``steps`` rows are ``(kind, name, site, fn, args, attrs, params,
     shape)`` with every field resolved against the persistent arena —
-    the run loop touches no graph or dict lookups. The liveness replay
+    the run loop touches no graph or dict lookups (a direct row's
+    ``fn`` is already bound to the rest of its row and takes no
+    arguments). The liveness replay
     is data-independent, so the measured peak (and any overflow) is a
     property of the plan, computed once.
     """
@@ -511,6 +535,19 @@ class _RunPlan:
     spill_accesses: int = 0
     #: transfer-engine jobs this plan submits per run (prefetch mode)
     total_jobs: int = 0
+
+
+def _workspace_view(
+    workspace: np.ndarray, rows: int, lo: int, shape: tuple[int, ...], n: int
+) -> np.ndarray:
+    """``n`` samples of ``shape`` at per-sample element ``lo`` of a
+    ``rows``-sample conv workspace. The workspace is region-major (all
+    rows of a region are adjacent), so views of different regions never
+    interleave and NumPy's overlap check between a copy's source and
+    destination stays a bounds comparison — with arena-style rows it
+    gives up and clones the source."""
+    start = lo * rows
+    return workspace[start : start + n * prod(shape)].reshape((n,) + shape)
 
 
 #: arena scrub policies between runs (see :class:`PlanExecutor`)
@@ -820,7 +857,24 @@ class PlanExecutor:
         # byte. Everything the hot loop needs per step (site view,
         # kernel, argument views, parameters, liveness trace) is
         # compiled once per (output subset, batch width) and cached.
+        #: GEMM lowerings of the direct-writing conv-family nodes
+        self._lowered: dict[str, ConvLowering] = {}
         self._direct = self._plan_direct_writes()
+        # conv workspace beside the arena, in per-sample elements: a
+        # zero-bordered map per distinct padded geometry (shared by
+        # every node of that geometry — only interiors are ever
+        # written, so the border survives), then one transient region
+        # sized to the hungriest conv's columns
+        self._pad_elem: dict[tuple, int] = {}
+        cursor = 0
+        for low in self._lowered.values():
+            if low.pad_shape is not None and low.pad_key not in self._pad_elem:
+                self._pad_elem[low.pad_key] = cursor
+                cursor += prod(low.pad_shape)
+        self._transient_elem = cursor
+        self._workspace_elems = cursor + max(
+            (low.scratch_elems for low in self._lowered.values()), default=0
+        )
         self._alloc_arena()
         #: compiled run plans keyed by (output subset or None for the
         #: full schedule, batch width)
@@ -851,6 +905,14 @@ class PlanExecutor:
                 sorted(self._spilled) if self._tile_bytes is not None else ()
             )
         }
+        #: conv scratch the bound kernels pad and im2col into — kernel
+        #: working memory, not planned activations, so it sits outside
+        #: the arena and its capacity accounting. The first run zeroes
+        #: the pad maps (the rest is written before it is read), so an
+        #: executor that is built but never leased touches none of it
+        self._workspace = np.empty(
+            self.batch_size * self._workspace_elems, dtype=_EXEC_DTYPE
+        )
         #: per-node (n, ...) views over the first n rows, keyed by
         #: batch width and built lazily per width
         self._sites: dict[int, dict[str, np.ndarray]] = {}
@@ -949,6 +1011,33 @@ class PlanExecutor:
         """Bytes held by the off-chip spill region (0 without spill)."""
         return self._spill_arena.nbytes
 
+    @property
+    def workspace_nbytes(self) -> int:
+        """Bytes of conv scratch held beside the arena (all rows): the
+        pad maps and im2col columns of the direct-writing convs."""
+        return self._workspace.nbytes
+
+    def _bind_conv(self, low: ConvLowering, args, site: np.ndarray, n: int):
+        """``low`` bound to its arena views and its share of the
+        workspace at batch width ``n``."""
+        # the callable outlives this frame inside the step table: it may
+        # hold the workspace array, never the executor (a cycle would
+        # park a closed executor's arena until the next full collection)
+        ws, rows = self._workspace, self.batch_size
+        cursor = self._transient_elem
+
+        def take(shape: tuple[int, ...]) -> np.ndarray:
+            nonlocal cursor
+            lo, cursor = cursor, cursor + prod(shape)
+            return _workspace_view(ws, rows, lo, shape, n)
+
+        pad = None
+        if low.pad_shape is not None:
+            pad = _workspace_view(
+                ws, rows, self._pad_elem[low.pad_key], low.pad_shape, n
+            )
+        return low.bind(args, site, pad, take)
+
     def _sites_for(self, n: int) -> dict[str, np.ndarray]:
         """Per-node arena views at batch width ``n``, built lazily once.
 
@@ -1026,6 +1115,30 @@ class PlanExecutor:
                     rel += s.elements
                 if not ok:
                     continue
+            elif node.op in CONV_OPS:
+                # the GEMM reads its operand while it fills the
+                # destination, so the two must be disjoint; an
+                # accumulator is only added once the product is
+                # complete (in scratch), position by position, so it may
+                # also sit exactly on the destination (in place)
+                try:
+                    low = lower_conv(
+                        node.op, in_specs[0].shape, node.attrs,
+                        self.params.get(name, {}),
+                    )
+                except (KeyError, ExecutionError):
+                    continue  # the copy path reports it at run time
+                if low.out_shape != spec.shape or any(
+                    s.shape != spec.shape for s in in_specs[1:]
+                ):
+                    continue
+                x_lo, x_hi = self._elem_range(node.inputs[0])
+                if not (x_hi <= out_lo or out_hi <= x_lo) or not all(
+                    disjoint_or_equal(src, out_lo, out_hi)
+                    for src in node.inputs[1:]
+                ):
+                    continue
+                self._lowered[name] = low
             elif node.op in ("flatten", "slice_channels"):
                 if node.op == "flatten" and in_specs[0].elements != spec.elements:
                     continue
@@ -1298,12 +1411,25 @@ class PlanExecutor:
                 args = tuple(view_of(src) for src in node.inputs)
                 node_params = params.get(name, {})
                 if direct_op is not None:
+                    # everything a direct row needs is bound here, once:
+                    # the hot loop calls it with no arguments
+                    low = self._lowered.get(name)
+                    if low is not None:
+                        fn = self._bind_conv(low, args, site, n)
+                    else:
+                        fn = partial(
+                            OUT_KERNELS[direct_op],
+                            args,
+                            node.attrs,
+                            node_params,
+                            site,
+                        )
                     kernel_rows.append(
                         (
                             _STEP_DIRECT,
                             name,
                             site,
-                            OUT_KERNELS[direct_op],
+                            fn,
                             args,
                             node.attrs,
                             node_params,
@@ -1856,6 +1982,10 @@ class PlanExecutor:
                 self._spill_arena.fill(0.0)
             for scr in self._scratch.values():
                 scr.fill(0.0)
+            # zero is also what the pad borders must hold
+            self._workspace.fill(0.0)
+        elif self.runs == 0:
+            self._workspace[: self.batch_size * self._transient_elem] = 0.0
 
         engine = self._engine
         link = self._link
@@ -1907,7 +2037,7 @@ class PlanExecutor:
                     inline_stall_s += time.perf_counter() - t0
                     continue
                 if kind == _STEP_DIRECT:
-                    fn(args, attrs, node_params, site)
+                    fn()
                 elif kind == _STEP_COPY:
                     value = fn(args, attrs, node_params)
                     if tuple(value.shape) != shape:

@@ -531,8 +531,12 @@ class RequestScheduler:
                         live = pending.pop()
                         t0 = time.perf_counter()
                         try:
+                            # a lone request is fed as a view (the
+                            # input step copies it into the arena anyway)
                             feeds = {
-                                k: np.stack(
+                                k: np.asarray(live[0].feeds[k])[None]
+                                if len(live) == 1
+                                else np.stack(
                                     [np.asarray(req.feeds[k]) for req in live]
                                 )
                                 for k in live[0].feeds
@@ -562,8 +566,12 @@ class RequestScheduler:
                         spill_stall += run_stats.spill_stall_s
                         spill_hidden += run_stats.spill_hidden_s
                         for i, req in enumerate(live):
+                            # outputs are private snapshots already: a
+                            # lone request keeps its own, a batchmate
+                            # gets a copy so no response pins the rest
                             scattered = {
-                                k: v[i].copy() for k, v in outputs.items()
+                                k: v[0] if len(live) == 1 else v[i].copy()
+                                for k, v in outputs.items()
                             }
                             stats = RequestStats(
                                 model=model,

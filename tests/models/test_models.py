@@ -133,6 +133,54 @@ class TestRandWire:
         with pytest.raises(GraphError):
             random_dag(8, "zz", seed=0)
 
+    def test_native_ws_wiring_is_networkx_draw_for_draw(self):
+        """The suite and serving cells, then 20 random settings (tiny
+        and saturated rings, p at both ends, k == n included): the
+        native generator's edges are the ones networkx produces."""
+        import random
+
+        import networkx as nx
+
+        from repro.models.randwire import _dag_edges
+
+        settings = [  # (n, k, p, seed) of every WS cell the repo builds
+            (24, 4, 0.75, 10), (20, 4, 0.75, 11), (24, 4, 0.75, 100),
+            (20, 4, 0.75, 101), (16, 4, 0.75, 102), (10, 4, 0.75, 7),
+            (10, 4, 0.75, 11),
+        ]
+        rng = random.Random(2020)
+        for _ in range(20):
+            n = rng.randint(3, 40)
+            settings.append(
+                (n, rng.randint(2, n), rng.choice([0.0, 0.1, 0.5, 0.75, 1.0]),
+                 rng.randrange(10**6))
+            )
+        for n, k, p, seed in settings:
+            und = nx.connected_watts_strogatz_graph(n, k, p, seed=seed)
+            want = {(min(u, v), max(u, v)) for u, v in und.edges()}
+            assert _dag_edges(n, "ws", seed, k=k, p=p) == want, (n, k, p, seed)
+
+    def test_ws_cells_build_without_importing_networkx(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.models.suite import BENCHMARK_SUITE, serving_suite\n"
+            "for spec in BENCHMARK_SUITE.values(): spec.factory()\n"
+            "for factory in serving_suite().values(): factory()\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+    def test_ws_needs_k_at_most_n(self):
+        from repro.exceptions import GraphError
+
+        with pytest.raises(GraphError, match="k <= n"):
+            randwire_stage(n=3, channels=4, hw=8, k=4)
+
     def test_stage_deterministic(self):
         a = randwire_stage(n=12, channels=4, hw=8, seed=5)
         b = randwire_stage(n=12, channels=4, hw=8, seed=5)

@@ -14,7 +14,13 @@ from repro.graph.tensor import TensorSpec
 from repro.models.suite import suite_cells
 from repro.rewriting import rewrite_graph
 from repro.runtime.executor import Executor, init_params, random_feeds
-from repro.runtime.plan_executor import PlanExecutor, intra_buffer_offsets
+from repro.runtime.kernels import CONV_OPS
+from repro.runtime.plan_executor import (
+    _STEP_COPY,
+    PlanExecutor,
+    _workspace_view,
+    intra_buffer_offsets,
+)
 from repro.runtime.verify import verify_execution
 from repro.scheduler.memory import BufferModel
 from repro.scheduler.registry import run_strategy
@@ -404,10 +410,138 @@ class TestDirectWrites:
         px2 = assert_parity(g2b, schedule2, plan_allocation(g2b, schedule2))
         assert "acc" in px2._direct
 
-    def test_conv_ops_keep_copy_fallback(self, chain_graph):
+    def test_conv_ops_write_direct(self, chain_graph):
         schedule = Schedule.of(chain_graph, chain_graph.node_names)
         px = assert_parity(chain_graph, schedule, plan_allocation(chain_graph, schedule))
-        assert px.last_stats.copy_writes >= 2  # both convs
+        assert px.last_stats.copy_writes == 0  # both convs bind the arena
+
+    @pytest.mark.parametrize("key", [c.key for c in suite_cells()])
+    @pytest.mark.parametrize("strategy", ["greedy", "serenity-fast"])
+    def test_no_suite_conv_takes_the_copy_path(self, key, strategy):
+        """Unspilled, every conv-family node (the rewriter's in-place
+        partial chains included) is a direct row; what is left on the
+        copy path is pools, dense and aliased layouts."""
+        spec = next(c for c in suite_cells() if c.key == key)
+        graph, schedule, plan = compile_with(spec.factory(), strategy)
+        px = PlanExecutor(graph, schedule, plan)
+        copied = {
+            graph.node(row[1]).op
+            for row in px._run_plans[(None, 1)].steps
+            if row[0] == _STEP_COPY
+        }
+        assert not copied & CONV_OPS
+        assert set(px._lowered) == {n.name for n in graph if n.op in CONV_OPS}
+
+    def test_conv_over_its_own_input_falls_back_to_copy(self):
+        """A GEMM reads its operand while it fills the destination: a
+        conv planned in place over its input must keep the temporary."""
+        b = GraphBuilder("conv-inplace")
+        x = b.input("x", (4, 6, 6))
+        b.relu(x, name="r")
+        g = b.build()
+        g.add(
+            Node(
+                name="c",
+                op="conv2d",
+                inputs=("r",),
+                output=TensorSpec((4, 6, 6)),
+                attrs={"out_channels": 4, "kernel": 3},
+                memory=MemorySemantics(inplace_of=0),
+            )
+        )
+        schedule = Schedule.of(g, g.node_names)
+        px = assert_parity(g, schedule, plan_allocation(g, schedule))
+        assert px._elem_range("c") == px._elem_range("r")
+        assert "c" not in px._direct and "c" not in px._lowered
+        assert px.last_stats.copy_writes == 1
+
+    def test_accumulating_partial_conv_writes_over_its_accumulator(
+        self, concat_conv_graph
+    ):
+        g = rewrite_graph(concat_conv_graph).graph
+        chain = [n for n in g if n.op == "partial_conv2d"]
+        assert any(n.memory.inplace_of == 1 for n in chain)
+        schedule = Schedule.of(g, g.node_names)
+        px = assert_parity(g, schedule, plan_allocation(g, schedule))
+        assert {n.name for n in chain} <= set(px._lowered)
+
+    def test_conv_steps_allocate_nothing_per_run(self):
+        """Pad maps, im2col columns and fused intermediates live in the
+        executor's workspace: all a run allocates is its output snapshot
+        and NumPy's own fixed-size ufunc buffer (the broadcast bias
+        add) — not one feature map, where the tap loops allocated ~20
+        per conv."""
+        import tracemalloc
+
+        spec = next(c for c in suite_cells() if c.key == "randwire-c10-a")
+        graph, schedule, plan = compile_with(spec.factory(), "greedy")
+        px = PlanExecutor(graph, schedule, plan)
+        feeds = random_feeds(graph)
+        snapshot_bytes = sum(v.nbytes for v in px.run(feeds).values())  # warm
+        feature_map_bytes = feeds["x"].nbytes
+        ufunc_buffer_bytes = np.getbufsize() * feeds["x"].itemsize
+        assert feature_map_bytes >= 2 * ufunc_buffer_bytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = px.run(feeds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(v.nbytes for v in out.values()) == snapshot_bytes
+        # views, stats and dict entries are a few hundred bytes each
+        assert peak < snapshot_bytes + ufunc_buffer_bytes + 8192
+        assert peak < snapshot_bytes + feature_map_bytes
+        assert px.workspace_nbytes == px._workspace.nbytes > 0
+
+    @pytest.mark.parametrize("ran", [False, True])
+    def test_dropped_executor_frees_its_arena_without_the_collector(self, ran):
+        """The step table's bound callables must not refer back to the
+        executor: a pool that closes an executor expects its arena,
+        workspace and parameters back at once, not at the next gen-2
+        collection."""
+        import gc
+        import weakref
+
+        spec = next(c for c in suite_cells() if c.key == "swiftnet-c")
+        graph, schedule, plan = compile_with(spec.factory(), "greedy")
+        gc.disable()
+        try:
+            px = PlanExecutor(graph, schedule, plan)
+            if ran:
+                px.run(random_feeds(graph))
+            refs = [weakref.ref(px), weakref.ref(px._arena), weakref.ref(px._workspace)]
+            del px
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_workspace_is_sized_per_sample_and_borders_stay_zero(self):
+        spec = next(c for c in suite_cells() if c.key == "swiftnet-a")
+        graph, schedule, plan = compile_with(spec.factory(), "greedy")
+        solo = PlanExecutor(graph, schedule, plan)
+        wide = PlanExecutor(graph, schedule, plan, batch_size=4, scrub="zero")
+        assert wide.workspace_nbytes == 4 * solo.workspace_nbytes
+        assert wide.arena_nbytes == 4 * solo.arena_nbytes  # workspace not in it
+        feeds = random_feeds(graph)
+        stacked = {k: np.stack([v] * 3) for k, v in feeds.items()}
+        want = solo.run(feeds)
+        for _round in range(2):
+            got = wide.run_batch(stacked)
+            for name in want:
+                for b in range(3):
+                    np.testing.assert_array_equal(want[name], got[name][b])
+        # every pad map: interior written, border still exactly zero
+        for low in wide._lowered.values():
+            if low.pad_shape is None:
+                continue
+            pad = _workspace_view(
+                wide._workspace, 4, wide._pad_elem[low.pad_key], low.pad_shape, 3
+            )
+            border = np.ones(pad.shape, dtype=bool)
+            border[low._interior] = False
+            assert np.all(pad[border] == 0.0) and np.any(pad[~border] != 0.0)
 
 
 class TestOutputPruning:

@@ -90,9 +90,18 @@ class TestStallHiddenAccounting:
         return OffchipLink(bandwidth_bytes_per_s=200e6)
 
     def test_prefetch_hides_transfer_time(self, cell):
-        px = _executor(cell, prefetch=True, link=self._link(cell))
+        # a batch of 4: the engine bills modeled link seconds but waits
+        # are wall-clock, so every job's sleep overshoot (~0.1 ms x ~100
+        # jobs, whatever the width) is subtracted from the measured
+        # overlap — one sample's few ms of GEMM compute would drown in it
+        n = 4
+        stacked = {
+            k: np.stack([random_feeds(cell["graph"], seed=s)[k] for s in range(n)])
+            for k in random_feeds(cell["graph"], seed=0)
+        }
+        px = _executor(cell, prefetch=True, link=self._link(cell), batch_size=n)
         try:
-            px.run(random_feeds(cell["graph"], seed=0))
+            px.run_batch(stacked)
             stats = px.last_stats
             assert px.prefetch_active
             assert stats.prefetch_lead > 0
