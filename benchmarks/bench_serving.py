@@ -26,15 +26,9 @@ A third layer measures the scaling story:
 
 Hard assertions:
 
-* batch 8 sustains **>= 2x** the samples/sec of batch 1 at the executor
-  level, with **per-sample bitwise parity** against the reference
-  executor for every stacked sample; at the serving level stacking must
-  happen (mean batch > 1.5) and must not cost throughput. (It used to
-  have to double it: that held while kernels were most of a micro-cell
-  request. Since the convolutions became prebound GEMMs a solo
-  micro-cell run is ~0.1 ms, under the request path's own cost, so
-  both configurations are bound by the scheduler and the load
-  generator and read within noise of each other.)
+* batch 8 sustains **>= 2x** the samples/sec of batch 1 (executor-level
+  and serving-level), with **per-sample bitwise parity** against the
+  reference executor for every stacked sample;
 * pooled serving stays **>= 2x** the fresh baseline's requests/sec (the
   PR-3 guarantee, unregressed);
 * a concurrent verified run (4+ clients, 2 models, stacking on) returns
@@ -456,14 +450,13 @@ def test_serving_smoke(benchmark, save_result, save_json):
             f"({row['speedup']:.2f}x < 2x)"
         )
 
-    # serving-level: requests really are stacked, and stacking does not
-    # cost throughput over the identical workload (20% allowance: a
-    # QUICK run is 120 requests, and both sides are request-path-bound)
+    # serving-level: batch 8 sustains >= 2x the samples/sec of batch 1
+    # over the identical workload
     assert batched.mean_batch > 1.5
-    assert batched.samples_per_s >= 0.8 * solo.samples_per_s, (
+    assert batched.samples_per_s >= 2.0 * solo.samples_per_s, (
         f"batched {batched.samples_per_s:.1f} samples/s vs solo "
         f"{solo.samples_per_s:.1f} "
-        f"({batched.samples_per_s / solo.samples_per_s:.2f}x < 0.8x)"
+        f"({batched.samples_per_s / solo.samples_per_s:.2f}x < 2x)"
     )
 
     # arena reuse still pays >= 2x over the fresh baseline (PR-3 bar)

@@ -112,9 +112,11 @@ def _view(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 #: most im2col column elements (plus fused intermediate) produced at
-#: once per sample: 64 KiB of float64, scratch on the scale of an edge
-#: target's cache rather than of the feature map (blocks 8x this size
-#: run 15-30% faster on a server core; CHANGES.md, PR 14, has the trade)
+#: once per sample: 64 KiB of float64. Whole-map columns fall out of L2
+#: on the suite's larger maps; of the block sizes measured end to end
+#: (64 KiB ... 512 KiB: larger is 7-20% faster) this is the one that
+#: keeps ``compile-suite`` ``peak_rss_mb`` well inside its bound
+#: (CHANGES.md, PR 14, has the numbers)
 COLS_BLOCK_ELEMS = 1 << 13
 
 
@@ -224,7 +226,9 @@ class ConvLowering:
         All of them must outlive the callable, which reads the operands'
         *current* contents each time it runs. Its views are resolved by
         the first call and replayed by every later one, so an executor
-        that is built but never run pays for none of them.
+        that is built but never run pays for none of them (resolving
+        here doubles an executor's build time, ~15 us per conv per
+        compiled width).
         """
         calls: list[tuple] | None = None
 

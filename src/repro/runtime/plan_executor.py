@@ -907,10 +907,9 @@ class PlanExecutor:
         }
         #: conv scratch the bound kernels pad and im2col into — kernel
         #: working memory, not planned activations, so it sits outside
-        #: the arena and its capacity accounting. The first run zeroes
-        #: the pad maps (the rest is written before it is read), so an
-        #: executor that is built but never leased touches none of it
-        self._workspace = np.empty(
+        #: the arena and its capacity accounting. Zeroed like the arena:
+        #: the pad maps' borders must read zero and are never written
+        self._workspace = np.zeros(
             self.batch_size * self._workspace_elems, dtype=_EXEC_DTYPE
         )
         #: per-node (n, ...) views over the first n rows, keyed by
@@ -1984,8 +1983,6 @@ class PlanExecutor:
                 scr.fill(0.0)
             # zero is also what the pad borders must hold
             self._workspace.fill(0.0)
-        elif self.runs == 0:
-            self._workspace[: self.batch_size * self._transient_elem] = 0.0
 
         engine = self._engine
         link = self._link
