@@ -82,9 +82,9 @@ __all__ = [
     "buffer_access_trace",
 ]
 
-#: serving/CLI spill policy knob: refuse over-capacity arenas (the old
-#: behaviour), degrade them to a spill plan, or force spill planning
-SPILL_MODES = ("never", "auto", "always")
+#: serving/CLI over-capacity knob: refuse arenas that exceed the
+#: budget, or degrade them to a spill plan
+SPILL_MODES = ("never", "auto")
 
 SPILL_FORMAT = "repro-spill/1"
 
@@ -347,7 +347,10 @@ class SpillPlan:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "SpillPlan":
+    def parse(cls, doc: dict[str, Any]) -> "SpillPlan":
+        """Rebuild a plan document *without* validating it — for the
+        static verifier, which must be handed layout corruptions rather
+        than have them raise at parse time. Use :meth:`from_doc`."""
         if doc.get("format") != SPILL_FORMAT:
             raise SpillError(
                 f"unsupported spill plan format {doc.get('format')!r}"
@@ -381,7 +384,11 @@ class SpillPlan:
                 if doc.get("tile_bytes") is not None
                 else None
             ),
-        ).validate()
+        )
+
+    @classmethod
+    def from_doc(cls, doc: dict[str, Any]) -> "SpillPlan":
+        return cls.parse(doc).validate()
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,15 @@ over the real addresses, without invoking a single kernel:
   fetch-after-first-write / writeback-iff-dirty-and-needed dataflow
   observable: a fetch reads home bytes that only a preceding writeback
   can have produced;
-* modelling the transfer engine exactly as the executor drives it —
-  ``_STEP_ENQUEUE`` registers an in-flight (dst, src) copy,
+* transfers are walked as what they are, hop lists ``((dst, src,
+  linked), ...)``: a ``_STEP_MOVE`` row is its hops in order on the
+  compute thread (a later hop may read what the previous one wrote),
+  and the transfer engine is modelled exactly as the executor drives
+  it — ``_STEP_ENQUEUE`` registers its hops as in-flight copies,
   ``_STEP_SYNC`` completes every job up to its watermark, the FIFO
-  serialises engine jobs against each other — no synchronous compute
-  row may touch an in-flight destination, or write an in-flight
-  source (``SHADOW_RACE``).
+  serialises engine jobs against each other — no synchronous row may
+  touch an in-flight destination, or write an in-flight source
+  (``SHADOW_RACE``).
 
 Because views are compared by their actual byte bounds (via NumPy's
 ``byte_bounds``), this catches disagreements between the plan documents
@@ -70,11 +73,9 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
         _STEP_COPY,
         _STEP_DIRECT,
         _STEP_ENQUEUE,
-        _STEP_FETCH,
         _STEP_INPUT,
-        _STEP_STAGE,
+        _STEP_MOVE,
         _STEP_SYNC,
-        _STEP_WRITEBACK,
     )
 
     itemsize = px._itemsize
@@ -162,7 +163,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
         return tmp
 
     for oi, row in enumerate(plan.steps):
-        kind, name, site, _fn, args, attrs = row[0], row[1], row[2], row[3], row[4], row[5]
+        kind, name, site, _fn, args, attrs = row[:6]
         if kind == _STEP_SYNC:
             watermark = int(attrs)
             done = [p for p in pending if p.job <= watermark]
@@ -172,16 +173,9 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
             continue
         if kind == _STEP_ENQUEUE:
             job_no += 1
-            # a whole-buffer enqueue is one (site <- args[0]) hop; a
-            # tiled job carries its hop list in ``attrs``. Hops execute
-            # in order inside one job, so a later hop's source may be a
-            # previous hop's destination (slot handoff).
-            hops = (
-                ((site, args[0]),)
-                if site is not None
-                else tuple((dst, src) for dst, src, _linked in attrs)
-            )
-            for dst_view, src_view in hops:
+            # hops execute in order inside one job, so a later hop's
+            # source may be a previous hop's destination (slot handoff)
+            for dst_view, src_view, _linked in attrs:
                 dst = resolve(dst_view, oi, name, "engine destination")
                 src = resolve(src_view, oi, name, "engine source")
                 if dst is None or src is None:
@@ -208,27 +202,13 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
                 pending.append(_Pending(job_no, name, dst, src))
             continue
 
-        reads: list[tuple[str, int, int]] = []
-        writes: list[tuple[str, int, int]] = []
-        if kind == _STEP_INPUT:
-            w = resolve(site, oi, name, "site")
-            if w:
-                writes.append(w)
-        elif kind in (
-            _STEP_DIRECT,
-            _STEP_COPY,
-            _STEP_FETCH,
-            _STEP_WRITEBACK,
-            _STEP_STAGE,
-        ):
-            w = resolve(site, oi, name, "site")
-            if w:
-                writes.append(w)
-            for j, arg in enumerate(args):
-                r = resolve(arg, oi, name, f"input {j}")
-                if r:
-                    reads.append(r)
-        else:  # pragma: no cover - future step kinds must be modelled
+        # synchronous rows as (written view, read views) in execution
+        # order: a kernel or input row is one, a move is one per hop
+        if kind == _STEP_MOVE:
+            ops = [(dst_view, (src_view,)) for dst_view, src_view, _l in attrs]
+        elif kind in (_STEP_INPUT, _STEP_DIRECT, _STEP_COPY):
+            ops = [(site, args)]
+        else:  # future step kinds must be modelled
             diags.append(
                 Diagnostic(
                     code="SHADOW_REGION",
@@ -240,61 +220,74 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
                 )
             )
             continue
+        for dst_view, src_views in ops:
+            w = resolve(dst_view, oi, name, "site")
+            writes = [w] if w else []
+            reads = [
+                r
+                for j, arg in enumerate(src_views)
+                if (r := resolve(arg, oi, name, f"input {j}"))
+            ]
 
-        # race model: a synchronous row must not read or write bytes an
-        # in-flight engine copy is producing, nor overwrite bytes one
-        # is still consuming
-        for p in pending:
-            for rname, lo, hi in writes:
-                for role, (prname, plo, phi) in (("destination", p.dst), ("source", p.src)):
+            # race model: a synchronous row must not read or write
+            # bytes an in-flight engine copy is producing, nor
+            # overwrite bytes one is still consuming
+            for p in pending:
+                for rname, lo, hi in writes:
+                    for role, (prname, plo, phi) in (
+                        ("destination", p.dst),
+                        ("source", p.src),
+                    ):
+                        if rname == prname and _ranges_overlap(lo, hi, plo, phi):
+                            diags.append(
+                                Diagnostic(
+                                    code="SHADOW_RACE",
+                                    severity=ERROR,
+                                    message=f"{name!r} writes {rname} bytes "
+                                    f"[{max(lo, plo)}, {min(hi, phi)}) while "
+                                    f"engine job {p.job} ({p.name!r}) still "
+                                    f"holds them as its {role}",
+                                    step=oi,
+                                    node=name,
+                                    byte_range=(max(lo, plo), min(hi, phi)),
+                                    plan=tag,
+                                )
+                            )
+                for rname, lo, hi in reads:
+                    prname, plo, phi = p.dst
                     if rname == prname and _ranges_overlap(lo, hi, plo, phi):
                         diags.append(
                             Diagnostic(
                                 code="SHADOW_RACE",
                                 severity=ERROR,
-                                message=f"{name!r} writes {rname} bytes "
-                                f"[{max(lo, plo)}, {min(hi, phi)}) while "
-                                f"engine job {p.job} ({p.name!r}) still "
-                                f"holds them as its {role}",
+                                message=f"{name!r} reads {rname} bytes "
+                                f"[{max(lo, plo)}, {min(hi, phi)}) that "
+                                f"engine job {p.job} ({p.name!r}) is still "
+                                "writing",
                                 step=oi,
                                 node=name,
                                 byte_range=(max(lo, plo), min(hi, phi)),
                                 plan=tag,
                             )
                         )
+
             for rname, lo, hi in reads:
-                prname, plo, phi = p.dst
-                if rname == prname and _ranges_overlap(lo, hi, plo, phi):
+                if not _covers(written_plus_pending(rname), lo, hi):
                     diags.append(
                         Diagnostic(
-                            code="SHADOW_RACE",
+                            code="SHADOW_UNWRITTEN_READ",
                             severity=ERROR,
                             message=f"{name!r} reads {rname} bytes "
-                            f"[{max(lo, plo)}, {min(hi, phi)}) that engine "
-                            f"job {p.job} ({p.name!r}) is still writing",
+                            f"[{lo}, {hi}) that no earlier step in this "
+                            "run wrote",
                             step=oi,
                             node=name,
-                            byte_range=(max(lo, plo), min(hi, phi)),
+                            byte_range=(lo, hi),
                             plan=tag,
                         )
                     )
-
-        for rname, lo, hi in reads:
-            if not _covers(written_plus_pending(rname), lo, hi):
-                diags.append(
-                    Diagnostic(
-                        code="SHADOW_UNWRITTEN_READ",
-                        severity=ERROR,
-                        message=f"{name!r} reads {rname} bytes [{lo}, {hi}) "
-                        "that no earlier step in this run wrote",
-                        step=oi,
-                        node=name,
-                        byte_range=(lo, hi),
-                        plan=tag,
-                    )
-                )
-        for rname, lo, hi in writes:
-            _add(written[rname], lo, hi)
+            for rname, lo, hi in writes:
+                _add(written[rname], lo, hi)
     # leftover pending jobs are legal: the run loop drains the FIFO
     # (waits for job ``total_jobs``) before returning
 

@@ -59,7 +59,7 @@ from repro.allocator.spill import (
     step_touches,
 )
 from repro.analysis.diagnostics import ERROR, WARNING, AnalysisReport, Diagnostic
-from repro.exceptions import ExecutionError, GraphError
+from repro.exceptions import ExecutionError, GraphError, SpillError
 from repro.graph.graph import Graph
 from repro.scheduler.memory import BufferModel
 from repro.scheduler.schedule import Schedule
@@ -183,57 +183,24 @@ def _check_hazards(
     intra: Mapping[str, int],
     diags: list[Diagnostic],
 ) -> None:
-    """Static port of the executor's shared-buffer write-hazard rule:
-    a later member of a buffer overwriting an earlier member's bytes is
-    illegal while any still-later step reads the earlier tensor —
-    except a view node copying an aliased operand's identical bytes."""
-    from repro.graph.analysis import bits
+    """The executor's shared-buffer write-hazard rule
+    (:func:`~repro.runtime.plan_executor.write_hazards`), reported as
+    diagnostics instead of refused at construction."""
+    from repro.runtime.plan_executor import write_hazards
 
-    idx = model.index
-
-    def aliased_inputs(name: str) -> set[str]:
-        node = graph.node(name)
-        indices = node.attrs.get("view_inputs")
-        if indices is None:
-            indices = range(len(node.inputs))
-        return {node.inputs[j] for j in indices}
-
-    for b in range(model.n_buffers):
-        members = [
-            (idx.order[i], intra[idx.order[i]], idx.out_bytes[i])
-            for i in bits(model.buf_members[b])
-        ]
-        for vi, (a, a_off, a_sz) in enumerate(members):
-            for b2, b_off, b_sz in members[vi + 1 :]:
-                if not _ranges_overlap(a_off, a_off + a_sz, b_off, b_off + b_sz):
-                    continue
-                early, late = (a, b2) if pos[a] <= pos[b2] else (b2, a)
-                writer = graph.node(late)
-                if writer.memory.view and early in aliased_inputs(late):
-                    continue  # byte-preserving copy-back
-                clobbered = [
-                    c
-                    for c in graph.succs(early)
-                    if c != late and pos[c] > pos[late]
-                ]
-                if clobbered:
-                    lo = max(a_off, b_off)
-                    hi = min(a_off + a_sz, b_off + b_sz)
-                    diags.append(
-                        Diagnostic(
-                            code="SCHED_HAZARD",
-                            severity=ERROR,
-                            message=f"{late!r} overwrites {early!r}'s bytes "
-                            f"at step {pos[late]}, but {clobbered[0]!r} "
-                            f"still reads {early!r} at step "
-                            f"{pos[clobbered[0]]}",
-                            step=pos[late],
-                            node=late,
-                            buffer=b,
-                            byte_range=(lo, hi),
-                            plan="schedule",
-                        )
-                    )
+    for message, late, b, byte_range in write_hazards(graph, model, pos, intra):
+        diags.append(
+            Diagnostic(
+                code="SCHED_HAZARD",
+                severity=ERROR,
+                message=message,
+                step=pos[late],
+                node=late,
+                buffer=b,
+                byte_range=byte_range,
+                plan="schedule",
+            )
+        )
 
 
 def _check_arena(
@@ -939,56 +906,16 @@ def _spill_plan_lenient(
     """Rebuild a spill plan *without* its self-validation, so layout
     corruptions reach the analyzer instead of raising at parse time."""
     tag = f"spill_plans[{index}]"
-    if doc.get("format") != SPILL_FORMAT:
-        diags.append(
-            Diagnostic(
-                code="ARTIFACT_FORMAT",
-                severity=ERROR,
-                message=f"{tag}: unsupported spill plan format "
-                f"{doc.get('format')!r} (want {SPILL_FORMAT!r})",
-                plan="artifact",
-            )
-        )
-        return None
     try:
-        prefetch = None
-        if doc.get("prefetch") is not None:
-            prefetch = PrefetchPlan.from_doc(doc["prefetch"])
-        return SpillPlan(
-            capacity_bytes=int(doc["capacity_bytes"]),
-            policy=str(doc["policy"]),
-            resident_bytes=int(doc["resident_bytes"]),
-            spill_bytes=int(doc["spill_bytes"]),
-            spilled=frozenset(int(b) for b in doc["spilled"]),
-            resident_offsets={
-                int(b): int(off) for b, off in doc["resident_offsets"].items()
-            },
-            home_offsets={
-                int(b): int(off) for b, off in doc["home_offsets"].items()
-            },
-            windows={
-                int(b): tuple(
-                    StageWindow(int(s), int(e), int(off)) for s, e, off in ws
-                )
-                for b, ws in doc["windows"].items()
-            },
-            prefetch=prefetch,
-            tile_bytes=(
-                int(doc["tile_bytes"])
-                if doc.get("tile_bytes") is not None
-                else None
-            ),
-        )
+        return SpillPlan.parse(doc)
+    except SpillError as exc:
+        code, message = "ARTIFACT_FORMAT", f"{tag}: {exc} (want {SPILL_FORMAT!r})"
     except (KeyError, TypeError, ValueError) as exc:
-        diags.append(
-            Diagnostic(
-                code="ARTIFACT_PARSE",
-                severity=ERROR,
-                message=f"{tag} is unreadable: {exc!r}",
-                plan="artifact",
-            )
-        )
-        return None
+        code, message = "ARTIFACT_PARSE", f"{tag} is unreadable: {exc!r}"
+    diags.append(
+        Diagnostic(code=code, severity=ERROR, message=message, plan="artifact")
+    )
+    return None
 
 
 def analyze_artifact(

@@ -10,12 +10,13 @@ Subcommands
                    the schedule report
 ``compile-batch``  portfolio-compile many graphs in parallel with the
                    persistent scheduling cache
+``verify-plan``    statically verify compiled artifacts without running
+                   a kernel
 ``serve``          load artifacts — or compile cells/graphs on the spot
                    through the schedule cache — into the concurrent
                    serving runtime and drive a synthetic request load
-``bench-serve``    serving throughput A/B: pooled arena reuse (with
-                   stacked tensor batching) vs the
-                   fresh-allocation-per-request baseline
+                   (the one load-driving subcommand: A/B baselines live
+                   in ``benchmarks/``, the chaos acceptance in tier-1)
 ``experiment``     regenerate one of the paper's tables/figures
 ``list``           list benchmark cells, strategies and experiments
 
@@ -159,13 +160,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         for kib in args.capacity:
             cap = int(kib * 1024)
             try:
-                plans.append(
-                    model.spill_plan(
-                        cap,
-                        policy=args.spill_policy,
-                        tile_bytes=args.tile_bytes,
-                    )
-                )
+                plans.append(model.spill_plan(cap, tile_bytes=args.tile_bytes))
             except SpillError as exc:
                 print(f"error: cannot spill-plan {kib:g}KiB: {exc}",
                       file=sys.stderr)
@@ -228,7 +223,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor = model.executor(
             seed=args.seed,
             capacity_bytes=capacity,
-            spill_policy=args.spill_policy,
             tile_bytes=args.tile_bytes,
             prefetch=not args.no_prefetch,
             link=_offchip_link(args),
@@ -396,13 +390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    if args.shards > 1 and args.no_reuse:
-        print(
-            "error: --shards requires arena reuse; drop --no-reuse "
-            "(sharding exists to keep per-shard arenas warm)",
-            file=sys.stderr,
-        )
-        return 2
 
     registry = ModelRegistry()
     try:
@@ -451,12 +438,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             budget=_serving_budget(args),
             seed=args.seed,
-            reuse=not args.no_reuse,
             scrub=args.scrub,
             verify=args.verify,
             preload=args.preload,
             spill=args.spill,
-            spill_policy=args.spill_policy,
             tile_bytes=args.tile_bytes,
             prefetch=not args.no_prefetch,
             link=_offchip_link(args),
@@ -472,210 +457,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print()
     print(report.summary())
     return 0 if not report.errors and report.verified in (None, True) else 1
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.compiler import CompilationPipeline
-    from repro.exceptions import ReproError
-    from repro.models.suite import serving_suite
-    from repro.serving import ModelRegistry, run_load
-
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.chaos and args.shards < 2:
-        print(
-            "error: --chaos needs --shards >= 2 (survivors must keep "
-            "serving while a shard is down)",
-            file=sys.stderr,
-        )
-        return 2
-
-    registry = ModelRegistry()
-    try:
-        pipeline = CompilationPipeline(args.strategy)
-        if args.cells:
-            for key in args.cells:
-                registry.register(pipeline.compile(get_cell(key).factory()))
-        else:
-            for name, factory in serving_suite().items():
-                registry.register(pipeline.compile(factory()), name=name)
-    except ReproError as exc:
-        print(f"error: compilation failed: {exc}", file=sys.stderr)
-        return 2
-    print(f"compiled {len(registry)} models: {', '.join(registry.names())}")
-
-    if args.chaos:
-        return _run_chaos_bench(args, registry)
-
-    budget = _serving_budget(args)
-    link = _offchip_link(args)
-    common = dict(
-        requests=args.requests,
-        clients=args.clients,
-        workers=args.workers,
-        budget=budget,
-        seed=args.seed,
-        spill=args.spill,
-        spill_policy=args.spill_policy,
-        tile_bytes=args.tile_bytes,
-        prefetch=not args.no_prefetch,
-        link=link,
-    )
-    try:
-        # warm both paths once so neither pays first-touch costs
-        run_load(registry, requests=args.clients, clients=args.clients,
-                 workers=args.workers, budget=budget, reuse=True,
-                 spill=args.spill, spill_policy=args.spill_policy,
-                 tile_bytes=args.tile_bytes,
-                 prefetch=not args.no_prefetch, link=link)
-        run_load(registry, requests=args.clients, clients=args.clients,
-                 workers=args.workers, budget=budget, reuse=False,
-                 spill=args.spill, spill_policy=args.spill_policy,
-                 tile_bytes=args.tile_bytes,
-                 prefetch=not args.no_prefetch, link=link)
-        pooled = run_load(
-            registry, max_batch=args.max_batch, reuse=True,
-            preload=args.preload, shards=args.shards, **common
-        )
-        # the fresh-per-request baseline is inherently single-process
-        fresh = run_load(registry, max_batch=1, reuse=False, **common)
-    except ReproError as exc:
-        print(f"error: serving run failed: {exc}", file=sys.stderr)
-        return 2
-    print()
-    print(pooled.summary())
-    print()
-    print(fresh.summary())
-    print()
-    speedup = pooled.rps / fresh.rps if fresh.rps else float("inf")
-    print(f"arena reuse speedup     : {speedup:9.2f}x requests/sec "
-          f"(stacked batch {pooled.batch_size}, "
-          f"mean {pooled.mean_batch:.2f}"
-          + (f", {pooled.shards} shards" if pooled.shards > 1 else "")
-          + ")")
-    return 0
-
-
-def _run_chaos_bench(args: argparse.Namespace, registry) -> int:
-    """``bench-serve --chaos``: kill every shard once mid-load under a
-    seeded FaultPlan and *assert* self-healing — full shard count
-    restored, bitwise-correct responses through the kills, counters
-    consistent with the injected schedule. Exit 1 when recovery fails,
-    so CI can gate on it."""
-    import json
-    import os
-    from pathlib import Path
-
-    from repro.exceptions import ReproError
-    from repro.serving import FaultPlan, run_load
-
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
-    requests = min(args.requests, 48) if quick else args.requests
-    deadline_s = (
-        args.deadline_ms / 1e3 if args.deadline_ms else 30.0
-    )
-    retries = args.retries if args.retries else 6
-    plan = FaultPlan.kill_each_shard_once(args.shards, seed=args.seed)
-    print(
-        f"chaos plan (seed {args.seed}): kill each of {args.shards} "
-        "shards once, at arrivals "
-        f"{[f.at_request for f in plan.faults]}"
-    )
-    try:
-        report = run_load(
-            registry,
-            requests=requests,
-            clients=args.clients,
-            workers=args.workers,
-            max_batch=args.max_batch,
-            budget=_serving_budget(args),
-            seed=args.seed,
-            verify=True,
-            preload=args.preload,
-            spill=args.spill,
-            spill_policy=args.spill_policy,
-            tile_bytes=args.tile_bytes,
-            prefetch=not args.no_prefetch,
-            link=_offchip_link(args),
-            shards=args.shards,
-            deadline_s=deadline_s,
-            retries=retries,
-            faults=plan,
-        )
-    except ReproError as exc:
-        print(f"error: chaos run failed: {exc}", file=sys.stderr)
-        return 2
-    print()
-    print(report.summary())
-    print()
-
-    alive = sum(1 for s in report.shard_stats if s.alive)
-    checks = [
-        (
-            f"shard count restored ({alive}/{args.shards} alive)",
-            alive == args.shards,
-        ),
-        (
-            f"every kill recovered ({report.restarts} restarts "
-            f"for {plan.kills()} kills)",
-            report.restarts == plan.kills(),
-        ),
-        (
-            f">= 99% requests completed ({requests - report.errors}"
-            f"/{requests})",
-            report.errors <= requests * 0.01,
-        ),
-        (
-            "responses bitwise-correct (retries included)",
-            report.verified is True,
-        ),
-        ("no circuit breaker trips", report.breaker_trips == 0),
-    ]
-    for label, ok in checks:
-        print(f"  [{'PASS' if ok else 'FAIL'}] {label}")
-    recovered = all(ok for _, ok in checks)
-
-    if args.json_out:
-        path = Path(args.json_out)
-        doc: dict = {}
-        if path.exists():
-            try:
-                doc = json.loads(path.read_text())
-            except ValueError:
-                doc = {}
-        doc["chaos"] = {
-            "quick": quick,
-            "shards": args.shards,
-            "requests": requests,
-            "seed": args.seed,
-            "plan_kills": plan.kills(),
-            "kill_arrivals": [f.at_request for f in plan.faults],
-            "deadline_s": deadline_s,
-            "retries_budget": retries,
-            "restarts": report.restarts,
-            "retries": report.retries,
-            "expired": report.expired,
-            "shed": report.shed,
-            "breaker_trips": report.breaker_trips,
-            "errors": report.errors,
-            "alive_shards": alive,
-            "verified_bitwise": report.verified,
-            "recovered": recovered,
-            "req_per_s": report.rps,
-            "p50_ms": report.p50_ms,
-            "p99_ms": report.p99_ms,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"\nchaos counters merged into {path}")
-
-    print(
-        "\nchaos verdict           : "
-        + ("self-healed, service stayed correct" if recovered
-           else "RECOVERY FAILED")
-    )
-    return 0 if recovered else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -721,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sched.set_defaults(func=_cmd_schedule)
 
+    from repro.allocator.spill import SPILL_MODES
     from repro.memsim.policies import POLICY_NAMES
     from repro.scheduler.registry import strategy_names
 
@@ -780,12 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; exit 1 below the schedule's staging floor)",
     )
     p_comp.add_argument(
-        "--spill-policy",
-        choices=POLICY_NAMES,
-        default="belady",
-        help="replacement policy ranking spill victims (default: belady)",
-    )
-    p_comp.add_argument(
         "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
         help="stage spilled buffers through fixed-size tile slots instead "
         "of whole-buffer windows (applies to every --capacity plan; drops "
@@ -821,17 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--spill",
-        choices=("never", "auto", "always"),
+        choices=SPILL_MODES,
         default="auto",
         help="what to do when the arena exceeds --capacity: refuse "
-        "(never, exit 1), spill cold buffers off-chip (auto, default), "
-        "or force spill planning even when it fits (always)",
-    )
-    p_run.add_argument(
-        "--spill-policy",
-        choices=POLICY_NAMES,
-        default="belady",
-        help="replacement policy ranking spill victims (default: belady)",
+        "(never, exit 1) or spill cold buffers off-chip (auto, default)",
     )
     p_run.add_argument(
         "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
@@ -940,94 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.set_defaults(func=_cmd_compile_batch)
 
-    def add_serving_options(p: argparse.ArgumentParser, requests: int) -> None:
-        p.add_argument(
-            "--requests", type=int, default=requests,
-            help=f"total synthetic requests to drive (default {requests})",
-        )
-        p.add_argument(
-            "--clients", type=int, default=4,
-            help="concurrent closed-loop client threads (default 4)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=4,
-            help="scheduler worker threads (default 4)",
-        )
-        p.add_argument(
-            "--shards", type=int, default=1,
-            help="worker PROCESSES to shard serving across (default 1: "
-            "in-process threads). Each shard owns its own arena pool + "
-            "scheduler; models are sticky-routed by rendezvous hash and "
-            "tensors cross zero-copy shared-memory rings",
-        )
-        p.add_argument(
-            "--max-batch", type=int, default=4,
-            help="micro-batch limit for same-model requests; pooled "
-            "executors are built batch-capable at this capacity, so a "
-            "drained batch runs as ONE stacked kernel pass (default 4)",
-        )
-        p.add_argument(
-            "--preload", action="store_true",
-            help="build one executor per model before accepting traffic "
-            "(kills cold-start builds in the latency tail)",
-        )
-        p.add_argument(
-            "--budget-device",
-            choices=sorted(KNOWN_DEVICES),
-            help="cap resident arenas by this device's SRAM budget",
-        )
-        p.add_argument(
-            "--budget-kb", type=float, metavar="KIB",
-            help="cap resident arenas by a custom KiB budget",
-        )
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed for weights and request feeds (default 0)",
-        )
-        p.add_argument(
-            "--spill",
-            choices=("never", "auto", "always"),
-            default="never",
-            help="over-budget admission policy: refuse (never, default), "
-            "degrade to spill-planned executors with measured off-chip "
-            "traffic (auto), or spill-plan every executor (always)",
-        )
-        p.add_argument(
-            "--spill-policy",
-            choices=POLICY_NAMES,
-            default="belady",
-            help="replacement policy ranking spill victims (default: belady)",
-        )
-        p.add_argument(
-            "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
-            help="stream spilled executors' buffers through fixed-size "
-            "tile slots instead of whole-buffer staging (admits models "
-            "below the whole-buffer capacity floor)",
-        )
-        p.add_argument(
-            "--no-prefetch", action="store_true",
-            help="run spilled executors' transfers inline instead of "
-            "overlapping them on the background prefetch engine",
-        )
-        p.add_argument(
-            "--offchip-mbps", type=float, metavar="MBPS",
-            help="model the off-chip link at this bandwidth (MB/s) on "
-            "every pooled executor's fetches/writebacks",
-        )
-        p.add_argument(
-            "--deadline-ms", type=float, metavar="MS", default=None,
-            help="per-request deadline: queued requests past it are shed "
-            "before compute, in-flight ones fail typed "
-            "(DeadlineExceededError) instead of blocking — identical "
-            "semantics sharded and unsharded",
-        )
-        p.add_argument(
-            "--retries", type=int, default=0,
-            help="retry a request whose shard died with it in flight, "
-            "rerouted through the live routing table (sharded runs; "
-            "default 0)",
-        )
-
     p_serve = sub.add_parser(
         "serve",
         help="serve compiled artifacts or freshly compiled graphs",
@@ -1073,10 +754,86 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="compile --cell/--graph sources without the schedule cache",
     )
-    add_serving_options(p_serve, requests=64)
     p_serve.add_argument(
-        "--no-reuse", action="store_true",
-        help="disable arena pooling (fresh executor per request)",
+        "--requests", type=int, default=64,
+        help="total synthetic requests to drive (default 64)",
+    )
+    p_serve.add_argument(
+        "--clients", type=int, default=4,
+        help="concurrent closed-loop client threads (default 4)",
+    )
+    p_serve.add_argument(
+        "--workers", type=int, default=1,
+        help="dispatcher threads per scheduler (default 1: threads share "
+        "the GIL and measure slower — --shards is the parallelism knob)",
+    )
+    p_serve.add_argument(
+        "--shards", type=int, default=1,
+        help="worker PROCESSES to shard serving across (default 1: "
+        "in-process threads). Each shard owns its own arena pool + "
+        "scheduler; models are sticky-routed by rendezvous hash and "
+        "tensors cross zero-copy shared-memory rings",
+    )
+    p_serve.add_argument(
+        "--max-batch", type=int, default=4,
+        help="micro-batch limit for same-model requests; pooled "
+        "executors are built batch-capable at this capacity, so a "
+        "drained batch runs as ONE stacked kernel pass (default 4)",
+    )
+    p_serve.add_argument(
+        "--preload", action="store_true",
+        help="build one executor per model before accepting traffic "
+        "(kills cold-start builds in the latency tail)",
+    )
+    p_serve.add_argument(
+        "--budget-device",
+        choices=sorted(KNOWN_DEVICES),
+        help="cap resident arenas by this device's SRAM budget",
+    )
+    p_serve.add_argument(
+        "--budget-kb", type=float, metavar="KIB",
+        help="cap resident arenas by a custom KiB budget",
+    )
+    p_serve.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for weights and request feeds (default 0)",
+    )
+    p_serve.add_argument(
+        "--spill",
+        choices=SPILL_MODES,
+        default="never",
+        help="over-budget admission policy: refuse (never, default) or "
+        "degrade to spill-planned executors with measured off-chip "
+        "traffic (auto)",
+    )
+    p_serve.add_argument(
+        "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
+        help="stream spilled executors' buffers through fixed-size "
+        "tile slots instead of whole-buffer staging (admits models "
+        "below the whole-buffer capacity floor)",
+    )
+    p_serve.add_argument(
+        "--no-prefetch", action="store_true",
+        help="run spilled executors' transfers inline instead of "
+        "overlapping them on the background prefetch engine",
+    )
+    p_serve.add_argument(
+        "--offchip-mbps", type=float, metavar="MBPS",
+        help="model the off-chip link at this bandwidth (MB/s) on "
+        "every pooled executor's fetches/writebacks",
+    )
+    p_serve.add_argument(
+        "--deadline-ms", type=float, metavar="MS", default=None,
+        help="per-request deadline: queued requests past it are shed "
+        "before compute, in-flight ones fail typed "
+        "(DeadlineExceededError) instead of blocking — identical "
+        "semantics sharded and unsharded",
+    )
+    p_serve.add_argument(
+        "--retries", type=int, default=0,
+        help="retry a request whose shard died with it in flight, "
+        "rerouted through the live routing table (sharded runs; "
+        "default 0)",
     )
     p_serve.add_argument(
         "--scrub",
@@ -1091,46 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         "executor; exit 1 on any divergence",
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="serving throughput: arena reuse vs fresh-per-request",
-        description="Compile a set of models (default: the micro "
-        "serving suite), then measure requests/sec twice — pooled arena "
-        "reuse vs a fresh executor + arena per request — over identical "
-        "workloads, and print the speedup.",
-    )
-    p_bserve.add_argument(
-        "--cell",
-        dest="cells",
-        action="append",
-        choices=sorted(BENCHMARK_SUITE),
-        help="benchmark cell to serve instead of the micro suite "
-        "(repeatable)",
-    )
-    p_bserve.add_argument(
-        "--strategy",
-        choices=strategy_names(),
-        default="greedy",
-        help="scheduling strategy for compilation (default: greedy)",
-    )
-    add_serving_options(p_bserve, requests=160)
-    p_bserve.add_argument(
-        "--chaos",
-        action="store_true",
-        help="self-healing acceptance run: kill every shard once "
-        "mid-load under a seeded FaultPlan and assert recovery — full "
-        "shard count restored, >= 99%% of requests bitwise-correct, "
-        "restart counters matching the schedule (needs --shards >= 2; "
-        "exit 1 on failed recovery)",
-    )
-    p_bserve.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="merge the chaos fault/recovery counters into this JSON "
-        "document (e.g. benchmarks/results/BENCH_serving.json)",
-    )
-    p_bserve.set_defaults(func=_cmd_bench_serve)
 
     p_exp = sub.add_parser("experiment", help="regenerate a table/figure")
     p_exp.add_argument("name", choices=sorted(_EXPERIMENTS))

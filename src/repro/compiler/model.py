@@ -121,32 +121,33 @@ class CompiledModel:
         return floor
 
     def spill_plan(
-        self,
-        capacity_bytes: int,
-        policy: str = "belady",
-        tile_bytes: int | None = None,
+        self, capacity_bytes: int, tile_bytes: int | None = None
     ) -> SpillPlan:
         """The tiered-arena layout for one on-chip capacity.
 
         Serves a carried (artifact-embedded) plan when one matches,
         else computes and memoises — spill planning is deterministic in
-        ``(graph, schedule, plan, capacity, policy, tile granularity)``,
-        so a computed plan equals the one the compiler would have
-        embedded. ``tile_bytes`` switches to tile-streamed staging,
-        whose floor (:meth:`spill_floor_for`) sits far below the
-        whole-buffer :attr:`spill_floor_bytes`. Raises
+        ``(graph, schedule, plan, capacity, tile granularity)``, so a
+        computed plan equals the one the compiler would have embedded.
+        Victims are ranked by Belady (the schedule fixes the whole
+        access sequence; the LRU/FIFO ablation lives in
+        :func:`~repro.allocator.spill.plan_spill` and ``experiment
+        fig11``), so only carried ``belady`` plans are served.
+        ``tile_bytes`` switches to tile-streamed staging, whose floor
+        (:meth:`spill_floor_for`) sits far below the whole-buffer
+        :attr:`spill_floor_bytes`. Raises
         :class:`~repro.exceptions.SpillError` below the applicable
         floor.
         """
         for sp in self.spill_plans:
             if (
                 sp.capacity_bytes == capacity_bytes
-                and sp.policy == policy
+                and sp.policy == "belady"
                 and sp.tile_bytes == tile_bytes
             ):
                 return sp
         cache = self._spill_cache()
-        key = (capacity_bytes, policy, tile_bytes)
+        key = (capacity_bytes, tile_bytes)
         plan = cache.get(key)
         if plan is None:
             plan = plan_spill(
@@ -154,7 +155,6 @@ class CompiledModel:
                 self.schedule,
                 self.plan,
                 capacity_bytes,
-                policy=policy,
                 tile_bytes=tile_bytes,
             )
             cache[key] = plan
@@ -176,7 +176,6 @@ class CompiledModel:
         scrub: str = "never",
         spill: SpillPlan | None = None,
         capacity_bytes: int | None = None,
-        spill_policy: str = "belady",
         tile_bytes: int | None = None,
         prefetch: bool = True,
         link: "OffchipLink | None" = None,
@@ -191,17 +190,16 @@ class CompiledModel:
         with measured traffic — outputs stay bitwise identical.
         ``tile_bytes`` streams spilled buffers tile by tile instead of
         whole (dropping the admissible capacity floor to the largest
-        tile working set). ``prefetch=False`` forces those transfers
-        inline instead of overlapping them on the background engine;
+        tile working set). ``prefetch=False`` runs those transfers on
+        the compute thread instead of overlapping them on the
+        background engine;
         ``link`` (an :class:`~repro.memsim.OffchipLink`) models the
         transfer path's bandwidth/latency.
         """
         from repro.runtime.plan_executor import PlanExecutor
 
         if spill is None and capacity_bytes is not None:
-            spill = self.spill_plan(
-                capacity_bytes, policy=spill_policy, tile_bytes=tile_bytes
-            )
+            spill = self.spill_plan(capacity_bytes, tile_bytes=tile_bytes)
         return PlanExecutor(
             self.graph,
             self.schedule,

@@ -34,6 +34,7 @@ from repro.graph.graph import Graph
 from repro.graph.serialization import graph_signature
 from repro.models.suite import CellSpec, suite_cells
 from repro.scheduler.cache import CacheEntry, ScheduleCache
+from repro.scheduler.registry import get_strategy
 from repro.scheduler.serenity import Serenity, SerenityConfig, SerenityReport
 
 __all__ = [
@@ -52,10 +53,14 @@ DEFAULT_MAX_STATES = 50_000
 
 _CACHE: dict[tuple[str, bool], SerenityReport] = {}
 
-#: persistent-cache strategy keys must match the registry's pipelines:
-#: ``serenity``/``serenity-dp`` run the same divide-and-conquer DP with
-#: the same defaults, so entries are shared with the portfolio compiler.
-_STRATEGY_KEY = {True: "serenity@1", False: "serenity-dp@1"}
+def _strategy_key(rewrite: bool) -> str:
+    """The persistent-cache key of the registry pipeline a report
+    comes from: ``serenity``/``serenity-dp`` run the same
+    divide-and-conquer DP with the same defaults, so entries are shared
+    with the portfolio compiler — and a registry ``version`` bump
+    invalidates them here too."""
+    return get_strategy("serenity" if rewrite else "serenity-dp").cache_key
+
 
 _PERSISTENT: dict[str, ScheduleCache] = {}
 
@@ -136,7 +141,7 @@ def compiled(spec: CellSpec, rewrite: bool) -> SerenityReport:
     cache = persistent_cache()
     signature = graph_signature(graph) if cache is not None else ""
     if cache is not None:
-        entry = cache.get(signature, _STRATEGY_KEY[rewrite])
+        entry = cache.get(signature, _strategy_key(rewrite))
         if entry is not None:
             report = _report_from_entry(entry, graph, rewrite)
             if report is not None:
@@ -153,7 +158,7 @@ def compiled(spec: CellSpec, rewrite: bool) -> SerenityReport:
         cache.put(
             CacheEntry(
                 signature=signature,
-                strategy_key=_STRATEGY_KEY[rewrite],
+                strategy_key=_strategy_key(rewrite),
                 graph_name=report.scheduled_graph.name,
                 order=report.schedule.order,
                 canon_order=tuple(keys[n] for n in report.schedule.order),

@@ -208,13 +208,13 @@ def get_cell(key: str) -> CellSpec:
 
 
 def serving_suite() -> dict[str, Callable[[], Graph]]:
-    """Micro cells for the serving benchmark and ``bench-serve`` CLI.
+    """Micro cells for the serving benchmarks.
 
     Small irregularly wired stages in the regime the serving layer
     targets: per-request overhead (executor construction, arena
     allocation) rivals or exceeds kernel compute, so arena reuse — not
     raw FLOPs — decides throughput. The paper's benchmark cells remain
-    available for compute-bound serving runs via ``--cell``.
+    available for compute-bound serving runs via ``serve --cell``.
     """
     return {
         "rw-micro-a": lambda: randwire_stage(

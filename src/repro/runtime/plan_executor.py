@@ -81,10 +81,13 @@ Tiered arenas & spilling
 layout: an on-chip *resident* region bounded by the plan's capacity,
 plus an off-chip *spill* region holding the home bytes of spilled
 buffers (:class:`~repro.allocator.spill.SpillPlan`). The flat step
-table gains explicit **fetch** steps (home → staging slot, at every
+table gains explicit **fetch** transfers (home → staging slot, at every
 staging-window entry after the buffer's first write) and **writeback**
-steps (staging slot → home, at dirty window exits whose data is needed
-again), so off-chip traffic is *executed*, not merely estimated — and
+transfers (staging slot → home, at dirty window exits whose data is
+needed again) — one encoding (a hop list) and one placement; the step
+kind only says who runs it, the compute thread (a move row) or the
+background engine (an enqueue row, with sync rows where compute must
+wait). Off-chip traffic is *executed*, not merely estimated — and
 counted per run in :class:`~repro.memsim.hierarchy.TrafficReport`-
 compatible units (:meth:`PlanExecutor.traffic_report`). Because fetch
 and writeback copy bytes verbatim, outputs stay **bitwise identical**
@@ -114,7 +117,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import prod
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -141,6 +144,7 @@ __all__ = [
     "PlanExecutionStats",
     "SCRUB_POLICIES",
     "intra_buffer_offsets",
+    "write_hazards",
 ]
 
 #: the reference executor computes in float64; the arena does the same
@@ -232,10 +236,71 @@ def intra_buffer_offsets(graph: Graph, model: BufferModel) -> dict[str, int]:
     return {idx.order[i]: int(intra[i]) for i in range(n)}  # type: ignore[arg-type]
 
 
+def write_hazards(
+    graph: Graph,
+    model: BufferModel,
+    pos: Mapping[str, int],
+    intra: Mapping[str, int],
+) -> Iterator[tuple[str, str, int, tuple[int, int]]]:
+    """Schedule steps under which buffer sharing corrupts a read.
+
+    Two members of one buffer with overlapping byte ranges are fine
+    only while nobody reads the earlier tensor after the later one
+    writes — e.g. an in-place accumulator whose target has a second
+    consumer scheduled after the overwrite would silently read the
+    *new* bytes. A view node rewriting an aliased operand's slice is
+    exempt: it copies the identical bytes back. Yields ``(message,
+    overwriting node, buffer, overlapping intra-buffer byte range)``
+    per hazard; the executor refuses the first one, the static verifier
+    reports them all.
+    """
+    from repro.graph.analysis import bits
+
+    idx = model.index
+
+    def aliased_inputs(node: Node) -> set[str]:
+        indices = node.attrs.get("view_inputs")
+        if indices is None:
+            indices = range(len(node.inputs))
+        return {node.inputs[j] for j in indices}
+
+    for b in range(model.n_buffers):
+        members = [
+            (idx.order[i], intra[idx.order[i]], idx.out_bytes[i])
+            for i in bits(model.buf_members[b])
+        ]
+        for vi, (a, a_off, a_sz) in enumerate(members):
+            for b2, b_off, b_sz in members[vi + 1 :]:
+                if not (a_off < b_off + b_sz and b_off < a_off + a_sz):
+                    continue  # disjoint slices (e.g. view operands)
+                # late (scheduled later) writes over early's bytes
+                early, late = (a, b2) if pos[a] <= pos[b2] else (b2, a)
+                writer = graph.node(late)
+                if writer.memory.view and early in aliased_inputs(writer):
+                    continue  # byte-preserving copy-back
+                clobbered = [
+                    c
+                    for c in graph.succs(early)
+                    if c != late and pos[c] > pos[late]
+                ]
+                if clobbered:
+                    yield (
+                        f"{late!r} overwrites {early!r}'s bytes at step "
+                        f"{pos[late]}, but {clobbered[0]!r} still reads "
+                        f"{early!r} at step {pos[clobbered[0]]}",
+                        late,
+                        b,
+                        (max(a_off, b_off), min(a_off + a_sz, b_off + b_sz)),
+                    )
+
+
 @dataclass(frozen=True)
 class PlanExecutionStats:
     """Arena accounting measured during one :meth:`PlanExecutor.run`."""
 
+    #: step-table rows executed: one per kernel, one per transfer job
+    #: (a whole buffer or one tile piece, however many hops) and one
+    #: per engine sync
     steps: int
     #: the plan's promised capacity (per sample — one arena row)
     arena_bytes: int
@@ -291,14 +356,14 @@ class PlanExecutionStats:
 
 #: step kinds inside a compiled :class:`_RunPlan`
 _STEP_INPUT, _STEP_DIRECT, _STEP_COPY = 0, 1, 2
-#: spill data movement: fetch = home -> staging slot, writeback = back
-_STEP_FETCH, _STEP_WRITEBACK = 3, 4
-#: tile staging hop between a tile slot and a spilled buffer's scratch
-#: backing store (on-chip move: copy-timed, never link-timed)
-_STEP_STAGE = 5
-#: overlapped data movement: hand a copy (or a multi-hop tile job) to
-#: the transfer engine / wait until engine job #attrs (1-based) is done
-_STEP_ENQUEUE, _STEP_SYNC = 6, 7
+#: spill data movement. A transfer is a **hop list** ``((dst, src,
+#: linked), ...)`` carried in the row's ``attrs``: hops run in order,
+#: ``linked`` hops cross the off-chip link (and pay its modeled time),
+#: the rest are on-chip moves between a tile slot and a spilled
+#: buffer's scratch backing store. MOVE runs the hops on the compute
+#: thread, ENQUEUE hands them to the transfer engine as one job, SYNC
+#: waits until engine job #attrs (1-based) is done.
+_STEP_MOVE, _STEP_ENQUEUE, _STEP_SYNC = 3, 4, 5
 
 
 def _range_add(ranges: list[tuple[int, int]], lo: int, hi: int) -> None:
@@ -389,15 +454,11 @@ class _TransferEngine:
         )
         self._thread.start()
 
-    def submit(self, dst: np.ndarray, src: np.ndarray) -> int:
-        """Queue one copy; returns its 1-based job number."""
-        return self.submit_hops(((dst, src, True),))
-
     def submit_hops(
         self, hops: tuple[tuple[np.ndarray, np.ndarray, bool], ...]
     ) -> int:
-        """Queue one multi-hop job (hops run in order); returns its
-        1-based job number."""
+        """Queue one job (its hops run in order); returns its 1-based
+        job number."""
         with self._cond:
             if self._closed:
                 raise ExecutionError(
@@ -597,7 +658,9 @@ class PlanExecutor:
     fetches are issued early and writebacks drained late on a
     background transfer engine, so transfer time hides behind compute
     and only surfaces as stall when a kernel needs bytes still in
-    flight. ``link`` attaches a modeled
+    flight. ``prefetch=False`` keeps the base layout and runs the same
+    transfer jobs, placed by the same rules, on the compute thread.
+    ``link`` attaches a modeled
     :class:`~repro.memsim.hierarchy.OffchipLink` so every transfer
     (inline or overlapped) costs the modeled wall-clock instead of a
     host memcpy. Executors with an active engine own a daemon thread;
@@ -726,8 +789,14 @@ class PlanExecutor:
         )
 
         intra = intra_buffer_offsets(graph, self.model)
-        self._check_write_hazards(intra)
         self._schedule_pos = schedule.positions()
+        hazard = next(
+            write_hazards(graph, self.model, self._schedule_pos, intra), None
+        )
+        if hazard is not None:
+            raise ExecutionError(
+                f"schedule is unsafe for this buffer layout: {hazard[0]}"
+            )
         self._buf_of_name = {
             name: self.model.buffer_of[i] for i, name in enumerate(idx.order)
         }
@@ -915,55 +984,6 @@ class PlanExecutor:
         #: per-node (n, ...) views over the first n rows, keyed by
         #: batch width and built lazily per width
         self._sites: dict[int, dict[str, np.ndarray]] = {}
-
-    def _check_write_hazards(self, intra: dict[str, int]) -> None:
-        """Reject schedules under which buffer sharing corrupts a read.
-
-        Two members of one buffer with overlapping byte ranges are fine
-        only while nobody reads the earlier tensor after the later one
-        writes — e.g. an in-place accumulator whose target has a second
-        consumer scheduled after the overwrite would silently read the
-        *new* bytes. A view node rewriting an aliased operand's slice
-        is exempt: it copies the identical bytes back.
-        """
-        from repro.graph.analysis import bits
-
-        graph, model = self.graph, self.model
-        idx = model.index
-        pos = self.schedule.positions()
-
-        def aliased_inputs(node: Node) -> set[str]:
-            indices = node.attrs.get("view_inputs")
-            if indices is None:
-                indices = range(len(node.inputs))
-            return {node.inputs[j] for j in indices}
-
-        for b in range(model.n_buffers):
-            members = [
-                (idx.order[i], intra[idx.order[i]], idx.out_bytes[i])
-                for i in bits(model.buf_members[b])
-            ]
-            for vi, (a, a_off, a_sz) in enumerate(members):
-                for b2, b_off, b_sz in members[vi + 1 :]:
-                    if not (a_off < b_off + b_sz and b_off < a_off + a_sz):
-                        continue  # disjoint slices (e.g. view operands)
-                    # late (scheduled later) writes over early's bytes
-                    early, late = (a, b2) if pos[a] <= pos[b2] else (b2, a)
-                    writer = graph.node(late)
-                    if writer.memory.view and early in aliased_inputs(writer):
-                        continue  # byte-preserving copy-back
-                    clobbered = [
-                        c
-                        for c in graph.succs(early)
-                        if c != late and pos[c] > pos[late]
-                    ]
-                    if clobbered:
-                        raise ExecutionError(
-                            f"schedule is unsafe for this buffer layout: "
-                            f"{late!r} overwrites {early!r}'s bytes at step "
-                            f"{pos[late]}, but {clobbered[0]!r} still reads "
-                            f"{early!r} at step {pos[clobbered[0]]}"
-                        )
 
     # ------------------------------------------------------------------
     @property
@@ -1187,37 +1207,36 @@ class PlanExecutor:
         stop = start + node.output.elements
         return base[:n, start:stop].reshape((n,) + node.output.shape)
 
-    def _stage_and_home(
-        self, b: int, window: StageWindow, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-buffer (staging slot, home slot) views for fetch and
-        writeback steps — raw element runs, no tensor shape."""
-        elems = self._buf_elems[b]
-        s0 = window.offset // self._itemsize
-        h0 = self._home_elem[b]
-        return (
-            self._arena[:n, s0 : s0 + elems],
-            self._spill_arena[:n, h0 : h0 + elems],
-        )
+    def _transfer_row(
+        self,
+        kind: int,
+        b: int,
+        window: StageWindow,
+        piece: tuple[int, int, int] | None,
+        n: int,
+        fetch: bool,
+    ) -> tuple:
+        """The step-table row moving spilled buffer ``b`` (or one tile
+        ``piece`` of it) between its home and ``window``'s staging slot.
 
-    def _tile_views(
-        self, b: int, window: StageWindow, piece: tuple[int, int, int], n: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slot, home, scratch) views for one tile piece of spilled
-        buffer ``b`` — raw element runs of ``piece``'s bytes, with the
-        slot view at the piece's intra-tile offset inside the window's
-        tile slot."""
-        lo, hi, slot_lo = piece
+        A whole-buffer fetch is one linked hop, home -> slot. A tile
+        piece adds the on-chip hop slot -> scratch, its link-timed hop
+        landing at the piece's intra-tile offset of the window's tile
+        slot. A writeback is the fetch backwards. Views are raw element
+        runs of the moved bytes, no tensor shape."""
         it = self._itemsize
-        ne = (hi - lo) // it
+        lo, hi, slot_lo = piece or (0, self.model.buf_size[b], 0)
+        c0, ne = lo // it, (hi - lo) // it
         s0 = window.offset // it + slot_lo // it
-        h0 = self._home_elem[b] + lo // it
-        c0 = lo // it
-        return (
-            self._arena[:n, s0 : s0 + ne],
-            self._spill_arena[:n, h0 : h0 + ne],
-            self._scratch[b][:n, c0 : c0 + ne],
-        )
+        h0 = self._home_elem[b] + c0
+        slot = self._arena[:n, s0 : s0 + ne]
+        hops = [(slot, self._spill_arena[:n, h0 : h0 + ne], True)]
+        if piece is not None:
+            hops.append((self._scratch[b][:n, c0 : c0 + ne], slot, False))
+        if not fetch:
+            hops = [(src, dst, linked) for dst, src, linked in reversed(hops)]
+        tag = "fetch" if fetch else "writeback"
+        return (kind, f"<{tag}:b{b}>", None, None, (), tuple(hops), None, None)
 
     def _compile_run_plan(
         self, order: tuple[str, ...], executed0: int, n: int
@@ -1244,18 +1263,8 @@ class PlanExecutor:
         is data-independent too, so it is counted here, once per plan.
 
         Transfer events are collected against the executed order first
-        and *placed* second. Inline placement reproduces the historical
-        step order exactly (fetches before the kernel, writebacks
-        after). Prefetch placement hands each leaded window's transfers
-        to the engine instead: the fetch is enqueued up to ``lead``
-        schedule positions early (never before the same buffer's
-        previous writeback — the FIFO queue then orders the home
-        accesses), a single per-step sync waits for the highest job
-        number the step depends on (fetch completions at window entry,
-        writeback completions when a slot reservation expires or an
-        inline fetch needs the home bytes), and leftover jobs drain at
-        end of run. Zero-lead windows keep inline transfers even in
-        prefetch mode.
+        and *placed* second, by the one placement there is
+        (:meth:`_place_transfers`).
         """
         graph, model, params = self.graph, self.model, self.params
         sites = self._sites_for(n)
@@ -1525,87 +1534,25 @@ class PlanExecutor:
     ) -> tuple[tuple[tuple, ...], int]:
         """Interleave the collected transfer events with the kernel rows.
 
-        Without an engine this reproduces the historical inline order
-        exactly: a step's fetches immediately before its kernel row, its
-        writebacks immediately after — a tile piece expands to a
-        link-timed FETCH/WRITEBACK through the tile slot plus a plain
-        STAGE hop between slot and scratch. With the engine, leaded
-        windows route through the FIFO instead, under the placement
-        rules documented on :meth:`_compile_run_plan`; zero-lead
-        whole-buffer windows stay inline, while *every* tile piece
-        rides the engine as one two-hop job — the FIFO totally orders
-        all tile-slot accesses, which is what makes the single
-        engine-private slot race-free. Returns ``(steps, total engine
+        Every transfer is a job (a hop list, :meth:`_transfer_row`)
+        placed once: a fetch up to its window's ``lead`` schedule
+        positions early (never before the same buffer's previous
+        writeback — the FIFO then orders the home accesses), a
+        writeback right after its window's last touch. With the engine,
+        jobs are ENQUEUE rows; one SYNC per step waits for the highest
+        job the step depends on (fetches at window entry, writebacks
+        when a slot reservation expires or a compute-thread fetch needs
+        the home bytes) and leftover jobs drain at end of run. A
+        zero-lead whole-buffer fetch runs on the compute thread as a
+        MOVE row, while *every* tile piece rides the engine — the FIFO
+        totally orders all tile-slot accesses, which is what makes the
+        single engine-private slot race-free. Without an engine every
+        lead is zero, so the same rules put each fetch immediately
+        before its kernel row and each writeback immediately after, and
+        the jobs run as MOVE rows where they would have been enqueued:
+        no sync rows, no engine jobs. Returns ``(steps, total engine
         jobs per run)``.
         """
-        if self._engine is None:
-            steps: list[tuple] = []
-            fi = wi = 0
-            nf, nw = len(fetch_events), len(wb_events)
-            for oi, row in enumerate(kernel_rows):
-                while fi < nf and fetch_events[fi][2] == oi:
-                    b, w, _, pieces = fetch_events[fi]
-                    if pieces is None:
-                        stage, home = self._stage_and_home(b, w, n)
-                        steps.append(
-                            (
-                                _STEP_FETCH,
-                                f"<fetch:b{b}>",
-                                stage,
-                                None,
-                                (home,),
-                                None,
-                                None,
-                                None,
-                            )
-                        )
-                    else:
-                        for piece in pieces:
-                            slot, home, scr = self._tile_views(
-                                b, w, piece, n
-                            )
-                            steps.append(
-                                (_STEP_FETCH, f"<fetch:b{b}>", slot, None,
-                                 (home,), None, None, None)
-                            )
-                            steps.append(
-                                (_STEP_STAGE, f"<stage:b{b}>", scr, None,
-                                 (slot,), None, None, None)
-                            )
-                    fi += 1
-                steps.append(row)
-                while wi < nw and wb_events[wi][2] == oi:
-                    b, w, _, pieces = wb_events[wi]
-                    if pieces is None:
-                        stage, home = self._stage_and_home(b, w, n)
-                        steps.append(
-                            (
-                                _STEP_WRITEBACK,
-                                f"<writeback:b{b}>",
-                                home,
-                                None,
-                                (stage,),
-                                None,
-                                None,
-                                None,
-                            )
-                        )
-                    else:
-                        for piece in pieces:
-                            slot, home, scr = self._tile_views(
-                                b, w, piece, n
-                            )
-                            steps.append(
-                                (_STEP_STAGE, f"<stage:b{b}>", slot, None,
-                                 (scr,), None, None, None)
-                            )
-                            steps.append(
-                                (_STEP_WRITEBACK, f"<writeback:b{b}>",
-                                 home, None, (slot,), None, None, None)
-                            )
-                    wi += 1
-            return tuple(steps), 0
-
         pos = self._schedule_pos
         n_exec = len(order)
         sched = [pos[nm] for nm in order]
@@ -1756,7 +1703,6 @@ class PlanExecutor:
                 if due < n_exec:
                     need_at[due] = max(need_at[due], job)
                 eng_wb_hist.setdefault(b, []).append((oi, job))
-        total_jobs = job
         # an inline fetch reads home bytes a still-pending engine
         # writeback of the same buffer may be producing
         for oi, evs in inline_f.items():
@@ -1767,80 +1713,30 @@ class PlanExecutor:
                     if i:
                         need_at[oi] = max(need_at[oi], hist[i - 1][1])
 
-        # assemble: [fetch enqueues][one sync][inline fetches][kernel]
-        # [writeback enqueues] per step; the FIFO completes in submit
+        # assemble: [fetch jobs][one sync][inline fetches][kernel]
+        # [writeback jobs] per step; the FIFO completes in submit
         # order, so one wait on the highest needed job covers every
         # earlier one (``guaranteed`` skips redundant syncs)
-        steps = []
+        queued = self._engine is not None
+        job_kind = _STEP_ENQUEUE if queued else _STEP_MOVE
+        steps: list[tuple] = []
         guaranteed = 0
         for oi, row in enumerate(kernel_rows):
             for b, w, _entry, piece in eng_f.get(oi, ()):
-                if piece is None:
-                    stage, home = self._stage_and_home(b, w, n)
-                    steps.append(
-                        (
-                            _STEP_ENQUEUE,
-                            f"<prefetch:b{b}>",
-                            stage,
-                            None,
-                            (home,),
-                            None,
-                            None,
-                            None,
-                        )
-                    )
-                else:
-                    slot, home, scr = self._tile_views(b, w, piece, n)
-                    hops = ((slot, home, True), (scr, slot, False))
-                    steps.append(
-                        (_STEP_ENQUEUE, f"<prefetch:b{b}>", None, None,
-                         (), hops, None, None)
-                    )
+                steps.append(self._transfer_row(job_kind, b, w, piece, n, True))
             need = need_at[oi]
-            if need > guaranteed:
+            if queued and need > guaranteed:
                 steps.append(
                     (_STEP_SYNC, f"<sync:{need}>", None, None, (), need,
                      None, None)
                 )
                 guaranteed = need
             for b, w in inline_f.get(oi, ()):
-                stage, home = self._stage_and_home(b, w, n)
-                steps.append(
-                    (
-                        _STEP_FETCH,
-                        f"<fetch:b{b}>",
-                        stage,
-                        None,
-                        (home,),
-                        None,
-                        None,
-                        None,
-                    )
-                )
+                steps.append(self._transfer_row(_STEP_MOVE, b, w, None, n, True))
             steps.append(row)
             for b, w, _due, piece in eng_w.get(oi, ()):
-                if piece is None:
-                    stage, home = self._stage_and_home(b, w, n)
-                    steps.append(
-                        (
-                            _STEP_ENQUEUE,
-                            f"<drain:b{b}>",
-                            home,
-                            None,
-                            (stage,),
-                            None,
-                            None,
-                            None,
-                        )
-                    )
-                else:
-                    slot, home, scr = self._tile_views(b, w, piece, n)
-                    hops = ((slot, scr, False), (home, slot, True))
-                    steps.append(
-                        (_STEP_ENQUEUE, f"<drain:b{b}>", None, None,
-                         (), hops, None, None)
-                    )
-        return tuple(steps), total_jobs
+                steps.append(self._transfer_row(job_kind, b, w, piece, n, False))
+        return tuple(steps), job if queued else 0
 
     def _get_plan(self, wanted: list[str] | None, n: int) -> "_RunPlan":
         """The compiled plan for ``(output subset, batch width)``.
@@ -2012,25 +1908,22 @@ class PlanExecutor:
                 shape,
             ) in plan.steps:
                 if kind == _STEP_ENQUEUE:
-                    if site is None:  # tiled two-hop job
-                        engine.submit_hops(attrs)  # type: ignore[union-attr]
-                    else:
-                        engine.submit(site, args[0])  # type: ignore[union-attr]
+                    engine.submit_hops(attrs)  # type: ignore[union-attr]
                     continue
                 if kind == _STEP_SYNC:
                     engine_wait_s += engine.wait(  # type: ignore[union-attr]
                         base + attrs
                     )
                     continue
-                if kind >= _STEP_FETCH:
-                    # fetch / writeback: byte moves the compute stream
-                    # waits out (the inline stall); STAGE is the
-                    # on-chip slot<->scratch hop of a tile move, which
-                    # never pays the off-chip link
+                if kind == _STEP_MOVE:
+                    # a transfer the compute stream waits out (the
+                    # inline stall); only linked hops pay the off-chip
+                    # link, a slot<->scratch hop is an on-chip move
                     t0 = time.perf_counter()
-                    site[...] = args[0]
-                    if link is not None and kind != _STEP_STAGE:
-                        time.sleep(link.transfer_s(site.nbytes))
+                    for dst, src, linked in attrs:
+                        dst[...] = src
+                        if linked and link is not None:
+                            time.sleep(link.transfer_s(dst.nbytes))
                     inline_stall_s += time.perf_counter() - t0
                     continue
                 if kind == _STEP_DIRECT:

@@ -3,7 +3,7 @@
 One function, :func:`run_load`, drives N closed-loop clients against a
 :class:`~repro.serving.scheduler.RequestScheduler` and reports
 throughput, latency percentiles and the pool's arena-reuse hit rate.
-It is shared by the ``serve`` / ``bench-serve`` CLI subcommands and by
+It is shared by the ``serve`` CLI subcommand and by
 ``benchmarks/bench_serving.py``, so the number the benchmark asserts on
 is the number the CLI prints.
 
@@ -43,7 +43,6 @@ class LoadReport:
     clients: int
     workers: int
     max_batch: int
-    reuse: bool
     models: tuple[str, ...]
     wall_s: float
     p50_ms: float
@@ -104,7 +103,7 @@ class LoadReport:
         return self.spill_hidden_s / busy if busy > 0 else 0.0
 
     def summary(self) -> str:
-        mode = "arena reuse" if self.reuse else "fresh alloc per request"
+        mode = "arena reuse"
         if self.batch_size > 1:
             mode += f", batch {self.batch_size}"
         if self.preloaded:
@@ -183,17 +182,15 @@ def run_load(
     *,
     requests: int = 64,
     clients: int = 4,
-    workers: int = 4,
+    workers: int = 1,
     max_batch: int = 1,
     batch_size: int | None = None,
     budget: DeviceSpec | int | None = None,
     seed: int = 0,
-    reuse: bool = True,
     scrub: str = "never",
     verify: bool = False,
     preload: bool = False,
     spill: str = "never",
-    spill_policy: str = "belady",
     tile_bytes: int | None = None,
     prefetch: bool = True,
     link: OffchipLink | None = None,
@@ -207,8 +204,8 @@ def run_load(
     """Drive ``requests`` inferences from ``clients`` concurrent threads.
 
     Request *i* targets model ``names[i % len(names)]`` with feeds drawn
-    deterministically from ``seed + i``, so a pooled and a baseline run
-    serve byte-identical workloads. Each client is closed-loop: it
+    deterministically from ``seed + i``, so two runs serve
+    byte-identical workloads. Each client is closed-loop: it
     submits, waits for the response, optionally verifies it against the
     reference executor (outside the latency window), then issues its
     next request.
@@ -217,13 +214,14 @@ def run_load(
     ``max_batch``, so a fully drained micro-batch runs as one stacked
     kernel pass). ``preload=True`` warms the pool — one executor per
     model — before the clients start, so the measured window contains
-    no cold-start builds. ``spill`` picks what happens to arenas the
-    budget cannot hold: refuse (``never``), degrade to planned
-    off-chip staging with measured traffic (``auto``), or spill-plan
-    every executor (``always``); outputs stay bitwise-verified either
-    way. ``prefetch=False`` forces spilled executors' transfers inline
-    (the stall-everything baseline); ``link`` attaches a modeled
-    off-chip bandwidth/latency to every fetch and writeback.
+    no cold-start builds. ``workers`` is the dispatcher thread count
+    (default 1: threads share the GIL and measure slower — ``shards``
+    is the parallelism knob). ``spill`` picks what happens to arenas
+    the budget cannot hold: refuse (``never``) or degrade to planned
+    off-chip staging with measured traffic (``auto``); outputs stay
+    bitwise-verified either way. ``prefetch=False`` runs spilled
+    executors' transfers on the compute thread; ``link`` attaches a
+    modeled off-chip bandwidth/latency to every fetch and writeback.
 
     ``shards > 1`` swaps the in-process thread scheduler for a
     :class:`~repro.serving.shard.ShardedScheduler`: that many worker
@@ -241,8 +239,8 @@ def run_load(
     :class:`~repro.exceptions.OverloadedError`), ``supervise`` (dead
     and wedged shards respawn), and ``faults`` — a deterministic
     :class:`~repro.serving.faults.FaultPlan` injected into the workers,
-    which is how the chaos benchmark proves the self-healing counters
-    it reports.
+    which is how the chaos acceptance test
+    (``tests/serving/test_faults.py``) proves the self-healing counters.
     """
     names = registry.names()
     if not names:
@@ -255,11 +253,9 @@ def run_load(
             "serving from surviving shards while one is down"
         )
     if batch_size is None:
-        batch_size = max_batch if reuse else 1
+        batch_size = max_batch
     pool: ArenaPool | None = None
     if shards > 1:
-        # raises ServingError on reuse=False: sharding exists to keep
-        # per-shard arenas warm, the no-reuse baseline is single-process
         server_ctx: ShardedScheduler | RequestScheduler = ShardedScheduler(
             registry,
             shards=shards,
@@ -269,9 +265,7 @@ def run_load(
             budget=budget,
             seed=seed,
             scrub=scrub,
-            reuse=reuse,
             spill=spill,
-            spill_policy=spill_policy,
             tile_bytes=tile_bytes,
             prefetch=prefetch,
             link=link,
@@ -289,10 +283,8 @@ def run_load(
             budget,
             seed=seed,
             scrub=scrub,
-            reuse=reuse,
             batch_size=batch_size,
             spill=spill,
-            spill_policy=spill_policy,
             tile_bytes=tile_bytes,
             prefetch=prefetch,
             link=link,
@@ -373,7 +365,6 @@ def run_load(
         clients=clients,
         workers=workers,
         max_batch=max_batch,
-        reuse=reuse,
         models=tuple(names),
         wall_s=wall_s,
         p50_ms=stats.p50_s * 1e3,

@@ -22,15 +22,14 @@ hands them out to request threads:
 outright. ``"never"`` (default) keeps the hard rejection. ``"auto"``
 degrades them instead: the executor is built against a compile-time
 :class:`~repro.allocator.spill.SpillPlan` whose on-chip (resident)
-region fits the budget, with cold buffers homed off-chip and fetched /
-written back around their uses — measured traffic, bitwise-identical
-outputs. ``"always"`` builds every executor that way (a fitting model
-gets the trivial zero-traffic plan). Admission then prices the
-executor at its *resident* bytes, the on-chip footprint the budget
-actually models. Batched executors spill per **row**: the per-row
-capacity is ``budget // batch_size``, so an ``N x`` footprint that
-misses the budget stages cold rows' buffers instead of refusing the
-whole batch.
+region fits the budget, with cold buffers homed off-chip (victims
+ranked by Belady — the schedule fixes the whole access sequence) and
+fetched / written back around their uses — measured traffic,
+bitwise-identical outputs. Admission then prices the executor at its
+*resident* bytes, the on-chip footprint the budget actually models.
+Batched executors spill per **row**: the per-row capacity is ``budget
+// batch_size``, so an ``N x`` footprint that misses the budget stages
+cold rows' buffers instead of refusing the whole batch.
 
 ``batch_size=N`` makes every pooled executor **batch-capable**: its
 arena is ``N`` per-sample rows, the request scheduler can stack a
@@ -44,10 +43,9 @@ never evicting anything), so the first request of every model is an
 arena *hit* instead of paying construction + allocation on the request
 path — the cold-start misses that otherwise sit in the p99.
 
-``reuse=False`` turns the pool into the naive baseline — every acquire
-builds a fresh executor, every release discards it — which is exactly
-the fresh-allocation-per-request behaviour the serving benchmark
-quantifies against.
+There is one pool mode: executors are always reused. The
+fresh-executor-per-request strawman that reuse is measured against
+lives in ``benchmarks/bench_serving.py``, not here.
 """
 
 from __future__ import annotations
@@ -118,9 +116,6 @@ class ArenaPool:
     scrub:
         Arena scrub policy for pooled executors (see
         :class:`~repro.runtime.plan_executor.PlanExecutor`).
-    reuse:
-        ``False`` disables pooling entirely (fresh executor per acquire,
-        discarded on release) — the serving benchmark's baseline.
     batch_size:
         Batch capacity of every pooled executor. ``N > 1`` provisions
         ``N`` arena rows per executor (admission prices them at ``N x``
@@ -129,11 +124,7 @@ class ArenaPool:
     spill:
         Over-budget admission policy (see the module docstring):
         ``"never"`` refuses, ``"auto"`` degrades to a spill-planned
-        executor whose resident region fits the budget, ``"always"``
-        spill-plans every build.
-    spill_policy:
-        Replacement policy ranking spill victims (``belady`` | ``lru``
-        | ``fifo`` — the Fig 11 simulator's registry).
+        executor whose resident region fits the budget.
     tile_bytes:
         Transfer granularity for spill-planned executors: ``None``
         stages whole buffers; a positive size streams sub-buffer tiles,
@@ -142,8 +133,8 @@ class ArenaPool:
     prefetch:
         ``True`` (default) runs spilled executors' transfers on the
         background prefetch engine when their plan carries a
-        double-buffered layout; ``False`` forces inline transfers (the
-        stall-everything baseline the spill benchmark compares against).
+        double-buffered layout; ``False`` runs the same transfers on
+        the compute thread, stalling on every one.
     link:
         Optional :class:`~repro.memsim.OffchipLink` modeling the
         off-chip transfer path's bandwidth/latency on every pooled
@@ -157,10 +148,8 @@ class ArenaPool:
         *,
         seed: int = 0,
         scrub: str = "never",
-        reuse: bool = True,
         batch_size: int = 1,
         spill: str = "never",
-        spill_policy: str = "belady",
         tile_bytes: int | None = None,
         prefetch: bool = True,
         link: OffchipLink | None = None,
@@ -177,10 +166,8 @@ class ArenaPool:
         )
         self.seed = seed
         self.scrub = scrub
-        self.reuse = reuse
         self.batch_size = batch_size
         self.spill = spill
-        self.spill_policy = spill_policy
         self.tile_bytes = tile_bytes
         self.prefetch = prefetch
         self.link = link
@@ -205,25 +192,20 @@ class ArenaPool:
         """The spill plan an executor of ``name`` is built against
         (None: plain resident executor).
 
-        ``auto`` spill-plans only models whose ``batch_size x`` arena
-        misses the budget; ``always`` plans every model. The per-row
-        on-chip capacity is ``budget // batch_size`` — rows stage and
-        spill independently, so ``batch_size`` resident rows together
-        fit the budget. Raises :class:`AdmissionError` when even full
-        spilling cannot meet it (the schedule's single-step working
-        set is the floor)."""
+        Only models whose ``batch_size x`` arena misses the budget are
+        spill-planned. The per-row on-chip capacity is ``budget //
+        batch_size`` — rows stage and spill independently, so
+        ``batch_size`` resident rows together fit the budget. Raises
+        :class:`AdmissionError` when even full spilling cannot meet it
+        (the schedule's single-step working set is the floor)."""
         if self.spill == "never" or self.budget_bytes is None:
             return None
         model = self.registry.get(name)
         per_row = self.budget_bytes // self.batch_size
-        if self.spill == "auto" and (
-            model.arena_bytes_for(self.batch_size) <= self.budget_bytes
-        ):
+        if model.arena_bytes_for(self.batch_size) <= self.budget_bytes:
             return None
         try:
-            return model.spill_plan(
-                per_row, policy=self.spill_policy, tile_bytes=self.tile_bytes
-            )
+            return model.spill_plan(per_row, tile_bytes=self.tile_bytes)
         except SpillError as exc:
             raise AdmissionError(
                 f"model {name!r} cannot be admitted even with spilling: "
@@ -315,7 +297,7 @@ class ArenaPool:
                 if self._closed:
                     raise ServingError("pool is closed")
                 queue = self._idle.get(name)
-                if self.reuse and queue:
+                if queue:
                     executor = queue.pop()
                     if not queue:
                         self._cold_order.remove(name)
@@ -362,11 +344,11 @@ class ArenaPool:
         return executor
 
     def release(self, name: str, executor: PlanExecutor) -> None:
-        """Return a leased executor to the pool (or discard it when
-        pooling is disabled)."""
+        """Return a leased executor to the pool (a closed pool
+        discards it)."""
         with self._cond:
             self._leased -= 1
-            if self.reuse and not self._closed:
+            if not self._closed:
                 queue = self._idle[name]
                 if not queue:
                     self._cold_order.append(name)
@@ -408,12 +390,9 @@ class ArenaPool:
         rehash onto them after a peer fails, but warm only the models
         *currently routed* to them, keeping preloads unduplicated.
 
-        Returns the names actually built. No-op (empty list) when
-        pooling is disabled.
+        Returns the names actually built.
         """
         built: list[str] = []
-        if not self.reuse:
-            return built
         targets = self.registry.names() if names is None else list(names)
         for name in targets:
             cost = self._arena_cost(name)

@@ -171,7 +171,7 @@ class _Request:
 class RequestScheduler:
     """Dispatch concurrent inference requests across pooled executors.
 
-    >>> with RequestScheduler(registry, pool, workers=4) as server:
+    >>> with RequestScheduler(registry, pool, max_batch=8) as server:
     ...     fut = server.submit("swiftnet-c", feeds)
     ...     result = fut.result()
 
@@ -181,6 +181,10 @@ class RequestScheduler:
         The verified artifacts and the arena pool to lease from.
     workers:
         Dispatcher threads (concurrent leases never exceed this).
+        Default 1: the kernels hold the GIL, so more threads buy
+        nothing on micro cells and lose on the rest (0.4x req/s at 4
+        on suite cells) — shards are the parallelism story
+        (:class:`~repro.serving.shard.ShardedScheduler`).
     max_batch:
         Micro-batch limit: a worker drains up to this many queued
         same-model requests into one executor lease. ``1`` disables
@@ -203,7 +207,7 @@ class RequestScheduler:
         registry: ModelRegistry,
         pool: ArenaPool,
         *,
-        workers: int = 4,
+        workers: int = 1,
         max_batch: int = 1,
         deadline_s: float | None = None,
     ) -> None:

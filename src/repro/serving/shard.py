@@ -2,14 +2,15 @@
 
 The thread-based :class:`~repro.serving.scheduler.RequestScheduler`
 scales until the GIL says stop — the NumPy kernels hold it for most of
-a micro-cell run, so ``workers=4`` buys little over ``workers=1``.
-:class:`ShardedScheduler` is the process-level answer: it spawns N
+a run, so extra thread workers lose throughput (``workers`` defaults to
+1 everywhere). :class:`ShardedScheduler` is the parallelism story: it
+spawns N
 worker **processes**, each owning its own
 :class:`~repro.serving.pool.ArenaPool` and
 :class:`~repro.serving.scheduler.RequestScheduler` (every serving knob
 — ``batch_size``, ``spill``, ``prefetch``, ``link`` — passes through),
-behind the same ``submit() -> Future`` API, so ``run_load``, ``serve``
-and ``bench-serve`` drive it unchanged.
+behind the same ``submit() -> Future`` API, so ``run_load`` and
+``serve`` drive it unchanged.
 
 Two properties make it more than ``multiprocessing.Pool``:
 
@@ -386,7 +387,6 @@ class _ShardConfig:
     seed: int
     scrub: str
     spill: str
-    spill_policy: str
     tile_bytes: int | None
     prefetch: bool
     link: OffchipLink | None
@@ -444,10 +444,8 @@ class _ShardWorker:
             cfg.budget_bytes,
             seed=cfg.seed,
             scrub=cfg.scrub,
-            reuse=True,
             batch_size=cfg.batch_size,
             spill=cfg.spill,
-            spill_policy=cfg.spill_policy,
             tile_bytes=cfg.tile_bytes,
             prefetch=cfg.prefetch,
             link=cfg.link,
@@ -817,7 +815,7 @@ def _unlink_segments(names: list[str]) -> None:
 class ShardedScheduler:
     """Process-sharded serving front end with the thread scheduler's API.
 
-    >>> with ShardedScheduler(registry, shards=4, workers=2) as server:
+    >>> with ShardedScheduler(registry, shards=4) as server:
     ...     result = server.submit("rw-micro-a", feeds).result()
 
     Parameters mirror :class:`~repro.serving.scheduler.RequestScheduler`
@@ -825,7 +823,9 @@ class ShardedScheduler:
     through to every shard's private pool (``budget`` bounds each shard
     separately — a shard *is* a device). ``preload=True`` warms each
     shard's arenas for exactly the models routed to it, so preloads are
-    never duplicated across shards.
+    never duplicated across shards. ``workers`` is the dispatcher
+    thread count *inside* each shard (default 1 — threads share a GIL
+    and measure slower; add shards, not workers).
 
     ``ring_slots`` bounds the per-shard in-flight window: the request
     ring has that many tensor slots, and ``submit`` exerts backpressure
@@ -837,15 +837,13 @@ class ShardedScheduler:
         registry: ModelRegistry,
         *,
         shards: int,
-        workers: int = 4,
+        workers: int = 1,
         max_batch: int = 1,
         batch_size: int | None = None,
         budget=None,
         seed: int = 0,
         scrub: str = "never",
-        reuse: bool = True,
         spill: str = "never",
-        spill_policy: str = "belady",
         tile_bytes: int | None = None,
         prefetch: bool = True,
         link: OffchipLink | None = None,
@@ -887,12 +885,6 @@ class ShardedScheduler:
             raise ServingError(
                 f"crashloop_threshold must be >= 1, got {crashloop_threshold}"
             )
-        if not reuse:
-            raise ServingError(
-                "sharded serving requires arena reuse: each shard keeps "
-                "its routed models' arenas warm (reuse=False is the "
-                "single-process baseline; run it without shards)"
-            )
         if not registry.names():
             raise ServingError("registry has no models to shard")
         if ring_slots < 1:
@@ -909,7 +901,6 @@ class ShardedScheduler:
         self.seed = seed
         self.scrub = scrub
         self.spill = spill
-        self.spill_policy = spill_policy
         self.tile_bytes = tile_bytes
         self.prefetch = prefetch
         self.link = link
@@ -1060,7 +1051,6 @@ class ShardedScheduler:
             seed=self.seed,
             scrub=self.scrub,
             spill=self.spill,
-            spill_policy=self.spill_policy,
             tile_bytes=self.tile_bytes,
             prefetch=self.prefetch,
             link=self.link,

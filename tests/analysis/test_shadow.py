@@ -111,3 +111,115 @@ class TestSeededCorruption:
         found = report.by_code("SHADOW_OOB")
         assert found and all(d.node is not None for d in found)
         assert all(d.byte_range is not None for d in found)
+
+
+def _tiled_capacity(model):
+    whole = model.spill_floor_bytes
+    tile_floor = model.spill_floor_for(8192)
+    return max(tile_floor, min(whole - 1, tile_floor * 2))
+
+
+def _with_row(px, index, row):
+    """Swap one row of the width-1 pinned table for a tampered one."""
+    from dataclasses import replace
+
+    plan = px._run_plans[(None, 1)]
+    rows = list(plan.steps)
+    rows[index] = row
+    px._run_plans[(None, 1)] = replace(plan, steps=tuple(rows))
+
+
+class TestTransferRows:
+    """Transfers are hop lists; the walker models the row kinds that
+    carry them (move, enqueue, sync) and nothing else."""
+
+    def test_tampered_inline_move_reads_unwritten_slot(self, compiled):
+        from repro.runtime.plan_executor import _STEP_MOVE
+
+        px = compiled.executor(
+            seed=0, capacity_bytes=_tiled_capacity(compiled),
+            tile_bytes=8192, prefetch=False,
+        )
+        steps = px._run_plans[(None, 1)].steps
+        # the table's first transfer is a writeback through a tile slot
+        # nothing has filled yet: scratch -> slot, then slot -> home
+        index = next(i for i, r in enumerate(steps) if r[0] == _STEP_MOVE)
+        row = steps[index]
+        (slot, scr, on_chip), to_home = row[5]
+        assert row[1].startswith("<writeback:") and not on_chip
+        # swap slot and scratch in the on-chip hop: the move now reads
+        # the empty slot, and the linked hop ships those bytes home
+        _with_row(px, index, row[:5] + (((scr, slot, False), to_home),) + row[6:])
+        report = px.shadow_check()
+        found = report.by_code("SHADOW_UNWRITTEN_READ")
+        assert found and all(d.node == row[1] for d in found)
+        assert all(d.step == index for d in found)
+
+    def test_tampered_enqueued_hop_races_the_next_kernel(self, compiled):
+        from repro.runtime.plan_executor import (
+            _STEP_COPY,
+            _STEP_DIRECT,
+            _STEP_ENQUEUE,
+        )
+
+        px = compiled.executor(
+            seed=0, capacity_bytes=_tiled_capacity(compiled),
+            tile_bytes=8192, prefetch=True,
+        )
+        try:
+            steps = px._run_plans[(None, 1)].steps
+            index = next(
+                i
+                for i, r in enumerate(steps[:-1])
+                if r[0] == _STEP_ENQUEUE
+                and steps[i + 1][0] in (_STEP_DIRECT, _STEP_COPY)
+            )
+            row, kernel = steps[index], steps[index + 1]
+            # retarget the job's last hop at the site the very next
+            # kernel writes, with no sync in between
+            *head, (_dst, src, linked) = row[5]
+            hops = tuple(head) + ((kernel[2], src, linked),)
+            _with_row(px, index, row[:5] + (hops,) + row[6:])
+            report = px.shadow_check()
+            races = report.by_code("SHADOW_RACE")
+            assert races and races[0].node == kernel[1]
+            assert races[0].step == index + 1
+        finally:
+            px.close()
+
+    def test_every_spill_table_kind_is_modelled(self, compiled):
+        from repro.runtime import plan_executor as pe
+
+        modelled = {
+            pe._STEP_INPUT, pe._STEP_DIRECT, pe._STEP_COPY,
+            pe._STEP_MOVE, pe._STEP_ENQUEUE, pe._STEP_SYNC,
+        }
+        seen = set()
+        for tile_bytes, cap in (
+            (None, _spill_capacity(compiled)),
+            (8192, _tiled_capacity(compiled)),
+        ):
+            for prefetch in (False, True):
+                px = compiled.executor(
+                    seed=0, batch_size=4, capacity_bytes=cap,
+                    tile_bytes=tile_bytes, prefetch=prefetch,
+                )
+                try:
+                    for key in px._pinned:
+                        seen |= {r[0] for r in px._run_plans[key].steps}
+                    report = px.shadow_check()
+                    assert report.ok and len(report) == 0, report.summary()
+                finally:
+                    px.close()
+        assert seen <= modelled
+        assert {pe._STEP_MOVE, pe._STEP_ENQUEUE, pe._STEP_SYNC} <= seen
+
+    def test_unknown_kind_is_reported_not_skipped(self, compiled):
+        px = compiled.executor(seed=0)
+        row = px._run_plans[(None, 1)].steps[-1]
+        _with_row(px, len(px._run_plans[(None, 1)].steps) - 1, (99,) + row[1:])
+        report = px.shadow_check()
+        assert any(
+            "unknown step kind 99" in d.message
+            for d in report.by_code("SHADOW_REGION")
+        )

@@ -154,15 +154,6 @@ class TestServe:
         )
         assert "--shards must be >= 1" in capsys.readouterr().err
 
-    def test_serve_rejects_shards_without_reuse(self, capsys):
-        assert (
-            main(
-                ["serve", "--cell", "swiftnet-c", "--shards", "2", "--no-reuse"]
-            )
-            == 2
-        )
-        assert "requires arena reuse" in capsys.readouterr().err
-
     def test_serve_sharded_end_to_end(self, capsys):
         assert (
             main(
@@ -180,9 +171,26 @@ class TestServe:
         assert "shard 0" in out and "shard 1" in out
         assert "bitwise-equal to reference executor" in out
 
-    def test_bench_serve_rejects_zero_shards(self, capsys):
-        assert main(["bench-serve", "--shards", "0"]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-serve"],
+            ["serve", "--cell", "swiftnet-c", "--no-reuse"],
+            ["serve", "--cell", "swiftnet-c", "--spill-policy", "lru"],
+            ["serve", "--cell", "swiftnet-c", "--spill", "always"],
+            ["run", "model.json", "--spill-policy", "lru"],
+            ["run", "model.json", "--spill", "always"],
+            ["compile", "--cell", "swiftnet-c", "-o", "m.json",
+             "--spill-policy", "fifo"],
+        ],
+    )
+    def test_removed_baseline_options_are_gone(self, argv, capsys):
+        """The A/B baselines moved out of the product: argparse itself
+        rejects the subcommand, flags and mode that selected them."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestCompileRun:

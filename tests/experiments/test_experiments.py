@@ -47,6 +47,36 @@ class TestCommon:
         assert model.arena_bytes == report.arena_bytes
         assert model.graph == report.scheduled_graph
 
+    def test_cache_keys_follow_a_registry_version_bump(
+        self, monkeypatch, tmp_path
+    ):
+        """The figure harness reads and writes the persistent cache
+        under the registry's key, so a strategy ``version`` bump cannot
+        leave it serving (or refreshing) the old behaviour's entries."""
+        from dataclasses import replace
+
+        from repro.graph.serialization import graph_signature
+        from repro.scheduler import registry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        spec = next(s for s in _cells() if s.key == "swiftnet-c")
+        signature = graph_signature(spec.factory())
+        old = registry.get_strategy("serenity-dp")
+        bumped = replace(old, version=old.version + "-bumped")
+        monkeypatch.setitem(registry._REGISTRY, "serenity-dp", bumped)
+        try:
+            common.clear_cache()
+            fresh = common.compiled(spec, rewrite=False)
+            assert not fresh.from_cache
+            cache = common.persistent_cache()
+            assert cache.get(signature, bumped.cache_key) is not None
+            assert cache.get(signature, old.cache_key) is None
+            common.clear_cache()
+            assert common.compiled(spec, rewrite=False).from_cache
+        finally:
+            common.clear_cache()
+
 
 def _cells():
     from repro.models.suite import suite_cells

@@ -269,6 +269,119 @@ class TestTiledParityMatrix:
         assert report.total_bytes == px.last_stats.spill_bytes_total
 
 
+def _transfer_jobs(px: PlanExecutor, plan):
+    """Every transfer row of a compiled table as ``(kernel rows before
+    it, direction, buffer, piece byte range)`` — read back from the
+    row's own views, whichever thread runs it."""
+    from repro.analysis.shadow import byte_bounds
+    from repro.runtime.plan_executor import (
+        _STEP_ENQUEUE,
+        _STEP_MOVE,
+        _STEP_SYNC,
+    )
+
+    home_lo, home_hi = byte_bounds(px._spill_arena)
+    cell_bytes = px._spill_arena.itemsize
+    jobs = []
+    kernels = 0
+    for kind, name, _site, _fn, _args, attrs, *_rest in plan.steps:
+        if kind == _STEP_SYNC:
+            continue
+        if kind not in (_STEP_MOVE, _STEP_ENQUEUE):
+            kernels += 1
+            continue
+        direction, _, buf = name.strip("<>").partition(":b")
+        b = int(buf)
+        # the one hop that crosses the link touches the home bytes
+        (dst, src), = [(d, s) for d, s, linked in attrs if linked]
+        home = src if direction == "fetch" else dst
+        lo, _hi = byte_bounds(home)
+        assert home_lo <= lo < home_hi, name
+        elem = (lo - home_lo) // cell_bytes - px._home_elem[b]
+        piece = (
+            elem * px._itemsize,
+            (elem + home.shape[1]) * px._itemsize,
+        )
+        assert len(attrs) == (2 if px._tile_bytes is not None else 1)
+        jobs.append((kernels, direction, b, piece))
+    return jobs
+
+
+class TestOnePlacement:
+    """A transfer is placed once. Without an engine every lead is zero,
+    so the placement puts each fetch right before the kernel row that
+    first touches its window and each writeback right after the one
+    that last touches it — positions derived here from the spill
+    plan's windows and the planner's touch model, not from the
+    executor — and both modes move the same pieces."""
+
+    @pytest.mark.parametrize("mode", ["whole", "tiled"])
+    @pytest.mark.parametrize("key", [c.key for c in suite_cells()])
+    def test_inline_table_is_the_zero_lead_placement(
+        self, spill_suite, key, mode
+    ):
+        from collections import Counter
+
+        from repro.allocator.spill import step_touches
+        from repro.runtime.plan_executor import (
+            _STEP_COPY,
+            _STEP_DIRECT,
+            _STEP_INPUT,
+            _STEP_MOVE,
+        )
+        from repro.scheduler.memory import BufferModel
+
+        cell = spill_suite(key)
+        spill = (
+            _spill_plan(cell, 0.5) if mode == "whole" else _tiled_plan(cell, 8)
+        )
+        if spill is None or spill.is_trivial:
+            pytest.skip(f"{key}: nothing spills in {mode} mode")
+        touches = step_touches(
+            cell["graph"], cell["schedule"], BufferModel.of(cell["graph"])
+        )
+
+        def touched_steps(b: int, step: int) -> list[int]:
+            """Steps touching ``b`` inside its window covering ``step``."""
+            (w,) = [w for w in spill.windows[b] if w.start <= step < w.end]
+            return [s for s in range(w.start, w.end) if b in touches[s]]
+
+        tables = {}
+        for prefetch in (False, True):
+            px = PlanExecutor(
+                cell["graph"], cell["schedule"], cell["plan"],
+                params=cell["params"], spill=spill, prefetch=prefetch,
+            )
+            try:
+                plan = px._run_plans[(None, 1)]
+                tables[prefetch] = (plan, _transfer_jobs(px, plan))
+                assert px.prefetch_active == (
+                    prefetch and spill.prefetch is not None
+                )
+            finally:
+                px.close()
+
+        plan, jobs = tables[False]
+        assert plan.total_jobs == 0
+        assert {row[0] for row in plan.steps} <= {
+            _STEP_INPUT, _STEP_DIRECT, _STEP_COPY, _STEP_MOVE
+        }
+        assert len(jobs) == plan.spill_fetches + plan.spill_writebacks > 0
+        for before, direction, b, _piece in jobs:
+            if direction == "fetch":
+                # between kernel row before-1 and the window's first touch
+                assert before == touched_steps(b, before)[0]
+            else:
+                assert direction == "writeback"
+                assert before - 1 == touched_steps(b, before - 1)[-1]
+
+        # same pieces either way: (direction, buffer, byte range)
+        _, engine_jobs = tables[True]
+        assert Counter(j[1:] for j in jobs) == Counter(
+            j[1:] for j in engine_jobs
+        )
+
+
 class TestSpillSemantics:
     def test_batched_traffic_is_n_times_solo(self, spill_suite):
         cell = spill_suite("randwire-c100-c")

@@ -112,19 +112,6 @@ class TestBudget:
         pool.release("chain", held)
 
 
-class TestBaselineMode:
-    def test_no_reuse_discards_on_release(self, registry):
-        pool = ArenaPool(registry, reuse=False)
-        first = pool.acquire("chain")
-        pool.release("chain", first)
-        second = pool.acquire("chain")
-        assert second is not first
-        stats = pool.stats()
-        assert stats.hits == 0 and stats.misses == 2
-        pool.release("chain", second)
-        assert pool.stats().resident_bytes == 0
-
-
 class TestBatchCapablePool:
     def test_executors_are_batch_capable(self, registry):
         pool = ArenaPool(registry, batch_size=4)
@@ -187,11 +174,6 @@ class TestPreload:
         assert len(built) == 1
         assert pool.stats().evictions == 0
         assert pool.stats().resident_bytes <= budget
-
-    def test_preload_noop_without_pooling(self, registry):
-        pool = ArenaPool(registry, reuse=False)
-        assert pool.preload() == []
-        assert pool.stats().preloads == 0
 
     def test_preload_closed_pool_raises(self, registry):
         pool = ArenaPool(registry)

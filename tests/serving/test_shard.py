@@ -212,10 +212,6 @@ class TestShardedServing:
             server.submit("chain", {})
         server.close()
 
-    def test_requires_reuse(self, registry):
-        with pytest.raises(ServingError, match="requires arena reuse"):
-            ShardedScheduler(registry, shards=2, reuse=False)
-
     def test_rejects_bad_shard_counts(self, registry):
         with pytest.raises(ServingError, match="shards must be >= 1"):
             ShardedScheduler(registry, shards=0)
@@ -384,8 +380,6 @@ class TestRunLoadSharded:
     def test_run_load_rejects_bad_shard_args(self, registry):
         with pytest.raises(ServingError, match="shards must be >= 1"):
             run_load(registry, requests=2, shards=0)
-        with pytest.raises(ServingError, match="requires arena reuse"):
-            run_load(registry, requests=2, shards=2, reuse=False)
 
 
 class TestRegistryPaths:

@@ -90,20 +90,6 @@ class TestSpilledAdmission:
         finally:
             pool.release(name, executor)
 
-    def test_always_spill_plans_fitting_models_trivially(self, registry):
-        name = registry.names()[0]
-        pool = ArenaPool(
-            registry, registry.get(name).arena_bytes * 4, spill="always"
-        )
-        executor = pool.acquire(name)
-        try:
-            assert executor.spill is not None
-            assert executor.spill.is_trivial
-            # a trivial plan moves no bytes: not a degraded build
-            assert pool.stats().spilled_builds == 0
-        finally:
-            pool.release(name, executor)
-
     def test_batched_rows_spill_before_batch_refused(self, registry):
         """An N x footprint over budget stages cold rows' buffers
         instead of refusing the whole batch."""
