@@ -23,7 +23,10 @@ in address space.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from math import inf
+from typing import Iterable, Sequence
 
 from repro.exceptions import AllocationError
 from repro.allocator.lifetimes import BufferLifetime, compute_lifetimes
@@ -76,57 +79,99 @@ class AllocationPlan:
         return self
 
 
-def _lowest_gap(blocks: list[tuple[int, int]], size: int) -> int:
-    """Lowest offset fitting ``size`` among sorted (offset, size) blocks."""
+#: what a placement rule sees of a buffer: ``(size, start, end, id)``
+Interval = tuple[int, int, int, int]
+#: ... and where it put one: ``(offset, size, start, end)``
+_Block = tuple[int, int, int, int]
+
+
+def _lowest_gap(blocks: Iterable[_Block], size: int) -> int:
+    """Lowest offset fitting ``size`` among offset-sorted blocks."""
     cursor = 0
-    for off, sz in blocks:
+    for off, sz, _, _ in blocks:
         if off - cursor >= size:
             return cursor
-        cursor = max(cursor, off + sz)
+        if off + sz > cursor:
+            cursor = off + sz
     return cursor
+
+
+# The placement rules, each stated once. A rule returns ``(high_water,
+# offsets)`` and gives up (offsets incomplete) once the high-water
+# mark, which only ever grows, passes ``limit``: the public allocators
+# run it unlimited and validate the plan, :func:`fits_within` only asks
+# whether the size fits.
+def _place_first_fit(
+    intervals: Iterable[Interval], limit: float = inf
+) -> tuple[int, dict[int, int]]:
+    """In ``(start, id)`` order, each at the lowest gap among the
+    blocks still live at its start."""
+    live: list[_Block] = []  # kept sorted
+    offsets: dict[int, int] = {}
+    high_water = 0
+    by_start = sorted(intervals, key=lambda iv: (iv[1], iv[3]))
+    for size, start, end, ident in by_start:
+        live = [blk for blk in live if blk[3] > start]
+        offsets[ident] = offset = _lowest_gap(live, size)
+        insort(live, (offset, size, start, end))
+        if offset + size > high_water:
+            high_water = offset + size
+            if high_water > limit:
+                break
+    return high_water, offsets
+
+
+def _place_greedy_by_size(
+    intervals: Iterable[Interval], limit: float = inf
+) -> tuple[int, dict[int, int]]:
+    """In ``(-size, start, id)`` order, each at the lowest gap among
+    the placed blocks it overlaps in time."""
+    placed: list[_Block] = []
+    offsets: dict[int, int] = {}
+    high_water = 0
+    by_size = sorted(intervals, key=lambda iv: (-iv[0], iv[1], iv[3]))
+    for size, start, end, ident in by_size:
+        conflicts = [blk for blk in placed if start < blk[3] and blk[2] < end]
+        conflicts.sort()
+        offsets[ident] = offset = _lowest_gap(conflicts, size)
+        placed.append((offset, size, start, end))
+        if offset + size > high_water:
+            high_water = offset + size
+            if high_water > limit:
+                break
+    return high_water, offsets
+
+
+def fits_within(intervals: Sequence[Interval], capacity: int) -> bool:
+    """Whether the tighter of the two allocators' regions fits:
+    ``min(first_fit_arena, greedy_by_size_plan).arena_bytes <=
+    capacity``, without building or validating either plan."""
+    return (
+        _place_first_fit(intervals, capacity)[0] <= capacity
+        or _place_greedy_by_size(intervals, capacity)[0] <= capacity
+    )
+
+
+def _planned(strategy: str, place, lifetimes: list[BufferLifetime]) -> AllocationPlan:
+    high_water, offsets = place(
+        (lt.size, lt.start, lt.end, lt.buffer_id) for lt in lifetimes
+    )
+    return AllocationPlan(
+        strategy=strategy,
+        offsets=offsets,
+        arena_bytes=high_water,
+        lifetimes=tuple(lifetimes),
+    ).validate()
 
 
 def first_fit_arena(lifetimes: list[BufferLifetime]) -> AllocationPlan:
     """Dynamic first-fit in execution order (TFLite simple arena)."""
-    by_start = sorted(lifetimes, key=lambda lt: (lt.start, lt.buffer_id))
-    live: list[tuple[int, int, BufferLifetime]] = []  # (offset, size, lt)
-    offsets: dict[int, int] = {}
-    high_water = 0
-    for lt in by_start:
-        live = [(o, s, x) for (o, s, x) in live if x.end > lt.start]
-        live.sort()
-        offset = _lowest_gap([(o, s) for (o, s, _) in live], lt.size)
-        offsets[lt.buffer_id] = offset
-        live.append((offset, lt.size, lt))
-        high_water = max(high_water, offset + lt.size)
-    return AllocationPlan(
-        strategy="first_fit",
-        offsets=offsets,
-        arena_bytes=high_water,
-        lifetimes=tuple(lifetimes),
-    ).validate()
+    return _planned("first_fit", _place_first_fit, lifetimes)
 
 
 def greedy_by_size_plan(lifetimes: list[BufferLifetime]) -> AllocationPlan:
     """Ahead-of-time greedy-by-size placement (TFLite planner)."""
-    by_size = sorted(lifetimes, key=lambda lt: (-lt.size, lt.start, lt.buffer_id))
-    placed: list[tuple[int, BufferLifetime]] = []  # (offset, lt)
-    offsets: dict[int, int] = {}
-    high_water = 0
-    for lt in by_size:
-        conflicts = sorted(
-            (off, x.size) for off, x in placed if lt.overlaps(x)
-        )
-        offset = _lowest_gap(conflicts, lt.size)
-        offsets[lt.buffer_id] = offset
-        placed.append((offset, lt))
-        high_water = max(high_water, offset + lt.size)
-    return AllocationPlan(
-        strategy="greedy_by_size",
-        offsets=offsets,
-        arena_bytes=high_water,
-        lifetimes=tuple(lifetimes),
-    ).validate()
+    return _planned("greedy_by_size", _place_greedy_by_size, lifetimes)
 
 
 _STRATEGIES = {

@@ -60,7 +60,9 @@ from typing import Any, Iterable, Sequence
 
 from repro.allocator.arena import (
     AllocationPlan,
+    Interval,
     first_fit_arena,
+    fits_within,
     greedy_by_size_plan,
 )
 from repro.allocator.lifetimes import BufferLifetime
@@ -544,6 +546,33 @@ def _stage_runs(
     return runs
 
 
+def _staging_intervals(
+    plan: AllocationPlan,
+    spilled: frozenset[int],
+    runs_of: dict[int, list[tuple[int, int]]],
+    size: Sequence[int],
+    leads: int | dict[tuple[int, int], int],
+) -> tuple[list[Interval], list[tuple]]:
+    """The resident region's allocation problem as ``(size, start, end,
+    id)`` intervals: full lifetimes for resident buffers, then one
+    interval per staging window of each spilled buffer — window
+    ``(b, k)``'s head extended by its lead (``leads`` is a uniform int
+    or a per-window map). ``tag[id]`` says what interval ``id`` stands
+    for: ``("res", b)`` or ``("win", b, k)``."""
+    intervals: list[Interval] = []
+    tag: list[tuple] = []
+    for lt in plan.lifetimes:
+        if lt.buffer_id not in spilled:
+            intervals.append((lt.size, lt.start, lt.end, len(tag)))
+            tag.append(("res", lt.buffer_id))
+    for b in sorted(spilled):
+        for k, (s0, s1) in enumerate(runs_of[b]):
+            lead = leads if isinstance(leads, int) else leads[(b, k)]
+            intervals.append((size[b], max(0, s0 - lead), s1 + 1, len(tag)))
+            tag.append(("win", b, k))
+    return intervals, tag
+
+
 def _layout_staging(
     plan: AllocationPlan,
     spilled: frozenset[int],
@@ -551,44 +580,15 @@ def _layout_staging(
     size: Sequence[int],
     leads: int | dict[tuple[int, int], int],
 ) -> tuple[int, dict[int, int], dict[tuple[int, int], int]]:
-    """Allocate the resident region: full lifetimes for resident
-    buffers plus one interval per staging window of each spilled
-    buffer, window ``(b, k)``'s interval head-extended by its lead
-    (``leads`` is a uniform int or a per-window map). With lead 0 this
-    is the base (inline) layout; with a positive lead, windows whose
-    extended intervals overlap land on disjoint ping/pong slots, making
-    the early fetch safe. Writebacks take no tail reservation — the
-    executor drains them asynchronously and syncs at the slot's first
-    actual reuse. Returns ``(region_bytes, resident_offsets,
-    window_offsets)``."""
-    intervals: list[BufferLifetime] = []
-    tag: list[tuple] = []  # synthetic id -> ("res", b) | ("win", b, k)
-    for lt in plan.lifetimes:
-        if lt.buffer_id in spilled:
-            continue
-        intervals.append(
-            BufferLifetime(
-                buffer_id=len(tag),
-                size=lt.size,
-                start=lt.start,
-                end=lt.end,
-                producers=lt.producers,
-            )
-        )
-        tag.append(("res", lt.buffer_id))
-    for b in sorted(spilled):
-        for k, (s0, s1) in enumerate(runs_of[b]):
-            lead = leads if isinstance(leads, int) else leads[(b, k)]
-            intervals.append(
-                BufferLifetime(
-                    buffer_id=len(tag),
-                    size=size[b],
-                    start=max(0, s0 - lead),
-                    end=s1 + 1,
-                    producers=(),
-                )
-            )
-            tag.append(("win", b, k))
+    """Allocate (and validate) the resident region of
+    :func:`_staging_intervals`. With lead 0 this is the base (inline)
+    layout; with a positive lead, windows whose extended intervals
+    overlap land on disjoint ping/pong slots, making the early fetch
+    safe. Writebacks take no tail reservation — the executor drains
+    them asynchronously and syncs at the slot's first actual reuse.
+    Returns ``(region_bytes, resident_offsets, window_offsets)``."""
+    items, tag = _staging_intervals(plan, spilled, runs_of, size, leads)
+    intervals = [BufferLifetime(i, sz, s, e, ()) for sz, s, e, i in items]
     # two offset allocators, tightest region wins (fragmentation
     # profiles differ; both only ever see the same interval set)
     region = min(
@@ -605,9 +605,31 @@ def _layout_staging(
     return region.arena_bytes, resident_offsets, window_offsets
 
 
-#: allocator-call budget for per-window lead refinement — keeps spill
-#: planning bounded on schedules with many staging windows
+#: probe budget for per-window lead refinement — keeps spill planning
+#: bounded on schedules with many staging windows
 _LEAD_ASSIGN_BUDGET = 1500
+
+
+def _step_demand(intervals: Iterable[Interval]) -> list[int]:
+    """Bytes live at each step: the sum of the sizes of the ``(size,
+    start, end, id)`` intervals covering it."""
+    demand: list[int] = []
+    for sz, start, end, _ in intervals:
+        demand.extend([0] * (end - len(demand)))
+        for s in range(start, end):
+            demand[s] += sz
+    return demand
+
+
+def _fits(
+    intervals: Sequence[Interval], demand: Sequence[int], capacity: int
+) -> bool:
+    """Would :func:`_layout_staging` of ``intervals`` fit the capacity?
+    Size only — nothing is laid out or validated. ``demand`` is their
+    :func:`_step_demand`: every interval live at a step needs its own
+    bytes there, so no allocator beats the busiest step, and a region
+    that cannot fit is refused before an interval is placed."""
+    return max(demand, default=0) <= capacity and fits_within(intervals, capacity)
 
 
 def _assign_leads(
@@ -623,40 +645,47 @@ def _assign_leads(
     the common case with slack. Refinement: round-robin over windows,
     granting one step at a time while the extended region still fits —
     windows crossing the schedule's peak demand naturally end at 0 and
-    stay inline. Deterministic and bounded by an allocator-call
-    budget."""
+    stay inline. Every grant is tried with one :func:`_fits` probe;
+    deterministic and bounded by a budget of one unit per probe."""
     keys = [(b, k) for b in sorted(spilled) for k in range(len(runs_of[b]))]
-    leads = dict.fromkeys(keys, 0)
     budget = _LEAD_ASSIGN_BUDGET
 
-    def fits() -> bool:
-        nonlocal budget
-        budget -= 1
-        region_bytes, _, _ = _layout_staging(
-            plan, spilled, runs_of, size, leads
-        )
-        return region_bytes <= capacity_bytes
+    def intervals_at(lead: int) -> list[Interval]:
+        return _staging_intervals(plan, spilled, runs_of, size, lead)[0]
 
     uniform = max_lead
     while uniform >= 1 and budget > 0:
-        leads = dict.fromkeys(keys, uniform)
-        if fits():
+        budget -= 1
+        items = intervals_at(uniform)
+        if _fits(items, _step_demand(items), capacity_bytes):
             break
         uniform //= 2
     else:
-        leads = dict.fromkeys(keys, 0)
+        uniform = 0
+    leads = dict.fromkeys(keys, uniform)
+    items = intervals_at(uniform)
+    demand = _step_demand(items)
 
+    # a step more lead starts one interval (the windows follow the
+    # residents, in key order) a step earlier, raising that step's
+    # demand — or, already at step 0, changes nothing (start == moved)
     improved = True
     while improved and budget > 0:
         improved = False
-        for key in keys:
+        for i, key in enumerate(keys, len(items) - len(keys)):
             if leads[key] >= max_lead or budget <= 0:
                 continue
-            leads[key] += 1
-            if fits():
+            budget -= 1
+            sz, start, end, ident = held = items[i]
+            moved = max(0, start - 1)
+            items[i] = (sz, moved, end, ident)
+            demand[moved] += sz * (start - moved)
+            if _fits(items, demand, capacity_bytes):
+                leads[key] += 1
                 improved = True
             else:
-                leads[key] -= 1
+                items[i] = held
+                demand[moved] -= sz * (start - moved)
     return leads
 
 

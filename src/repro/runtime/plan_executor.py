@@ -559,10 +559,15 @@ class _TransferEngine:
                 or not self.batch_sleeps
                 or debt >= self._SLEEP_QUANTUM_S
             ):
+                slept = 0.0
                 if debt > 0.0:
+                    # bill what was slept, not what was owed: wait()
+                    # returns wall-clock, overshoot included
+                    t0 = time.perf_counter()
                     time.sleep(debt)
+                    slept = time.perf_counter() - t0
                 with self._cond:
-                    self.busy_s += debt
+                    self.busy_s += slept
                     self.completed += batch
                     self._cond.notify_all()
                 debt = 0.0
