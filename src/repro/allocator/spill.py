@@ -24,7 +24,12 @@ the resident region (full lifetimes for resident buffers, one interval
 per staging window for spilled ones) come from the same
 ``greedy_by_size`` allocator that lays out ordinary arenas, and the
 resulting region is *proved* to fit the capacity before any kernel
-runs.
+runs. A region's offsets, windows and per-window fetch leads are one
+:class:`StagingLayout`; a :class:`SpillPlan` carries the inline
+``base`` layout (every lead 0) and, optionally, a ``prefetch`` layout
+of the same windows with lead-extended slots for overlapped transfers
+— one type, so planner, executor and verifier each handle a layout
+once instead of forking on which of the two they were handed.
 
 Spill model (mirrors the :mod:`repro.memsim.hierarchy` rules; the
 fetch/writeback steps the executor inserts implement it literally):
@@ -55,7 +60,7 @@ spilling trades traffic for footprint, never accuracy.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 from repro.allocator.arena import (
@@ -76,7 +81,7 @@ from repro.scheduler.schedule import Schedule
 __all__ = [
     "SPILL_MODES",
     "StageWindow",
-    "PrefetchPlan",
+    "StagingLayout",
     "SpillPlan",
     "plan_spill",
     "min_capacity_bytes",
@@ -107,34 +112,105 @@ class StageWindow:
 
 
 @dataclass(frozen=True)
-class PrefetchPlan:
-    """Double-buffered (ping/pong) staging layout over a base plan.
+class StagingLayout:
+    """One layout of the resident region: a fixed slot per resident
+    buffer, a staging slot per window of each spilled buffer, and the
+    lead each window's fetch may be issued ahead by.
 
-    The base :class:`SpillPlan` reuses one slot for consecutive windows
-    of a buffer, which forces the fetch of window N+1 to wait for
-    window N's exit. This layout re-allocates the resident region with
-    each staging interval's *head* extended by that window's lead:
-    window N+1's slot is already reserved while window N still
-    computes, so windows whose extended intervals overlap land on
-    disjoint ping/pong offsets and the executor may issue the fetch up
-    to ``lead`` steps early on a background transfer engine. Writebacks
-    need no reservation at all — the executor retires every one of
-    them asynchronously and synchronizes only when the slot's bytes are
-    demonstrably reused — so even a zero-lead layout (identical to the
-    base) overlaps writeback traffic. Leads are assigned per-window —
-    a window crossing the schedule's peak step has no slack and keeps
+    A :class:`SpillPlan` carries up to two. Its **base** layout reuses
+    one slot for consecutive windows of a buffer (every lead 0), which
+    forces the fetch of window N+1 to wait for window N's exit. The
+    **prefetch** (ping/pong) layout re-allocates the region with each
+    staging interval's *head* extended by that window's lead: window
+    N+1's slot is already reserved while window N still computes, so
+    windows whose extended intervals overlap land on disjoint offsets
+    and the executor may issue the fetch up to ``lead`` steps early on
+    a background transfer engine. Writebacks need no reservation at all
+    — the executor retires every one of them asynchronously and
+    synchronizes only when the slot's bytes are demonstrably reused —
+    so even a zero-lead prefetch layout (identical to the base)
+    overlaps writeback traffic. Leads are assigned per-window — a
+    window crossing the schedule's peak step has no slack and keeps
     lead 0 (its fetch stays inline) while windows with headroom get up
     to ``lead_steps`` of overlap. Window ``(start, end)`` bounds are
-    identical to the base plan's — only offsets (and the region
-    high-water mark, still capped by the capacity) differ."""
+    the same in both layouts — only offsets (and the region high-water
+    mark, still capped by the capacity) differ."""
 
     lead_steps: int
     resident_bytes: int
     resident_offsets: dict[int, int]
     windows: dict[int, tuple[StageWindow, ...]]
     #: per-buffer, per-window lead (parallel to ``windows``); 0 means
-    #: that window's transfers execute inline even under prefetch
+    #: that window's fetch executes inline even under prefetch
     window_leads: dict[int, tuple[int, ...]]
+
+    @classmethod
+    def inline(
+        cls,
+        resident_bytes: int,
+        resident_offsets: dict[int, int],
+        windows: dict[int, tuple[StageWindow, ...]],
+    ) -> "StagingLayout":
+        """A layout whose every lead is 0 (the base layout's shape)."""
+        leads = {b: (0,) * len(ws) for b, ws in windows.items()}
+        return cls(0, resident_bytes, resident_offsets, windows, leads)
+
+    def window_at(self, buffer_id: int, step: int) -> StageWindow:
+        """The staging window of ``buffer_id`` covering schedule
+        ``step`` (every touch step is covered by construction)."""
+        ws = self.windows[buffer_id]
+        i = bisect.bisect_right([w.start for w in ws], step) - 1
+        if i >= 0 and ws[i].start <= step < ws[i].end:
+            return ws[i]
+        raise SpillError(
+            f"step {step} touches spilled buffer {buffer_id} outside "
+            "every staging window (corrupt spill plan)"
+        )
+
+    def validate(self, what: str, capacity: int) -> None:
+        """Structural sanity of one layout: region bounded by
+        ``capacity``, windows well-formed and ordered, offsets inside
+        the region, one lead in ``[0, lead_steps]`` per window."""
+        if self.lead_steps < 0:
+            raise SpillError(
+                f"{what} lead must be >= 0 steps, got {self.lead_steps}"
+            )
+        if self.resident_bytes > capacity:
+            raise SpillError(
+                f"{what} resident region ({self.resident_bytes} bytes) "
+                f"exceeds the {capacity}-byte capacity"
+            )
+        if set(self.window_leads) != set(self.windows):
+            raise SpillError(
+                f"{what} layout is inconsistent: windows and leads "
+                "name different buffers"
+            )
+        for b, ws in self.windows.items():
+            prev_end = -1
+            for w in ws:
+                if w.start < 0 or w.end <= w.start:
+                    raise SpillError(
+                        f"buffer {b}: malformed window [{w.start}, {w.end})"
+                    )
+                if w.start <= prev_end:
+                    raise SpillError(
+                        f"buffer {b}: staging windows overlap or are "
+                        "out of order"
+                    )
+                prev_end = w.end - 1
+                if w.offset < 0 or w.offset > self.resident_bytes:
+                    raise SpillError(
+                        f"buffer {b}: {what} staging offset {w.offset} "
+                        f"escapes the {self.resident_bytes}-byte region"
+                    )
+            leads = self.window_leads[b]
+            if len(leads) != len(ws) or any(
+                ld < 0 or ld > self.lead_steps for ld in leads
+            ):
+                raise SpillError(
+                    f"buffer {b}: {what} window leads are malformed "
+                    f"(want {len(ws)} leads in [0, {self.lead_steps}])"
+                )
 
     def to_doc(self) -> dict[str, Any]:
         return {
@@ -153,20 +229,27 @@ class PrefetchPlan:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "PrefetchPlan":
-        return cls(
-            lead_steps=int(doc["lead_steps"]),
-            resident_bytes=int(doc["resident_bytes"]),
-            resident_offsets={
-                int(b): int(off)
-                for b, off in doc["resident_offsets"].items()
-            },
-            windows={
+    def from_doc(
+        cls, doc: dict[str, Any], *, inline: bool = False
+    ) -> "StagingLayout":
+        """Rebuild a layout document. ``inline`` reads only the region
+        fields — the base layout, which the plan document spells flat
+        and without leads."""
+        layout = cls.inline(
+            int(doc["resident_bytes"]),
+            {int(b): int(off) for b, off in doc["resident_offsets"].items()},
+            {
                 int(b): tuple(
                     StageWindow(int(s), int(e), int(off)) for s, e, off in ws
                 )
                 for b, ws in doc["windows"].items()
             },
+        )
+        if inline:
+            return layout
+        return replace(
+            layout,
+            lead_steps=int(doc["lead_steps"]),
             window_leads={
                 int(b): tuple(int(x) for x in ls)
                 for b, ls in doc["window_leads"].items()
@@ -178,31 +261,43 @@ class PrefetchPlan:
 class SpillPlan:
     """A two-region arena layout for one (schedule, plan, capacity).
 
-    The resident region holds resident buffers at ``resident_offsets``
-    plus the staging windows of spilled buffers; its high-water mark
-    ``resident_bytes`` never exceeds ``capacity_bytes``. The spill
-    region holds one *home* slot per spilled buffer at
-    ``home_offsets`` (``spill_bytes`` total). An empty ``spilled`` set
-    is the trivial plan: the whole arena fits on-chip and no traffic
-    occurs. ``prefetch`` optionally carries a double-buffered layout of
-    the same windows for overlapped transfers; ``None`` (e.g. when the
-    ping/pong slots would not fit the capacity) keeps transfers
-    inline. ``tile_bytes`` set means spilled buffers stream through
-    tile slots of ``min(size, tile_bytes)`` bytes instead of staging
-    whole buffers — window offsets then address tile slots, and the
-    executor moves per-tile pieces through them."""
+    The resident region is laid out by a :class:`StagingLayout`: resident
+    buffers at ``resident_offsets`` plus the staging windows of spilled
+    buffers; its high-water mark ``resident_bytes`` never exceeds
+    ``capacity_bytes``. The spill region holds one *home* slot per
+    spilled buffer at ``home_offsets`` (``spill_bytes`` total). An empty
+    ``spilled`` set is the trivial plan: the whole arena fits on-chip
+    and no traffic occurs. ``base`` is the inline layout; ``prefetch``
+    optionally carries a ping/pong layout of the same windows for
+    overlapped transfers; ``None`` keeps transfers inline.
+    :meth:`layout` picks between them. ``tile_bytes`` set means spilled
+    buffers stream through tile slots of ``min(size, tile_bytes)`` bytes
+    instead of staging whole buffers — window offsets then address tile
+    slots, and the executor moves per-tile pieces through them."""
 
     capacity_bytes: int
     policy: str
-    resident_bytes: int
     spill_bytes: int
     spilled: frozenset[int]
-    resident_offsets: dict[int, int]
     home_offsets: dict[int, int]
-    windows: dict[int, tuple[StageWindow, ...]]
-    prefetch: PrefetchPlan | None = None
+    base: StagingLayout
+    prefetch: StagingLayout | None = None
     #: transfer granularity for spilled buffers; ``None`` = whole-buffer
     tile_bytes: int | None = None
+
+    # the base layout's fields, as the plan document spells them (the
+    # serving pool prices admission from ``resident_bytes``)
+    @property
+    def resident_bytes(self) -> int:
+        return self.base.resident_bytes
+
+    @property
+    def resident_offsets(self) -> dict[int, int]:
+        return self.base.resident_offsets
+
+    @property
+    def windows(self) -> dict[int, tuple[StageWindow, ...]]:
+        return self.base.windows
 
     @property
     def is_trivial(self) -> bool:
@@ -213,30 +308,26 @@ class SpillPlan:
     def spilled_count(self) -> int:
         return len(self.spilled)
 
+    def layout(self, prefetch: bool) -> StagingLayout:
+        """The layout an executor runs: the ping/pong one when the plan
+        carries it and the caller wants overlap, else the base."""
+        if prefetch and self.prefetch is not None:
+            return self.prefetch
+        return self.base
+
     def window_at(self, buffer_id: int, step: int) -> StageWindow:
-        """The staging window of ``buffer_id`` covering schedule
-        ``step`` (every touch step is covered by construction)."""
-        ws = self.windows[buffer_id]
-        i = bisect.bisect_right([w.start for w in ws], step) - 1
-        if i >= 0 and ws[i].start <= step < ws[i].end:
-            return ws[i]
-        raise SpillError(
-            f"step {step} touches spilled buffer {buffer_id} outside "
-            "every staging window (corrupt spill plan)"
-        )
+        """The base-layout staging window covering ``step``."""
+        return self.base.window_at(buffer_id, step)
 
     # ------------------------------------------------------------------
     def validate(self) -> "SpillPlan":
         """Structural sanity: regions bounded, windows ordered,
-        spilled/home/window sets consistent. Raises :class:`SpillError`
+        spilled/home/window sets consistent, the prefetch layout a
+        re-placement of the base windows. Raises :class:`SpillError`
         on violation. (Home-slot *overlap* needs buffer sizes, which
         the plan does not carry — the executor cross-checks it against
         the graph's buffer model at construction.)"""
-        if self.resident_bytes > self.capacity_bytes:
-            raise SpillError(
-                f"spill plan resident region ({self.resident_bytes} bytes) "
-                f"exceeds the {self.capacity_bytes}-byte capacity"
-            )
+        self.base.validate("spill plan", self.capacity_bytes)
         if self.tile_bytes is not None and self.tile_bytes <= 0:
             raise SpillError(
                 f"spill plan tile_bytes must be positive, got "
@@ -249,98 +340,49 @@ class SpillPlan:
                 "spill plan is inconsistent: spilled set, homes and "
                 "windows disagree"
             )
-        for b, ws in self.windows.items():
-            prev_end = -1
-            for w in ws:
-                if w.start < 0 or w.end <= w.start:
-                    raise SpillError(
-                        f"buffer {b}: malformed window [{w.start}, {w.end})"
-                    )
-                if w.start <= prev_end:
-                    raise SpillError(
-                        f"buffer {b}: staging windows overlap or are "
-                        "out of order"
-                    )
-                prev_end = w.end - 1
-                if w.offset < 0 or w.offset > self.resident_bytes:
-                    raise SpillError(
-                        f"buffer {b}: staging offset {w.offset} escapes "
-                        f"the {self.resident_bytes}-byte resident region"
-                    )
         for b, off in sorted(self.home_offsets.items()):
             if off < 0 or off > self.spill_bytes:
                 raise SpillError(
                     f"buffer {b}: home offset {off} escapes the "
                     f"{self.spill_bytes}-byte spill region"
                 )
-        if self.prefetch is not None:
-            self._validate_prefetch(self.prefetch)
-        return self
-
-    def _validate_prefetch(self, p: PrefetchPlan) -> None:
-        if p.lead_steps < 0:
-            raise SpillError(
-                f"prefetch lead must be >= 0 steps, got {p.lead_steps}"
-            )
-        if p.resident_bytes > self.capacity_bytes:
-            raise SpillError(
-                f"prefetch resident region ({p.resident_bytes} bytes) "
-                f"exceeds the {self.capacity_bytes}-byte capacity"
-            )
-        if (
-            set(p.windows) != set(self.spilled)
-            or set(p.window_leads) != set(self.spilled)
-            or set(p.resident_offsets) != set(self.resident_offsets)
-        ):
+        p = self.prefetch
+        if p is None:
+            return self
+        if set(p.windows) != set(self.spilled) or set(
+            p.resident_offsets
+        ) != set(self.resident_offsets):
             raise SpillError(
                 "prefetch layout is inconsistent: buffer sets disagree "
                 "with the base spill plan"
             )
         for b, ws in p.windows.items():
-            base = self.windows[b]
-            if len(ws) != len(base) or any(
-                w.start != bw.start or w.end != bw.end
-                for w, bw in zip(ws, base)
-            ):
+            if [(w.start, w.end) for w in ws] != [
+                (w.start, w.end) for w in self.windows[b]
+            ]:
                 raise SpillError(
                     f"buffer {b}: prefetch windows disagree with the "
                     "base staging windows"
                 )
-            for w in ws:
-                if w.offset < 0 or w.offset > p.resident_bytes:
-                    raise SpillError(
-                        f"buffer {b}: prefetch staging offset {w.offset} "
-                        f"escapes the {p.resident_bytes}-byte region"
-                    )
-            leads = p.window_leads[b]
-            if len(leads) != len(ws) or any(
-                ld < 0 or ld > p.lead_steps for ld in leads
-            ):
-                raise SpillError(
-                    f"buffer {b}: prefetch window leads are malformed "
-                    f"(want {len(ws)} leads in [0, {p.lead_steps}])"
-                )
+        p.validate("prefetch", self.capacity_bytes)
+        return self
 
     # ------------------------------------------------------------------
     def to_doc(self) -> dict[str, Any]:
         """Serialise to a JSON-compatible document (artifact embedding)."""
+        base = self.base.to_doc()
         doc = {
             "format": SPILL_FORMAT,
             "capacity_bytes": self.capacity_bytes,
             "policy": self.policy,
-            "resident_bytes": self.resident_bytes,
+            "resident_bytes": base["resident_bytes"],
             "spill_bytes": self.spill_bytes,
             "spilled": sorted(self.spilled),
-            "resident_offsets": {
-                str(b): off for b, off in sorted(self.resident_offsets.items())
-            },
+            "resident_offsets": base["resident_offsets"],
             "home_offsets": {
                 str(b): off for b, off in sorted(self.home_offsets.items())
             },
-            "windows": {
-                str(b): [[w.start, w.end, w.offset] for w in ws]
-                for b, ws in sorted(self.windows.items())
-            },
+            "windows": base["windows"],
         }
         if self.prefetch is not None:
             doc["prefetch"] = self.prefetch.to_doc()
@@ -360,24 +402,14 @@ class SpillPlan:
         return cls(
             capacity_bytes=int(doc["capacity_bytes"]),
             policy=str(doc["policy"]),
-            resident_bytes=int(doc["resident_bytes"]),
             spill_bytes=int(doc["spill_bytes"]),
             spilled=frozenset(int(b) for b in doc["spilled"]),
-            resident_offsets={
-                int(b): int(off)
-                for b, off in doc["resident_offsets"].items()
-            },
             home_offsets={
                 int(b): int(off) for b, off in doc["home_offsets"].items()
             },
-            windows={
-                int(b): tuple(
-                    StageWindow(int(s), int(e), int(off)) for s, e, off in ws
-                )
-                for b, ws in doc["windows"].items()
-            },
+            base=StagingLayout.from_doc(doc, inline=True),
             prefetch=(
-                PrefetchPlan.from_doc(doc["prefetch"])
+                StagingLayout.from_doc(doc["prefetch"])
                 if doc.get("prefetch") is not None
                 else None
             ),
@@ -747,7 +779,7 @@ def plan_spill(
     help there, because every tensor a kernel touches must be staged
     on-chip while it runs.
 
-    ``prefetch_lead`` asks for a ping/pong :class:`PrefetchPlan`
+    ``prefetch_lead`` asks for a ping/pong :class:`StagingLayout`
     alongside the base layout (``0`` disables it); each window gets as
     much fetch lead as the capacity allows, down to 0 for windows
     crossing the schedule's peak (writeback overlap needs no lead, so
@@ -774,12 +806,10 @@ def plan_spill(
         return SpillPlan(
             capacity_bytes=capacity_bytes,
             policy=policy,
-            resident_bytes=plan.arena_bytes,
             spill_bytes=0,
             spilled=frozenset(),
-            resident_offsets=dict(plan.offsets),
             home_offsets={},
-            windows={},
+            base=StagingLayout.inline(plan.arena_bytes, dict(plan.offsets), {}),
             tile_bytes=tile,
         ).validate()
 
@@ -854,7 +884,7 @@ def plan_spill(
     # much fetch lead as the capacity allows. Even all-zero leads ship
     # a prefetch layout (identical offsets to the base plan): the
     # executor still overlaps every writeback behind compute.
-    prefetch: PrefetchPlan | None = None
+    prefetch: StagingLayout | None = None
     if prefetch_lead > 0:
         leads = _assign_leads(
             plan, spilled, runs_of, slot, capacity_bytes, prefetch_lead
@@ -862,7 +892,7 @@ def plan_spill(
         pf_bytes, pf_resident, pf_windows = _layout_staging(
             plan, spilled, runs_of, slot, leads
         )
-        prefetch = PrefetchPlan(
+        prefetch = StagingLayout(
             lead_steps=max(leads.values(), default=0),
             resident_bytes=pf_bytes,
             resident_offsets=pf_resident,
@@ -876,12 +906,14 @@ def plan_spill(
     return SpillPlan(
         capacity_bytes=capacity_bytes,
         policy=policy,
-        resident_bytes=region_bytes,
         spill_bytes=cursor,
         spilled=spilled,
-        resident_offsets=resident_offsets,
         home_offsets=home_offsets,
-        windows=_windows_from(spilled, runs_of, window_offsets),
+        base=StagingLayout.inline(
+            region_bytes,
+            resident_offsets,
+            _windows_from(spilled, runs_of, window_offsets),
+        ),
         prefetch=prefetch,
         tile_bytes=tile,
     ).validate()

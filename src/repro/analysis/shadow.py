@@ -40,7 +40,8 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, AnalysisReport, Diagnostic
-from repro.analysis.verifier import _add, _covers, _ranges_overlap
+from repro.analysis.verifier import _covers, _ranges_overlap
+from repro.runtime.plan_executor import _range_add
 
 try:  # numpy >= 2.0
     from numpy.lib.array_utils import byte_bounds
@@ -84,10 +85,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
     # declared byte budgets per region: the numbers the plan *promises*,
     # not the (possibly larger) allocation the executor defends with
     if px.spill is not None:
-        pf = px._prefetch
-        arena_decl = (
-            pf.resident_bytes if pf is not None else px.spill.resident_bytes
-        )
+        arena_decl = px._layout.resident_bytes
     else:
         arena_decl = px.plan.arena_bytes
     regions: list[tuple[str, int, int, int]] = []
@@ -159,7 +157,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
         tmp = list(written[rname])
         for p in pending:
             if p.dst[0] == rname:
-                _add(tmp, p.dst[1], p.dst[2])
+                _range_add(tmp, p.dst[1], p.dst[2])
         return tmp
 
     for oi, row in enumerate(plan.steps):
@@ -169,7 +167,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
             done = [p for p in pending if p.job <= watermark]
             pending[:] = [p for p in pending if p.job > watermark]
             for p in done:
-                _add(written[p.dst[0]], p.dst[1], p.dst[2])
+                _range_add(written[p.dst[0]], p.dst[1], p.dst[2])
             continue
         if kind == _STEP_ENQUEUE:
             job_no += 1
@@ -287,7 +285,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
                         )
                     )
             for rname, lo, hi in writes:
-                _add(written[rname], lo, hi)
+                _range_add(written[rname], lo, hi)
     # leftover pending jobs are legal: the run loop drains the FIFO
     # (waits for job ``total_jobs``) before returning
 

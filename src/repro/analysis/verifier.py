@@ -3,8 +3,10 @@
 The compile pipeline stacks three interacting plans per artifact — the
 arena's byte offsets (:class:`~repro.allocator.arena.AllocationPlan`),
 the tiered-arena staging windows
-(:class:`~repro.allocator.spill.SpillPlan`) and the overlapped-transfer
-layout (:class:`~repro.allocator.spill.PrefetchPlan`). Their invariants
+(:class:`~repro.allocator.spill.SpillPlan`) and its one or two
+resident-region layouts (:class:`~repro.allocator.spill.StagingLayout`:
+the inline base, and the lead-extended one overlapped transfers run
+on). Their invariants
 used to be checked dynamically: execute and compare bitwise, or trip an
 executor-side assertion. This module proves the full invariant set
 *statically*, from the plan documents alone:
@@ -53,14 +55,14 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.allocator.lifetimes import BufferLifetime, compute_lifetimes
 from repro.allocator.spill import (
     SPILL_FORMAT,
-    PrefetchPlan,
     SpillPlan,
-    StageWindow,
+    StagingLayout,
     step_touches,
 )
 from repro.analysis.diagnostics import ERROR, WARNING, AnalysisReport, Diagnostic
 from repro.exceptions import ExecutionError, GraphError, SpillError
 from repro.graph.graph import Graph
+from repro.runtime.plan_executor import _range_add, intra_buffer_offsets
 from repro.scheduler.memory import BufferModel
 from repro.scheduler.schedule import Schedule
 
@@ -90,24 +92,6 @@ def _covers(ivals: list[tuple[int, int]], lo: int, hi: int) -> bool:
         elif a > lo:
             return False
     return lo >= hi
-
-
-def _add(ivals: list[tuple[int, int]], lo: int, hi: int) -> None:
-    """Insert ``[lo, hi)`` into sorted disjoint ``ivals``, merging."""
-    out: list[tuple[int, int]] = []
-    placed = False
-    for a, b in ivals:
-        if b < lo or hi < a:
-            if a > hi and not placed:
-                out.append((lo, hi))
-                placed = True
-            out.append((a, b))
-        else:
-            lo, hi = min(lo, a), max(hi, b)
-    if not placed:
-        out.append((lo, hi))
-    out.sort()
-    ivals[:] = out
 
 
 def _ranges_overlap(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> bool:
@@ -334,7 +318,7 @@ def _check_read_coverage(
                 )
         b_own = model.buffer_of[idx.index[name]]
         lo = intra[name]
-        _add(written.setdefault(b_own, []), lo, lo + node.output.bytes)
+        _range_add(written.setdefault(b_own, []), lo, lo + node.output.bytes)
 
 
 def _slot_bytes(
@@ -352,34 +336,30 @@ def _slot_bytes(
 def _staging_intervals(
     model: BufferModel,
     lifetimes: Sequence[BufferLifetime],
-    resident_offsets: Mapping[int, int],
-    windows: Mapping[int, tuple[StageWindow, ...]],
-    leads: Mapping[int, tuple[int, ...]] | None,
+    layout: StagingLayout,
     tile_bytes: int | None = None,
 ) -> list[tuple[int, int, int, int, str, int]]:
     """The resident region as (t0, t1, lo, hi, kind, buffer) intervals:
     resident buffers hold their slot for their whole lifetime; staging
     windows hold theirs for the window, head-extended by the window's
-    prefetch lead when ``leads`` is given (the span an async fetch may
-    occupy the slot). Under tile streaming (``tile_bytes``), a window's
+    lead (the span an async fetch may occupy the slot; 0 throughout
+    the base layout). Under tile streaming (``tile_bytes``), a window's
     slot holds one tile, so its byte extent is tile-clamped — the
     tile-slot disjointness invariant runs through the same time×byte
     sweep as whole-buffer slots."""
     out: list[tuple[int, int, int, int, str, int]] = []
     lt_of = {lt.buffer_id: lt for lt in lifetimes}
-    for b, off in resident_offsets.items():
+    for b, off in layout.resident_offsets.items():
         lt = lt_of.get(b)
         if lt is None:
             continue
         out.append((lt.start, lt.end, off, off + lt.size, "resident", b))
-    for b, ws in windows.items():
+    for b, ws in layout.windows.items():
         if not (0 <= b < model.n_buffers):
             continue
+        leads = layout.window_leads.get(b, ())
         for k, w in enumerate(ws):
-            lead = 0
-            if leads is not None:
-                bl = leads.get(b, ())
-                lead = bl[k] if k < len(bl) else 0
+            lead = leads[k] if k < len(leads) else 0
             out.append(
                 (
                     max(0, w.start - lead),
@@ -487,18 +467,8 @@ def _check_spill(
                 plan=tag,
             )
         )
-    if sp.resident_bytes > sp.capacity_bytes:
-        diags.append(
-            Diagnostic(
-                code="SPILL_CAPACITY",
-                severity=ERROR,
-                message=f"resident region ({sp.resident_bytes} bytes) "
-                f"exceeds the {sp.capacity_bytes}-byte capacity",
-                plan=tag,
-            )
-        )
 
-    # window shape + touch coverage
+    # window shape + touch coverage (bounds are shared by both layouts)
     for b in sorted(spilled & set(sp.windows)):
         if not 0 <= b < model.n_buffers:
             continue
@@ -531,22 +501,6 @@ def _check_spill(
                     )
                 )
             prev_end = max(prev_end, w.end - 1)
-            lo = w.offset
-            hi = lo + _slot_bytes(model, b, sp.tile_bytes)
-            if w.offset < 0 or hi > sp.resident_bytes:
-                diags.append(
-                    Diagnostic(
-                        code="SPILL_BOUNDS",
-                        severity=ERROR,
-                        message=f"buffer {b} staging slot [{lo}, {hi}) "
-                        f"escapes the {sp.resident_bytes}-byte resident "
-                        "region",
-                        step=w.start,
-                        buffer=b,
-                        byte_range=(lo, hi),
-                        plan=tag,
-                    )
-                )
         covered = [
             s
             for s in range(n_steps)
@@ -567,35 +521,9 @@ def _check_spill(
                 )
             )
 
-    # resident bounds
-    for b, off in sorted(sp.resident_offsets.items()):
-        if not 0 <= b < model.n_buffers:
-            continue
-        if off < 0 or off + size[b] > sp.resident_bytes:
-            diags.append(
-                Diagnostic(
-                    code="SPILL_BOUNDS",
-                    severity=ERROR,
-                    message=f"resident buffer {b} at "
-                    f"[{off}, {off + size[b]}) escapes the "
-                    f"{sp.resident_bytes}-byte resident region",
-                    buffer=b,
-                    byte_range=(off, off + size[b]),
-                    plan=tag,
-                )
-            )
-
-    # byte-disjointness of simultaneously-live resident slots and
-    # staging windows (lead 0: the inline layout)
-    ivals = _staging_intervals(
-        model,
-        lifetimes,
-        sp.resident_offsets,
-        sp.windows,
-        leads=None,
-        tile_bytes=sp.tile_bytes,
-    )
-    _check_interval_overlap(ivals, "SPILL_OVERLAP", tag, diags)
+    _check_layout(model, lifetimes, sp, sp.base, "SPILL", diags)
+    if sp.prefetch is not None:
+        _check_layout(model, lifetimes, sp, sp.prefetch, "PREFETCH", diags)
 
     # off-chip home slots: pairwise disjoint, inside the spill region
     homes = sorted(
@@ -648,11 +576,6 @@ def _check_interval_overlap(
                 break  # sorted by start: no later interval overlaps a
             if not _ranges_overlap(loa, hia, lob, hib):
                 continue
-            if ka == "window" and kb == "window" and ba == bb and code == "SPILL_OVERLAP":
-                # consecutive windows of one buffer may share a slot in
-                # the inline layout only when time-disjoint — reaching
-                # here means they aren't, which is a genuine overlap
-                pass
             race = code == "PREFETCH_RACE"
             what_a = f"{'staging window' if ka == 'window' else 'resident buffer'} {ba}"
             what_b = f"{'staging window' if kb == 'window' else 'resident buffer'} {bb}"
@@ -685,108 +608,110 @@ def _check_interval_overlap(
             )
 
 
-def _check_prefetch(
+def _check_layout(
     model: BufferModel,
     lifetimes: Sequence[BufferLifetime],
     sp: SpillPlan,
-    pf: PrefetchPlan,
+    layout: StagingLayout,
+    family: str,
     diags: list[Diagnostic],
 ) -> None:
-    tag = f"prefetch@{sp.capacity_bytes}"
+    """The invariants of one resident-region layout of ``sp``.
+    ``family`` prefixes the codes: ``"SPILL"`` for the base layout,
+    ``"PREFETCH"`` for the lead-extended one, which must also be a
+    re-placement of the base windows."""
+    prefetch = family == "PREFETCH"
+    tag = f"{family.lower()}@{sp.capacity_bytes}"
+    noun = "prefetch " if prefetch else ""
     spilled = set(sp.spilled)
-    if pf.lead_steps < 0:
+
+    def flag(suffix: str, message: str, **where: Any) -> None:
         diags.append(
             Diagnostic(
-                code="PREFETCH_CONSISTENCY",
+                code=f"{family}_{suffix}",
                 severity=ERROR,
-                message=f"prefetch lead must be >= 0, got {pf.lead_steps}",
+                message=message,
                 plan=tag,
+                **where,
             )
         )
-    if (
-        set(pf.windows) != spilled
-        or set(pf.window_leads) != spilled
-        or set(pf.resident_offsets) != set(sp.resident_offsets)
-    ):
-        diags.append(
-            Diagnostic(
-                code="PREFETCH_CONSISTENCY",
-                severity=ERROR,
-                message="prefetch layout buffer sets disagree with the "
-                "base spill plan",
-                plan=tag,
-            )
+
+    if layout.resident_bytes > sp.capacity_bytes:
+        flag(
+            "CAPACITY",
+            f"{noun}resident region ({layout.resident_bytes} bytes) "
+            f"exceeds the {sp.capacity_bytes}-byte capacity",
         )
-    for b in sorted(spilled & set(pf.windows) & set(sp.windows)):
-        ws, base = pf.windows[b], sp.windows[b]
-        if len(ws) != len(base) or any(
-            w.start != bw.start or w.end != bw.end for w, bw in zip(ws, base)
+    if layout.lead_steps < 0:
+        flag("CONSISTENCY", f"{noun}lead must be >= 0, got {layout.lead_steps}")
+    shared = sorted(spilled & set(layout.windows) & set(sp.windows))
+    if layout is not sp.base:  # a re-placement of the base windows?
+        if (
+            set(layout.windows) != spilled
+            or set(layout.window_leads) != spilled
+            or set(layout.resident_offsets) != set(sp.resident_offsets)
         ):
-            diags.append(
-                Diagnostic(
-                    code="PREFETCH_CONSISTENCY",
-                    severity=ERROR,
-                    message=f"buffer {b}: prefetch window bounds disagree "
-                    "with the base staging windows",
-                    buffer=b,
-                    plan=tag,
-                )
+            flag(
+                "CONSISTENCY",
+                "prefetch layout buffer sets disagree with the base spill plan",
             )
-        leads = pf.window_leads.get(b, ())
+        for b in shared:
+            if [(w.start, w.end) for w in layout.windows[b]] != [
+                (w.start, w.end) for w in sp.windows[b]
+            ]:
+                flag(
+                    "CONSISTENCY",
+                    f"buffer {b}: prefetch window bounds disagree with the "
+                    "base staging windows",
+                    buffer=b,
+                )
+    for b in shared:
+        ws = layout.windows[b]
+        leads = layout.window_leads.get(b, ())
         if len(leads) != len(ws) or any(
-            ld < 0 or ld > pf.lead_steps for ld in leads
+            ld < 0 or ld > layout.lead_steps for ld in leads
         ):
-            diags.append(
-                Diagnostic(
-                    code="PREFETCH_CONSISTENCY",
-                    severity=ERROR,
-                    message=f"buffer {b}: window leads are malformed "
-                    f"(want {len(ws)} leads in [0, {pf.lead_steps}])",
-                    buffer=b,
-                    plan=tag,
-                )
+            flag(
+                "CONSISTENCY",
+                f"buffer {b}: window leads are malformed "
+                f"(want {len(ws)} leads in [0, {layout.lead_steps}])",
+                buffer=b,
             )
         if not 0 <= b < model.n_buffers:
             continue
         for w in ws:
             lo = w.offset
             hi = lo + _slot_bytes(model, b, sp.tile_bytes)
-            if w.offset < 0 or hi > pf.resident_bytes:
-                diags.append(
-                    Diagnostic(
-                        code="PREFETCH_BOUNDS",
-                        severity=ERROR,
-                        message=f"buffer {b} prefetch staging slot "
-                        f"[{lo}, {hi}) escapes the {pf.resident_bytes}-byte "
-                        "region",
-                        step=w.start,
-                        buffer=b,
-                        byte_range=(lo, hi),
-                        plan=tag,
-                    )
+            if lo < 0 or hi > layout.resident_bytes:
+                flag(
+                    "BOUNDS",
+                    f"buffer {b} {noun}staging slot [{lo}, {hi}) escapes "
+                    f"the {layout.resident_bytes}-byte resident region",
+                    step=w.start,
+                    buffer=b,
+                    byte_range=(lo, hi),
                 )
-    if pf.resident_bytes > sp.capacity_bytes:
-        diags.append(
-            Diagnostic(
-                code="PREFETCH_CAPACITY",
-                severity=ERROR,
-                message=f"prefetch resident region ({pf.resident_bytes} "
-                f"bytes) exceeds the {sp.capacity_bytes}-byte capacity",
-                plan=tag,
+    for b, off in sorted(layout.resident_offsets.items()):
+        if not 0 <= b < model.n_buffers:
+            continue
+        hi = off + model.buf_size[b]
+        if off < 0 or hi > layout.resident_bytes:
+            flag(
+                "BOUNDS",
+                f"resident buffer {b} at [{off}, {hi}) escapes the "
+                f"{layout.resident_bytes}-byte {noun}resident region",
+                buffer=b,
+                byte_range=(off, hi),
             )
-        )
-    # the race model: each window's slot is occupied from the moment
-    # its fetch may be enqueued (lead steps early) to window exit;
-    # every pair of time-overlapping occupations must be byte-disjoint
-    ivals = _staging_intervals(
-        model,
-        lifetimes,
-        pf.resident_offsets,
-        pf.windows,
-        leads=pf.window_leads,
-        tile_bytes=sp.tile_bytes,
-    )
-    _check_interval_overlap(ivals, "PREFETCH_RACE", tag, diags)
+
+    # byte-disjointness of simultaneously-live resident slots and
+    # staging windows. Under leads this is the race model: each window's
+    # slot is occupied from the moment its fetch may be enqueued (lead
+    # steps early) to window exit, and every pair of time-overlapping
+    # occupations must be byte-disjoint
+    ivals = _staging_intervals(model, lifetimes, layout, sp.tile_bytes)
+    code = "PREFETCH_RACE" if prefetch else "SPILL_OVERLAP"
+    _check_interval_overlap(ivals, code, tag, diags)
 
 
 # ----------------------------------------------------------------------
@@ -837,8 +762,6 @@ def analyze_plan(
 
     intra: dict[str, int] | None
     try:
-        from repro.runtime.plan_executor import intra_buffer_offsets
-
         intra = intra_buffer_offsets(graph, model)
     except ExecutionError as exc:
         intra = None
@@ -871,8 +794,6 @@ def analyze_plan(
             checks.append("prefetch")
         for sp in spill_plans:
             _check_spill(graph, model, lifetimes, sp, touch, diags)
-            if sp.prefetch is not None:
-                _check_prefetch(model, lifetimes, sp, sp.prefetch, diags)
 
     return AnalysisReport(
         target=target,

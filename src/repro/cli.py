@@ -477,6 +477,93 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.allocator.spill import SPILL_MODES
+    from repro.memsim.policies import POLICY_NAMES
+    from repro.scheduler.device import KNOWN_DEVICES
+    from repro.scheduler.registry import strategy_names
+
+    # flags several subcommands share, each declared once (argparse
+    # ``parents=``): same type, default and meaning wherever they appear
+    def shared(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    one_source = shared()
+    one_source.add_argument("--cell", choices=sorted(BENCHMARK_SUITE), default=None)
+    one_source.add_argument("--graph", help="path to a saved graph JSON")
+
+    many_sources = shared()
+    many_sources.add_argument(
+        "--cell",
+        dest="cells",
+        action="append",
+        choices=sorted(BENCHMARK_SUITE),
+        help="benchmark cell to compile (repeatable; schedules come from "
+        "the persistent cache when warm)",
+    )
+    many_sources.add_argument(
+        "--graph",
+        dest="graphs",
+        action="append",
+        metavar="FILE",
+        help="saved graph JSON to compile (repeatable)",
+    )
+
+    cached = shared()
+    cached.add_argument(
+        "--cache-dir",
+        help="schedule cache directory (default $REPRO_CACHE_DIR or "
+        "~/.cache/repro/schedules)",
+    )
+    cached.add_argument(
+        "--no-cache", action="store_true",
+        help="compile without the schedule cache",
+    )
+
+    on_device = shared()
+    on_device.add_argument(
+        "--device",
+        choices=sorted(KNOWN_DEVICES),
+        help="target device budget — compile: recorded in the artifact, "
+        "exit 1 if the plan exceeds it; compile-batch: race with early "
+        "cancellation against it",
+    )
+
+    verified = shared()
+    verified.add_argument(
+        "--verify",
+        action="store_true",
+        help="also run the reference executor and require bitwise-equal "
+        "outputs (compile: before the artifact is written; serve: on "
+        "every response); exit 1 on any divergence",
+    )
+
+    seeded = shared()
+    seeded.add_argument(
+        "--seed", type=int, default=0,
+        help="seed for the deterministic random weights and input feeds "
+        "(default 0)",
+    )
+
+    tiled = shared()
+    tiled.add_argument(
+        "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
+        help="stream spilled buffers through fixed-size tile slots instead "
+        "of whole-buffer staging windows (drops the admissible capacity "
+        "floor to the largest tiled working set; same bitwise outputs)",
+    )
+
+    transfers = shared(tiled)
+    transfers.add_argument(
+        "--no-prefetch", action="store_true",
+        help="run spill transfers inline instead of overlapping them on "
+        "the background prefetch engine",
+    )
+    transfers.add_argument(
+        "--offchip-mbps", type=float, metavar="MBPS",
+        help="model the off-chip link at this bandwidth (MB/s) so every "
+        "fetch/writeback costs wall-clock; default: instant host copies",
+    )
+
     parser = argparse.ArgumentParser(
         prog="serenity",
         description="SERENITY: memory-aware scheduling of irregularly wired "
@@ -487,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list cells and experiments")
     p_list.set_defaults(func=_cmd_list)
 
-    p_sched = sub.add_parser("schedule", help="compile a graph")
-    p_sched.add_argument("--cell", choices=sorted(BENCHMARK_SUITE), default=None)
-    p_sched.add_argument("--graph", help="path to a saved graph JSON")
+    p_sched = sub.add_parser(
+        "schedule", help="compile a graph", parents=[one_source]
+    )
     p_sched.add_argument("--no-rewrite", action="store_true")
     p_sched.add_argument("--no-divide", action="store_true")
     p_sched.add_argument("--no-budget", action="store_true")
@@ -502,10 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sched.set_defaults(func=_cmd_schedule)
 
-    from repro.allocator.spill import SPILL_MODES
-    from repro.memsim.policies import POLICY_NAMES
-    from repro.scheduler.registry import strategy_names
-
     p_comp = sub.add_parser(
         "compile",
         help="compile a graph into a deployable artifact",
@@ -513,9 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(cache-served when warm), arena allocation, validation — and "
         "write a self-contained CompiledModel JSON artifact that "
         "`serenity run` executes in any process.",
+        parents=[one_source, on_device, cached, verified, tiled],
     )
-    p_comp.add_argument("--cell", choices=sorted(BENCHMARK_SUITE), default=None)
-    p_comp.add_argument("--graph", help="path to a saved graph JSON")
     p_comp.add_argument(
         "-o", "--output", required=True, metavar="FILE",
         help="artifact path to write",
@@ -532,40 +614,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="first_fit",
         help="arena offset allocator (default: first_fit)",
     )
-    from repro.scheduler.device import KNOWN_DEVICES as _DEVICES
-
-    p_comp.add_argument(
-        "--device",
-        choices=sorted(_DEVICES),
-        help="record a target device; exit 1 if the plan exceeds its budget",
-    )
-    p_comp.add_argument(
-        "--cache-dir",
-        help="schedule cache directory (default $REPRO_CACHE_DIR or "
-        "~/.cache/repro/schedules)",
-    )
-    p_comp.add_argument(
-        "--no-cache", action="store_true", help="compile without the cache"
-    )
-    p_comp.add_argument(
-        "--verify",
-        action="store_true",
-        help="execute the plan and require bitwise parity with the "
-        "reference executor before writing the artifact",
-    )
     p_comp.add_argument(
         "--capacity",
         type=float,
         action="append",
         metavar="KIB",
         help="embed a tiered-arena spill plan for this on-chip capacity "
-        "(repeatable; exit 1 below the schedule's staging floor)",
-    )
-    p_comp.add_argument(
-        "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
-        help="stage spilled buffers through fixed-size tile slots instead "
-        "of whole-buffer windows (applies to every --capacity plan; drops "
-        "the admissible capacity floor to the largest tiled working set)",
+        "(repeatable, each staged at --tile-bytes when given; exit 1 below "
+        "the schedule's staging floor)",
     )
     p_comp.set_defaults(func=_cmd_compile)
 
@@ -576,17 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         "in schedule order inside one preallocated arena at the planned "
         "byte offsets, and report the measured high-water mark against "
         "the plan's arena_bytes.",
+        parents=[seeded, verified, transfers],
     )
     p_run.add_argument("artifact", help="path to a CompiledModel JSON")
-    p_run.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the deterministic random weights/inputs (default 0)",
-    )
-    p_run.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the reference executor and compare outputs bitwise",
-    )
     p_run.add_argument(
         "--capacity",
         type=float,
@@ -601,22 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="what to do when the arena exceeds --capacity: refuse "
         "(never, exit 1) or spill cold buffers off-chip (auto, default)",
-    )
-    p_run.add_argument(
-        "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
-        help="stream spilled buffers through fixed-size tile slots "
-        "instead of whole-buffer staging windows (lower capacity floor, "
-        "same bitwise outputs)",
-    )
-    p_run.add_argument(
-        "--no-prefetch", action="store_true",
-        help="run spill transfers inline instead of overlapping them on "
-        "the background prefetch engine",
-    )
-    p_run.add_argument(
-        "--offchip-mbps", type=float, metavar="MBPS",
-        help="model the off-chip link at this bandwidth (MB/s) so every "
-        "fetch/writeback costs wall-clock; default: instant host copies",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -662,20 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         "graphs, fanning out over worker processes and memoising every "
         "outcome in the persistent schedule cache. With no --cell/--graph "
         "arguments the full benchmark suite is compiled.",
-    )
-    p_batch.add_argument(
-        "--cell",
-        dest="cells",
-        action="append",
-        choices=sorted(BENCHMARK_SUITE),
-        help="benchmark cell to include (repeatable)",
-    )
-    p_batch.add_argument(
-        "--graph",
-        dest="graphs",
-        action="append",
-        metavar="FILE",
-        help="saved graph JSON to include (repeatable)",
+        parents=[many_sources, on_device, cached],
     )
     p_batch.add_argument(
         "--workers",
@@ -686,21 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--strategies",
         help="comma-separated strategy names (default: the standard portfolio)",
-    )
-    from repro.scheduler.device import KNOWN_DEVICES
-
-    p_batch.add_argument(
-        "--device",
-        choices=sorted(KNOWN_DEVICES),
-        help="race with early cancellation against this device budget",
-    )
-    p_batch.add_argument(
-        "--cache-dir",
-        help="schedule cache directory (default $REPRO_CACHE_DIR or "
-        "~/.cache/repro/schedules)",
-    )
-    p_batch.add_argument(
-        "--no-cache", action="store_true", help="compile without the cache"
     )
     p_batch.add_argument(
         "--clear-cache",
@@ -718,25 +722,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(registry -> arena pool -> request scheduler) and drive a "
         "concurrent synthetic load, reporting throughput, latency "
         "percentiles and the arena-reuse hit rate.",
+        parents=[many_sources, cached, seeded, verified, transfers],
     )
     p_serve.add_argument(
         "artifacts", nargs="*", metavar="ARTIFACT",
         help="CompiledModel JSON artifact(s) to register",
-    )
-    p_serve.add_argument(
-        "--cell",
-        dest="cells",
-        action="append",
-        choices=sorted(BENCHMARK_SUITE),
-        help="benchmark cell to compile-and-serve (repeatable; schedules "
-        "come from the persistent cache when warm)",
-    )
-    p_serve.add_argument(
-        "--graph",
-        dest="graphs",
-        action="append",
-        metavar="FILE",
-        help="saved graph JSON to compile-and-serve (repeatable)",
     )
     p_serve.add_argument(
         "--strategy",
@@ -744,15 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="greedy",
         help="scheduling strategy for --cell/--graph compilation "
         "(default: greedy)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        help="schedule cache directory (default $REPRO_CACHE_DIR or "
-        "~/.cache/repro/schedules)",
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true",
-        help="compile --cell/--graph sources without the schedule cache",
     )
     p_serve.add_argument(
         "--requests", type=int, default=64,
@@ -795,32 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap resident arenas by a custom KiB budget",
     )
     p_serve.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for weights and request feeds (default 0)",
-    )
-    p_serve.add_argument(
         "--spill",
         choices=SPILL_MODES,
         default="never",
         help="over-budget admission policy: refuse (never, default) or "
         "degrade to spill-planned executors with measured off-chip "
         "traffic (auto)",
-    )
-    p_serve.add_argument(
-        "--tile-bytes", type=_tile_bytes_arg, metavar="BYTES",
-        help="stream spilled executors' buffers through fixed-size "
-        "tile slots instead of whole-buffer staging (admits models "
-        "below the whole-buffer capacity floor)",
-    )
-    p_serve.add_argument(
-        "--no-prefetch", action="store_true",
-        help="run spilled executors' transfers inline instead of "
-        "overlapping them on the background prefetch engine",
-    )
-    p_serve.add_argument(
-        "--offchip-mbps", type=float, metavar="MBPS",
-        help="model the off-chip link at this bandwidth (MB/s) on "
-        "every pooled executor's fetches/writebacks",
     )
     p_serve.add_argument(
         "--deadline-ms", type=float, metavar="MS", default=None,
@@ -840,12 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("never", "zero"),
         default="never",
         help="arena scrub policy between pooled runs (default: never)",
-    )
-    p_serve.add_argument(
-        "--verify",
-        action="store_true",
-        help="compare every response bitwise against the reference "
-        "executor; exit 1 on any divergence",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

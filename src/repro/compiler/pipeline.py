@@ -1,24 +1,30 @@
 """The unified compile pipeline: graph in, :class:`CompiledModel` out.
 
-This is the one front door to everything the compiler side can do.
-``CompilationPipeline.compile`` composes, in order:
+There is one path from a graph to an artifact, and every front door —
+:class:`CompilationPipeline`, the portfolio compiler, the experiment
+harness, ``Serenity().compile`` — walks it:
 
 1. **strategy execution** — any strategy from
    :mod:`repro.scheduler.registry` (rewriting, when the strategy
    declares it, happens inside :func:`~repro.scheduler.registry.run_strategy`),
-   served from the persistent :class:`~repro.scheduler.cache.ScheduleCache`
-   when a valid entry exists for ``(graph_signature, strategy key)``;
-2. **allocation planning** — byte offsets for every buffer under the
-   chosen arena allocator, overlap-validated;
-3. **validation** — the schedule is checked as a topological order of
-   the scheduled graph, and (optionally) the compiled plan is executed
-   and compared bitwise against the reference executor;
+   or the same schedule served from the persistent
+   :class:`~repro.scheduler.cache.ScheduleCache` when a valid entry
+   exists for ``(graph_signature, strategy key)``;
+2. **measurement** — :func:`~repro.scheduler.registry.measure` replays
+   the schedule and lays it out first-fit over one buffer model; the
+   resulting :class:`~repro.scheduler.registry.StrategyOutcome` carries
+   both peaks *and* the validated layout;
+3. **freezing** — :func:`freeze` re-checks the schedule as a
+   topological order of the scheduled graph and assembles the
+   :class:`CompiledModel`, reusing the outcome's layout when it is the
+   allocator asked for (and, optionally, the compiled plan is executed
+   and compared bitwise against the reference executor).
 
-and freezes the result into a :class:`CompiledModel` artifact that
-``serenity run`` (or any future runtime) can execute as-is. Because
-cache keys are shared with the :class:`~repro.scheduler.portfolio.PortfolioCompiler`,
-a batch compilation warms the cache for subsequent artifact builds and
-vice versa.
+The artifact is what ``serenity run`` (or any future runtime) executes
+as-is. Because cache keys and helpers are shared with the
+:class:`~repro.scheduler.portfolio.PortfolioCompiler` and
+:mod:`repro.experiments.common`, any of them warms the cache for the
+others.
 """
 
 from __future__ import annotations
@@ -32,12 +38,61 @@ from repro.graph.graph import Graph
 from repro.graph.serialization import graph_signature
 from repro.scheduler.cache import ScheduleCache
 from repro.scheduler.device import DeviceSpec
-from repro.scheduler.memory import BufferModel
 from repro.scheduler.portfolio import outcome_from_cache, store_outcome
 from repro.scheduler.registry import StrategyOutcome, get_strategy, run_strategy
 from repro.scheduler.serenity import SerenityReport
 
-__all__ = ["CompilationPipeline", "compiled_model_from_report"]
+__all__ = ["CompilationPipeline", "compiled_model_from_report", "freeze"]
+
+
+def freeze(
+    outcome: StrategyOutcome,
+    source: Graph,
+    source_signature: str | None = None,
+    *,
+    allocator: str = "first_fit",
+    device: DeviceSpec | None = None,
+    **meta: Any,
+) -> CompiledModel:
+    """Assemble the artifact for a measured ``outcome`` of ``source``.
+
+    The only place a :class:`CompiledModel` is built outside
+    ``from_doc``. ``meta`` adds caller-specific metadata
+    (``compile_time_s``, ``rewrite_count``).
+    """
+    target = outcome.scheduled_graph
+    outcome.schedule.validate(target)
+    plan = outcome.plan
+    if plan is None or plan.strategy != allocator:
+        plan = plan_allocation(target, outcome.schedule, strategy=allocator)
+    if source_signature is None:
+        source_signature = graph_signature(source)
+    meta = {
+        "allocator": allocator,
+        "cached": outcome.cached,
+        "peak_bytes": outcome.peak_bytes,
+        "schedule_time_s": outcome.time_s,
+        **meta,
+        "source_nodes": len(source),
+        "nodes": len(target),
+        # batched serving provisions batch_size x this figure: the
+        # strided batch layout repeats the per-sample plan per row
+        "arena_bytes_per_sample": plan.arena_bytes,
+    }
+    if device is not None:
+        meta["fits"] = plan.arena_bytes <= device.sram_bytes
+    return CompiledModel(
+        graph=target,
+        schedule=outcome.schedule,
+        plan=plan,
+        source_signature=source_signature,
+        signature=(
+            source_signature if target is source else graph_signature(target)
+        ),
+        strategy=outcome.strategy,
+        device=device,
+        meta=meta,
+    )
 
 
 class CompilationPipeline:
@@ -100,56 +155,17 @@ class CompilationPipeline:
             if self.cache is not None:
                 store_outcome(self.cache, signature, self.spec, outcome)
 
-        model = self._freeze(
-            graph_sig=signature,
-            outcome=outcome,
-            source_nodes=len(graph),
+        model = freeze(
+            outcome,
+            graph,
+            signature,
+            allocator=self.allocator,
+            device=self.device,
             compile_time_s=time.perf_counter() - t0,
         )
         if self.verify:
             self._verify(model)
         return model
-
-    # ------------------------------------------------------------------
-    def _freeze(
-        self,
-        graph_sig: str,
-        outcome: StrategyOutcome,
-        source_nodes: int,
-        compile_time_s: float,
-    ) -> CompiledModel:
-        target = outcome.scheduled_graph
-        outcome.schedule.validate(target)
-        buffers = BufferModel.of(target)
-        plan = plan_allocation(
-            target, outcome.schedule, strategy=self.allocator, model=buffers
-        )
-        meta: dict[str, Any] = {
-            "allocator": self.allocator,
-            "cached": outcome.cached,
-            "peak_bytes": outcome.peak_bytes,
-            "schedule_time_s": outcome.time_s,
-            "compile_time_s": compile_time_s,
-            "source_nodes": source_nodes,
-            "nodes": len(target),
-            # batched serving provisions batch_size x this figure: the
-            # strided batch layout repeats the per-sample plan per row
-            "arena_bytes_per_sample": plan.arena_bytes,
-        }
-        if self.device is not None:
-            meta["fits"] = plan.arena_bytes <= self.device.sram_bytes
-        return CompiledModel(
-            graph=target,
-            schedule=outcome.schedule,
-            plan=plan,
-            source_signature=graph_sig,
-            signature=(
-                graph_sig if not self.spec.rewrites else graph_signature(target)
-            ),
-            strategy=self.spec.name,
-            device=self.device,
-            meta=meta,
-        )
 
     def _verify(self, model: CompiledModel) -> None:
         from repro.exceptions import ExecutionError
@@ -175,27 +191,10 @@ def compiled_model_from_report(
     statistics and baselines) export the same deployment artifact the
     :class:`CompilationPipeline` produces, without recompiling.
     """
-    target = report.scheduled_graph
-    buffers = BufferModel.of(target)
-    plan = plan_allocation(target, report.schedule, strategy=allocator, model=buffers)
-    meta: dict[str, Any] = {
-        "allocator": allocator,
-        "cached": report.from_cache,
-        "peak_bytes": report.peak_bytes,
-        "schedule_time_s": report.scheduling_time_s,
-        "rewrite_count": report.rewrite_count,
-        "source_nodes": len(report.graph),
-        "nodes": len(target),
-    }
-    if device is not None:
-        meta["fits"] = plan.arena_bytes <= device.sram_bytes
-    return CompiledModel(
-        graph=target,
-        schedule=report.schedule,
-        plan=plan,
-        source_signature=graph_signature(report.graph),
-        signature=graph_signature(target),
-        strategy="serenity" if report.config.rewrite else "serenity-dp",
+    return freeze(
+        report.outcome,
+        report.graph,
+        allocator=allocator,
         device=device,
-        meta=meta,
+        rewrite_count=report.rewrite_count,
     )

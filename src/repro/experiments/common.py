@@ -5,11 +5,15 @@ needs, so results are memoised at two levels:
 
 * an in-process memo per ``(cell, configuration)`` — the benchmark
   suite reuses one ``SerenityReport`` object across Fig 10/11/12/15;
-* the persistent :class:`~repro.scheduler.cache.ScheduleCache`, keyed
-  by the canonical graph signature — re-running the experiments in a
-  fresh process replays the cached schedule (peaks, arena layout and
-  traces are cheap to recompute from the order) instead of repeating
-  the DP search.
+* the persistent :class:`~repro.scheduler.cache.ScheduleCache`, read
+  and written through the compile pipeline's own helpers
+  (:func:`~repro.scheduler.portfolio.outcome_from_cache` /
+  :func:`~repro.scheduler.portfolio.store_outcome`) under the registry
+  key of the configuration's strategy — so the experiments, ``compile``
+  and ``compile-batch`` serve each other's entries, and re-running the
+  experiments in a fresh process replays the cached schedule (peaks,
+  arena layout and traces are re-measured from the order) instead of
+  repeating the DP search.
 
 The persistent layer honours ``$REPRO_CACHE_DIR`` and can be disabled
 entirely with ``REPRO_NO_CACHE=1``. Reports rebuilt from cache carry
@@ -27,14 +31,14 @@ and deployments share one compile path.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 from repro.graph.graph import Graph
 from repro.graph.serialization import graph_signature
 from repro.models.suite import CellSpec, suite_cells
-from repro.scheduler.cache import CacheEntry, ScheduleCache
-from repro.scheduler.registry import get_strategy
+from repro.scheduler.cache import ScheduleCache
+from repro.scheduler.portfolio import outcome_from_cache, store_outcome
+from repro.scheduler.registry import get_strategy, run_strategy
 from repro.scheduler.serenity import Serenity, SerenityConfig, SerenityReport
 
 __all__ = [
@@ -52,15 +56,6 @@ __all__ = [
 DEFAULT_MAX_STATES = 50_000
 
 _CACHE: dict[tuple[str, bool], SerenityReport] = {}
-
-def _strategy_key(rewrite: bool) -> str:
-    """The persistent-cache key of the registry pipeline a report
-    comes from: ``serenity``/``serenity-dp`` run the same
-    divide-and-conquer DP with the same defaults, so entries are shared
-    with the portfolio compiler — and a registry ``version`` bump
-    invalidates them here too."""
-    return get_strategy("serenity" if rewrite else "serenity-dp").cache_key
-
 
 _PERSISTENT: dict[str, ScheduleCache] = {}
 
@@ -82,91 +77,39 @@ def default_config(rewrite: bool) -> SerenityConfig:
     return SerenityConfig(rewrite=rewrite, max_states_per_step=DEFAULT_MAX_STATES)
 
 
-def _report_from_entry(
-    entry: CacheEntry, graph: Graph, rewrite: bool
-) -> SerenityReport | None:
-    """Rebuild a ``SerenityReport`` from a cached schedule.
-
-    Everything except the DP search statistics is recomputable in
-    milliseconds from the cached order: the rewrite is deterministic,
-    and baselines/arena peaks are linear-time replays. The entry is
-    validated against the concrete graph and its peaks come from the
-    replay, not the entry — a stale or colliding entry yields ``None``
-    (recompute), never a wrong report.
-    """
-    from repro.allocator import arena_peak_bytes
-    from repro.rewriting import rewrite_graph
-    from repro.scheduler.memory import simulate_schedule
-    from repro.scheduler.portfolio import schedule_from_entry
-    from repro.scheduler.topological import kahn_schedule
-
-    scheduled_graph = graph
-    rewrite_count = 0
-    if rewrite:
-        rewritten = rewrite_graph(graph)
-        scheduled_graph = rewritten.graph
-        rewrite_count = rewritten.applied
-
-    schedule = schedule_from_entry(entry, scheduled_graph)
-    if schedule is None:
-        return None
-    baseline = kahn_schedule(graph)
-    return SerenityReport(
-        config=default_config(rewrite),
-        graph=graph,
-        scheduled_graph=scheduled_graph,
-        schedule=schedule,
-        peak_bytes=simulate_schedule(
-            scheduled_graph, schedule, validate=False
-        ).peak_bytes,
-        arena_bytes=arena_peak_bytes(scheduled_graph, schedule),
-        baseline_peak_bytes=simulate_schedule(
-            graph, baseline, validate=False
-        ).peak_bytes,
-        baseline_arena_bytes=arena_peak_bytes(graph, baseline),
-        scheduling_time_s=float(entry.meta.get("time_s", 0.0)),
-        rewrite_count=rewrite_count,
-        divide=None,
-        from_cache=True,
-    )
-
-
 def compiled(spec: CellSpec, rewrite: bool) -> SerenityReport:
     """SERENITY compilation of ``spec`` (memoised + persistently cached)."""
     key = (spec.key, rewrite)
     if key in _CACHE:
         return _CACHE[key]
 
+    from repro.rewriting import rewrite_graph
+
     graph = spec.factory()
+    config = default_config(rewrite)
+    strategy = get_strategy(config.strategy)
     cache = persistent_cache()
-    signature = graph_signature(graph) if cache is not None else ""
+    outcome = None
     if cache is not None:
-        entry = cache.get(signature, _strategy_key(rewrite))
-        if entry is not None:
-            report = _report_from_entry(entry, graph, rewrite)
-            if report is not None:
-                _CACHE[key] = report
-                return report
-
-    t0 = time.perf_counter()
-    report = Serenity(default_config(rewrite)).compile(graph)
-    elapsed = time.perf_counter() - t0
-    if cache is not None:
-        from repro.graph.serialization import canonical_node_keys
-
-        keys = canonical_node_keys(report.scheduled_graph)
-        cache.put(
-            CacheEntry(
-                signature=signature,
-                strategy_key=_strategy_key(rewrite),
-                graph_name=report.scheduled_graph.name,
-                order=report.schedule.order,
-                canon_order=tuple(keys[n] for n in report.schedule.order),
-                peak_bytes=report.peak_bytes,
-                arena_bytes=report.arena_bytes,
-                meta={"time_s": elapsed, "rewrite_count": report.rewrite_count},
-            )
+        signature = graph_signature(graph)
+        rewritten = rewrite_graph(graph) if rewrite else None
+        outcome = outcome_from_cache(
+            cache, strategy, signature, graph, lambda: rewritten.graph
         )
+    if outcome is not None:
+        # everything but the DP search statistics is re-measured in
+        # milliseconds from the served order
+        report = SerenityReport(
+            config=config,
+            graph=graph,
+            outcome=outcome,
+            baseline=run_strategy("kahn", graph),
+            rewrite_count=rewritten.applied if rewritten else 0,
+        )
+    else:
+        report = Serenity(config).compile(graph)
+        if cache is not None:
+            store_outcome(cache, signature, strategy, report.outcome)
     _CACHE[key] = report
     return report
 

@@ -659,7 +659,7 @@ class PlanExecutor:
     docstring). Outputs are bitwise those of the unspilled executor.
 
     ``prefetch`` (default on) uses the spill plan's ping/pong
-    :class:`~repro.allocator.spill.PrefetchPlan` when it carries one:
+    :class:`~repro.allocator.spill.StagingLayout` when it carries one:
     fetches are issued early and writebacks drained late on a
     background transfer engine, so transfer time hides behind compute
     and only surfaces as stall when a kernel needs bytes still in
@@ -749,44 +749,32 @@ class PlanExecutor:
                     f"{len(spill.resident_offsets)} resident offsets for "
                     f"{len(resident)} resident buffers"
                 )
-        # active staging layout: the ping/pong prefetch layout when the
-        # plan carries one and the caller wants overlap, else the base
-        # (inline) layout — window (start, end) bounds are identical,
-        # only offsets and the per-window leads differ. Even a layout
-        # with all-zero leads engages the engine: writeback overlap
-        # needs no lead.
-        pf = spill.prefetch if (spill is not None and prefetch) else None
-        self._prefetch = pf
-        self._windows: dict[int, tuple[StageWindow, ...]] = (
-            (pf.windows if pf is not None else spill.windows)
-            if spill is not None
-            else {}
-        )
-        #: per-(buffer, window start) prefetch lead; missing or 0 means
-        #: that window's transfers execute inline
+        # the one staging layout this executor runs: the ping/pong
+        # prefetch layout when the plan carries one and the caller wants
+        # overlap, else the base (inline) layout — window (start, end)
+        # bounds are identical, only offsets and the per-window leads
+        # differ. Running the prefetch layout engages the engine even
+        # when every lead is zero: writeback overlap needs no lead.
+        layout = spill.layout(prefetch) if spill is not None else None
+        self._layout = layout
+        #: per-(buffer, window start) prefetch lead; 0 means that
+        #: window's fetch executes inline
         self._lead_of: dict[tuple[int, int], int] = (
             {
                 (b, w.start): lead
-                for b, ws in pf.windows.items()
-                for w, lead in zip(ws, pf.window_leads[b])
+                for b, ws in layout.windows.items()
+                for w, lead in zip(ws, layout.window_leads[b])
             }
-            if pf is not None
+            if layout is not None
             else {}
         )
         self._engine: _TransferEngine | None = (
-            _TransferEngine(
-                link,
-                batch_sleeps=(
-                    spill is not None and spill.tile_bytes is not None
-                ),
-            )
-            if pf is not None
+            _TransferEngine(link, batch_sleeps=spill.tile_bytes is not None)
+            if layout is not None and layout is spill.prefetch
             else None
         )
         self._region_offset: Mapping[int, int] = (
-            pf.resident_offsets
-            if pf is not None
-            else (spill.resident_offsets if spill is not None else plan.offsets)
+            layout.resident_offsets if layout is not None else plan.offsets
         )
         #: the on-chip promise every run is held to (resident region)
         self._capacity_bytes = (
@@ -858,7 +846,7 @@ class PlanExecutor:
                     size % self._itemsize
                     or home % self._itemsize
                     or any(
-                        w.offset % self._itemsize for w in self._windows[b]
+                        w.offset % self._itemsize for w in layout.windows[b]
                     )
                 ):
                     raise ExecutionError(
@@ -877,7 +865,7 @@ class PlanExecutor:
                     window_extent,
                     max(
                         w.offset + self._slot_bytes[b]
-                        for w in self._windows[b]
+                        for w in layout.windows[b]
                     ),
                 )
             # homes must be pairwise disjoint — the plan document does
@@ -908,9 +896,7 @@ class PlanExecutor:
         # even under a plan that understates arena_bytes (the run-time
         # overflow check still holds such a plan to its promise)
         resident_promise = (
-            pf.resident_bytes
-            if pf is not None
-            else (spill.resident_bytes if spill is not None else plan.arena_bytes)
+            layout.resident_bytes if layout is not None else plan.arena_bytes
         )
         self._arena_elems = max(
             -(-resident_promise // self._itemsize),
@@ -1011,18 +997,6 @@ class PlanExecutor:
             self.close()
         except Exception:
             pass
-
-    def _window_at(self, b: int, step: int) -> StageWindow:
-        """The *active-layout* staging window of buffer ``b`` covering
-        schedule ``step`` (prefetch offsets when the engine is on)."""
-        ws = self._windows[b]
-        i = bisect.bisect_right([w.start for w in ws], step) - 1
-        if i >= 0 and ws[i].start <= step < ws[i].end:
-            return ws[i]
-        raise ExecutionError(
-            f"step {step} touches spilled buffer {b} outside every "
-            "staging window (corrupt spill plan)"
-        )
 
     @property
     def arena_nbytes(self) -> int:
@@ -1329,7 +1303,7 @@ class PlanExecutor:
             for oi, name in enumerate(order):
                 touched = self._touched_spilled.get(name, ())
                 for b in touched:
-                    w = self._window_at(b, pos[name])
+                    w = self._layout.window_at(b, pos[name])
                     windows_at.setdefault(b, {})[oi] = w
                     last_in_win[(b, w.start)] = oi
                     last_touch[b] = oi
@@ -1989,7 +1963,7 @@ class PlanExecutor:
             spill_stall_s=inline_stall_s + engine_wait_s,
             spill_hidden_s=hidden_s,
             prefetch_lead=(
-                self._prefetch.lead_steps if self._prefetch is not None else 0
+                self._layout.lead_steps if self._layout is not None else 0
             ),
             tile_bytes=self._tile_bytes,
         )

@@ -62,7 +62,7 @@ class CacheEntry:
     #: ``order``); lets consumers replay the schedule on a relabeled
     #: instance of the graph
     canon_order: tuple[str, ...] | None = None
-    #: strategy-specific extras (e.g. rewrite_count, original time)
+    #: extras ``store_outcome`` records (original time, strategy name)
     meta: dict[str, Any] = field(default_factory=dict)
 
     def to_doc(self) -> dict[str, Any]:

@@ -12,19 +12,18 @@ device"). This module packages the pipeline into that decision:
 ``fit_to_device`` escalates through the same stages a deployment
 engineer would: the framework's default order, then optimal scheduling,
 then scheduling after identity rewriting — stopping at the first stage
-whose *allocator-level* peak meets the budget.
+whose *allocator-level* peak meets the budget. Each stage is a registry
+strategy (``kahn``, ``serenity-dp``, ``serenity``) run and measured by
+:func:`~repro.scheduler.registry.run_strategy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.allocator.arena import arena_peak_bytes
 from repro.graph.graph import Graph
-from repro.scheduler.divide import DivideAndConquerScheduler
-from repro.scheduler.memory import simulate_schedule
+from repro.scheduler.registry import run_strategy
 from repro.scheduler.schedule import Schedule
-from repro.scheduler.topological import kahn_schedule
 
 __all__ = [
     "DeviceSpec",
@@ -139,46 +138,32 @@ class DeviceFitReport:
         return "\n".join(lines)
 
 
-def _stage(name: str, graph: Graph, schedule: Schedule, budget: int) -> FitStage:
-    arena = arena_peak_bytes(graph, schedule)
-    return FitStage(
-        name=name,
-        peak_bytes=simulate_schedule(graph, schedule, validate=False).peak_bytes,
-        arena_bytes=arena,
-        fits=arena <= budget,
-        schedule=schedule,
-    )
+#: the escalation ladder: (stage name, registry strategy), cheapest first
+_LADDER = (("baseline", "kahn"), ("dp", "serenity-dp"), ("dp+rewriting", "serenity"))
 
 
 def fit_to_device(
-    graph: Graph,
-    device: DeviceSpec,
-    max_states_per_step: int | None = 50_000,
-    stop_early: bool = True,
+    graph: Graph, device: DeviceSpec, stop_early: bool = True
 ) -> DeviceFitReport:
     """Escalate baseline → DP → DP+rewriting until the budget is met.
 
     With ``stop_early`` (default) later stages are skipped once one
     fits; pass ``False`` to measure all three regardless.
     """
-    budget = device.sram_bytes
     stages: list[FitStage] = []
-
-    stages.append(_stage("baseline", graph, kahn_schedule(graph), budget))
-    if not (stop_early and stages[-1].fits):
-        dnc = DivideAndConquerScheduler(max_states_per_step=max_states_per_step)
-        stages.append(_stage("dp", graph, dnc.schedule(graph).schedule, budget))
-    if not (stop_early and stages[-1].fits):
-        from repro.rewriting.rewriter import rewrite_graph
-
-        rewritten = rewrite_graph(graph).graph
-        dnc = DivideAndConquerScheduler(max_states_per_step=max_states_per_step)
+    for name, strategy in _LADDER:
+        out = run_strategy(strategy, graph)
         stages.append(
-            _stage(
-                "dp+rewriting", rewritten, dnc.schedule(rewritten).schedule, budget
+            FitStage(
+                name=name,
+                peak_bytes=out.peak_bytes,
+                arena_bytes=out.arena_bytes,
+                fits=out.fits(device.sram_bytes),
+                schedule=out.schedule,
             )
         )
-
+        if stop_early and stages[-1].fits:
+            break
     return DeviceFitReport(
         device=device, graph_name=graph.name, stages=tuple(stages)
     )

@@ -45,6 +45,7 @@ from repro.scheduler.registry import (
     StrategySpec,
     default_portfolio,
     get_strategy,
+    measure,
     run_strategy,
 )
 from repro.scheduler.schedule import Schedule
@@ -96,14 +97,13 @@ def outcome_from_cache(
 ) -> StrategyOutcome | None:
     """Serve one (graph, strategy) pair from the persistent cache.
 
-    Peaks are recomputed by replaying the served schedule rather than
-    trusted from the entry, so a bad entry can at worst cause a
-    recompute, never a wrong number. Shared by the portfolio compiler
-    and the :class:`~repro.compiler.pipeline.CompilationPipeline`.
+    Peaks are recomputed by :func:`~repro.scheduler.registry.measure`
+    from the served schedule rather than trusted from the entry, so a
+    bad entry can at worst cause a recompute, never a wrong number.
+    Shared by the portfolio compiler, the
+    :class:`~repro.compiler.pipeline.CompilationPipeline` and the
+    experiment harness (:func:`repro.experiments.common.compiled`).
     """
-    from repro.allocator.arena import arena_peak_bytes
-    from repro.scheduler.memory import simulate_schedule
-
     entry = cache.get(signature, spec.cache_key)
     if entry is None:
         return None
@@ -111,15 +111,8 @@ def outcome_from_cache(
     schedule = schedule_from_entry(entry, target)
     if schedule is None:
         return None
-    return StrategyOutcome(
-        strategy=spec.name,
-        schedule=schedule,
-        scheduled_graph=target,
-        peak_bytes=simulate_schedule(target, schedule, validate=False).peak_bytes,
-        arena_bytes=arena_peak_bytes(target, schedule),
-        time_s=float(entry.meta.get("time_s", 0.0)),
-        cached=True,
-    )
+    time_s = float(entry.meta.get("time_s", 0.0))
+    return measure(spec.name, target, schedule, time_s, cached=True)
 
 
 def store_outcome(
@@ -294,7 +287,7 @@ class PortfolioCompiler:
     verify:
         When true (default), each graph's would-be winner is screened
         through the static plan verifier before the race verdict:
-        its schedule plus a fresh arena plan must analyze clean at
+        its schedule plus its arena plan must analyze clean at
         ``"basic"`` level. A failing strategy is *rejected* (recorded
         on the result) and the next-best outcome races in its place —
         a corrupted or hazardous plan can never be crowned. Raises
@@ -447,9 +440,10 @@ class PortfolioCompiler:
         """Disqualify would-be winners whose plans fail static analysis.
 
         Candidates are tried in race order (the :attr:`winner` key);
-        the first whose schedule + fresh arena plan analyzes clean at
-        ``"basic"`` level stops the screen, so the common case costs
-        one verification per graph. Returns the rejected strategy
+        the first whose schedule + arena plan (the one its outcome was
+        measured with, else a fresh one) analyzes clean at ``"basic"``
+        level stops the screen, so the common case costs one
+        verification per graph. Returns the rejected strategy
         names; raises :class:`~repro.exceptions.SchedulingError` when
         no outcome survives.
         """
@@ -467,7 +461,7 @@ class PortfolioCompiler:
         for out in ordered:
             target = out.scheduled_graph
             try:
-                plan = plan_allocation(target, out.schedule)
+                plan = out.plan or plan_allocation(target, out.schedule)
                 report = analyze_plan(
                     target, out.schedule, plan, level="basic"
                 )

@@ -19,26 +19,36 @@ invoking it, so every registered callable only ever maps *one* graph to
 (``scheduled_graph``) — for rewriting strategies that is the rewritten
 graph, exactly as in :class:`~repro.scheduler.serenity.Serenity`.
 
-Every outcome's ``peak_bytes``/``arena_bytes`` are computed here by the
-reference :func:`~repro.scheduler.memory.simulate_schedule` replay and
-the arena allocator — never trusted from the strategy itself — so the
-numbers are comparable across strategies by construction.
+Every outcome's ``peak_bytes``/``arena_bytes`` are computed by
+:func:`measure` — the one place in the library where a schedule meets
+the numbers the paper reports for it: the reference
+:func:`~repro.scheduler.memory.simulate_schedule` replay and the
+first-fit arena layout over one shared
+:class:`~repro.scheduler.memory.BufferModel`. They are never trusted
+from the strategy or a cache entry, so the numbers are comparable
+across strategies by construction, and the layout rides on the outcome
+(``plan``) for :func:`repro.compiler.pipeline.freeze` to reuse. A
+change to what "peak" means (operator scratch, a traffic objective) is
+a change to :func:`measure` and nothing else.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.exceptions import SchedulingError
 from repro.graph.graph import Graph
 from repro.scheduler.annealing import anneal_schedule
 from repro.scheduler.divide import DivideAndConquerScheduler
 from repro.scheduler.greedy import greedy_schedule
-from repro.scheduler.memory import simulate_schedule
+from repro.scheduler.memory import BufferModel, simulate_schedule
 from repro.scheduler.schedule import Schedule
 from repro.scheduler.topological import dfs_schedule, kahn_schedule
+
+if TYPE_CHECKING:
+    from repro.allocator.arena import AllocationPlan
 
 __all__ = [
     "StrategySpec",
@@ -48,6 +58,7 @@ __all__ = [
     "strategy_names",
     "iter_strategies",
     "default_portfolio",
+    "measure",
     "run_strategy",
 ]
 
@@ -90,6 +101,9 @@ class StrategyOutcome:
     arena_bytes: int
     time_s: float
     cached: bool = False
+    #: the first-fit layout ``arena_bytes`` was read from (``None`` on
+    #: outcomes rebuilt from a worker's result dict)
+    plan: "AllocationPlan | None" = field(default=None, compare=False, repr=False)
 
     def fits(self, budget_bytes: int) -> bool:
         """Whether the allocator-level peak meets a device budget."""
@@ -154,25 +168,41 @@ def default_portfolio() -> tuple[str, ...]:
     return ("kahn", "dfs", "greedy", "serenity-fast", "serenity-dp", "serenity")
 
 
+def measure(
+    strategy: str,
+    target: Graph,
+    schedule: Schedule,
+    time_s: float,
+    cached: bool = False,
+) -> StrategyOutcome:
+    """Replay ``schedule`` on ``target`` and lay it out first-fit, over
+    one :class:`BufferModel`; the layout rides on the outcome."""
+    from repro.allocator.arena import plan_allocation
+
+    model = BufferModel.of(target)
+    trace = simulate_schedule(target, schedule, model=model, validate=False)
+    plan = plan_allocation(target, schedule, model=model)
+    return StrategyOutcome(
+        strategy=strategy,
+        schedule=schedule,
+        scheduled_graph=target,
+        peak_bytes=trace.peak_bytes,
+        arena_bytes=plan.arena_bytes,
+        time_s=time_s,
+        cached=cached,
+        plan=plan,
+    )
+
+
 def run_strategy(name: str, graph: Graph) -> StrategyOutcome:
-    """Execute one strategy on ``graph`` and replay-verify its peaks."""
-    from repro.allocator.arena import arena_peak_bytes
+    """Execute one strategy on ``graph`` and :func:`measure` the result."""
     from repro.rewriting.rewriter import rewrite_graph
 
     spec = get_strategy(name)
     t0 = time.perf_counter()
     target = rewrite_graph(graph).graph if spec.rewrites else graph
     schedule = spec.run(target)
-    elapsed = time.perf_counter() - t0
-    peak = simulate_schedule(target, schedule, validate=False).peak_bytes
-    return StrategyOutcome(
-        strategy=name,
-        schedule=schedule,
-        scheduled_graph=target,
-        peak_bytes=peak,
-        arena_bytes=arena_peak_bytes(target, schedule),
-        time_s=elapsed,
-    )
+    return measure(name, target, schedule, time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------------

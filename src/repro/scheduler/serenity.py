@@ -3,7 +3,12 @@
 ``identity graph rewriting -> divide-and-conquer -> DP + adaptive soft
 budgeting``, returning a rich report with both the "sum of live
 activations" peak (Fig 12(b)) and the arena-allocator peak (Fig 12(a) /
-Fig 10's "+ Memory Allocator" series).
+Fig 10's "+ Memory Allocator" series). The report *holds* two
+:class:`~repro.scheduler.registry.StrategyOutcome` objects — the chosen
+schedule and the Kahn baseline, both measured by
+:func:`~repro.scheduler.registry.measure` — and exposes their numbers
+as read-only views, so a report, a registry outcome and a compiled
+artifact can never disagree about a peak.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from dataclasses import dataclass
 from repro.graph.graph import Graph
 from repro.scheduler.divide import DivideAndConquerResult, DivideAndConquerScheduler
 from repro.scheduler.memory import MemoryTrace, simulate_schedule
-from repro.scheduler.schedule import Schedule
-from repro.scheduler.topological import kahn_schedule
+from repro.scheduler.registry import StrategyOutcome, measure, run_strategy
 
 __all__ = ["SerenityConfig", "SerenityReport", "Serenity", "schedule_graph"]
 
@@ -37,6 +41,12 @@ class SerenityConfig:
     min_segment_nodes: int = 2
     max_probes: int = 24
 
+    @property
+    def strategy(self) -> str:
+        """The registry entry this configuration is an instance of (the
+        other switches at their defaults reproduce it exactly)."""
+        return "serenity" if self.rewrite else "serenity-dp"
+
 
 @dataclass(frozen=True)
 class SerenityReport:
@@ -44,22 +54,26 @@ class SerenityReport:
 
     config: SerenityConfig
     graph: Graph
-    #: graph actually scheduled (rewritten when config.rewrite)
-    scheduled_graph: Graph
-    schedule: Schedule
-    #: optimal peak, sum-of-live-activations semantics (no allocator)
-    peak_bytes: int
-    #: peak arena bytes under the TFLite-style first-fit allocator
-    arena_bytes: int
-    #: baseline (Kahn on the *original* graph) peaks for convenience
-    baseline_peak_bytes: int
-    baseline_arena_bytes: int
-    scheduling_time_s: float
+    #: the chosen schedule on the graph actually scheduled (rewritten
+    #: when config.rewrite), measured; ``cached`` when the schedule was
+    #: replayed from a persistent cache entry
+    outcome: StrategyOutcome
+    #: Kahn on the *original* graph, measured the same way
+    baseline: StrategyOutcome
     rewrite_count: int
+    #: DP search statistics (``None`` on a cache-served report)
     divide: DivideAndConquerResult | None = None
-    #: True when the report was rebuilt from a persistent cache entry
-    #: (schedule replayed; DP search statistics not available)
-    from_cache: bool = False
+
+    scheduled_graph = property(lambda self: self.outcome.scheduled_graph)
+    schedule = property(lambda self: self.outcome.schedule)
+    #: optimal peak, sum-of-live-activations semantics (no allocator)
+    peak_bytes = property(lambda self: self.outcome.peak_bytes)
+    #: peak arena bytes under the TFLite-style first-fit allocator
+    arena_bytes = property(lambda self: self.outcome.arena_bytes)
+    baseline_peak_bytes = property(lambda self: self.baseline.peak_bytes)
+    baseline_arena_bytes = property(lambda self: self.baseline.arena_bytes)
+    scheduling_time_s = property(lambda self: self.outcome.time_s)
+    from_cache = property(lambda self: self.outcome.cached)
 
     def search_stats(self) -> DivideAndConquerResult:
         """The DP search statistics, or a loud error explaining why not.
@@ -112,7 +126,6 @@ class Serenity:
         self.config = config or SerenityConfig()
 
     def compile(self, graph: Graph) -> SerenityReport:
-        from repro.allocator import arena_peak_bytes
         from repro.rewriting import rewrite_graph
 
         cfg = self.config
@@ -135,19 +148,11 @@ class Serenity:
         result = dnc.schedule(scheduled_graph)
         elapsed = time.perf_counter() - t0
 
-        baseline = kahn_schedule(graph)
-        baseline_peak = simulate_schedule(graph, baseline, validate=False).peak_bytes
-
         return SerenityReport(
             config=cfg,
             graph=graph,
-            scheduled_graph=scheduled_graph,
-            schedule=result.schedule,
-            peak_bytes=result.peak_bytes,
-            arena_bytes=arena_peak_bytes(scheduled_graph, result.schedule),
-            baseline_peak_bytes=baseline_peak,
-            baseline_arena_bytes=arena_peak_bytes(graph, baseline),
-            scheduling_time_s=elapsed,
+            outcome=measure(cfg.strategy, scheduled_graph, result.schedule, elapsed),
+            baseline=run_strategy("kahn", graph),
             rewrite_count=rewrite_count,
             divide=result,
         )

@@ -217,13 +217,10 @@ class ArenaPool:
     def _build(self, name: str) -> PlanExecutor:
         model = self.registry.get(name)
         spill = self._spill_plan_for(name)
-        executor = PlanExecutor(
-            model.graph,
-            model.schedule,
-            model.plan,
+        executor = model.executor(
             seed=self.seed,
-            scrub=self.scrub,
             batch_size=self.batch_size,
+            scrub=self.scrub,
             spill=spill,
             prefetch=self.prefetch,
             link=self.link,

@@ -380,16 +380,10 @@ class _ShardConfig:
 
     shard: int
     models: tuple[tuple[str, str], ...]  # (serving name, artifact path)
-    workers: int
-    max_batch: int
-    batch_size: int
-    budget_bytes: int | None
-    seed: int
-    scrub: str
-    spill: str
-    tile_bytes: int | None
-    prefetch: bool
-    link: OffchipLink | None
+    #: keyword arguments of the child's :class:`ArenaPool` and
+    #: :class:`RequestScheduler`, exactly as their constructors spell them
+    pool: dict[str, Any]
+    scheduler: dict[str, Any]
     preload: bool
     req_ring: tuple[str, int, int]  # (shm name, slot_bytes, slots)
     resp_ring: tuple[str, int, int]
@@ -439,23 +433,8 @@ class _ShardWorker:
         registry = ModelRegistry()
         for name, path in cfg.models:
             registry.load(path, name)
-        self.pool = ArenaPool(
-            registry,
-            cfg.budget_bytes,
-            seed=cfg.seed,
-            scrub=cfg.scrub,
-            batch_size=cfg.batch_size,
-            spill=cfg.spill,
-            tile_bytes=cfg.tile_bytes,
-            prefetch=cfg.prefetch,
-            link=cfg.link,
-        )
-        self.scheduler = RequestScheduler(
-            registry,
-            self.pool,
-            workers=cfg.workers,
-            max_batch=cfg.max_batch,
-        )
+        self.pool = ArenaPool(registry, **cfg.pool)
+        self.scheduler = RequestScheduler(registry, self.pool, **cfg.scheduler)
         if self.injector is not None:
             self.scheduler.run_hook = self._run_hook
         self.scheduler.start()
@@ -891,19 +870,24 @@ class ShardedScheduler:
             raise ServingError(f"ring_slots must be >= 1, got {ring_slots}")
         self.registry = registry
         self.shards = shards
-        self.workers = workers
-        self.max_batch = max_batch
-        self.batch_size = max_batch if batch_size is None else batch_size
-        self.budget_bytes = (
-            budget if budget is None or isinstance(budget, int)
-            else budget.sram_bytes
+        #: every shard's private pool and dispatcher, as keyword
+        #: arguments the child process splats into their constructors
+        self._pool_kwargs: dict[str, Any] = dict(
+            budget=(
+                budget if budget is None or isinstance(budget, int)
+                else budget.sram_bytes
+            ),
+            seed=seed,
+            scrub=scrub,
+            batch_size=max_batch if batch_size is None else batch_size,
+            spill=spill,
+            tile_bytes=tile_bytes,
+            prefetch=prefetch,
+            link=link,
         )
-        self.seed = seed
-        self.scrub = scrub
-        self.spill = spill
-        self.tile_bytes = tile_bytes
-        self.prefetch = prefetch
-        self.link = link
+        self._scheduler_kwargs: dict[str, Any] = dict(
+            workers=workers, max_batch=max_batch
+        )
         self.preload = preload
         self.ring_slots = ring_slots
         self.submit_timeout = submit_timeout
@@ -1044,16 +1028,8 @@ class ShardedScheduler:
         return _ShardConfig(
             shard=handle.shard,
             models=tuple(sorted(self._paths.items())),
-            workers=self.workers,
-            max_batch=self.max_batch,
-            batch_size=self.batch_size,
-            budget_bytes=self.budget_bytes,
-            seed=self.seed,
-            scrub=self.scrub,
-            spill=self.spill,
-            tile_bytes=self.tile_bytes,
-            prefetch=self.prefetch,
-            link=self.link,
+            pool=self._pool_kwargs,
+            scheduler=self._scheduler_kwargs,
             preload=self.preload,
             req_ring=(handle.req_ring.name, self._slot_bytes, self.ring_slots),
             resp_ring=(

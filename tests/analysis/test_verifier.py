@@ -288,6 +288,35 @@ class TestTiledSpillInvariants:
         assert not report.ok, "64x tile slots must not fit the same layout"
 
 
+class TestBothLayoutsCheckedAlike:
+    """One ``_check_layout`` runs on the base and the prefetch layout:
+    the same corruption draws the same finding, in its own family."""
+
+    @pytest.mark.parametrize(
+        "which, code", [("base", "SPILL_BOUNDS"), ("prefetch", "PREFETCH_BOUNDS")]
+    )
+    def test_resident_slot_escaping_the_region(self, compiled, which, code):
+        (sp,) = compiled.spill_plans
+        layout = getattr(sp, which)
+        b = max(layout.resident_offsets, key=layout.resident_offsets.get)
+        moved = {**layout.resident_offsets, b: layout.resident_bytes}
+        bad = replace(sp, **{which: replace(layout, resident_offsets=moved)})
+        report = analyze_plan(
+            compiled.graph, compiled.schedule, compiled.plan, (bad,)
+        )
+        assert code in report.codes(), report.summary()
+
+    def test_layout_selection(self, compiled):
+        (sp,) = compiled.spill_plans
+        assert sp.layout(prefetch=True) is sp.prefetch
+        assert sp.layout(prefetch=False) is sp.base
+        assert replace(sp, prefetch=None).layout(prefetch=True) is sp.base
+        assert (sp.resident_bytes, sp.windows) == (
+            sp.base.resident_bytes,
+            sp.base.windows,
+        )
+
+
 class TestLoadVerification:
     def test_corrupt_artifact_fails_load(self, compiled, tmp_path):
         doc = compiled.to_doc()

@@ -269,3 +269,112 @@ class TestSearchStatsSatellite:
         pipe = CompilationPipeline("kahn", verify=True)
         with pytest.raises(ExecutionError, match="diverges"):
             pipe.compile(diamond_graph)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the two things one path builds once per compile: buffer
+    models (``BufferModel.build``) and arena layouts (``arena._planned``)."""
+    from collections import Counter
+
+    from repro.allocator import arena
+    from repro.scheduler.memory import BufferModel
+
+    counts = Counter()
+    build, planned = BufferModel.build.__func__, arena._planned
+
+    def counting_build(cls, index):
+        counts["models"] += 1
+        return build(cls, index)
+
+    def counting_planned(*args):
+        counts["plans"] += 1
+        return planned(*args)
+
+    monkeypatch.setattr(BufferModel, "build", classmethod(counting_build))
+    monkeypatch.setattr(arena, "_planned", counting_planned)
+    return counts
+
+
+class TestOnePath:
+    """strategy -> ``measure`` -> ``freeze``: a schedule is measured
+    once, laid out once (counting, not timing)."""
+
+    @pytest.mark.parametrize("strategy", ["kahn", "greedy", "serenity"])
+    def test_warm_compile_builds_one_model_and_one_plan(
+        self, tmp_path, built, strategy
+    ):
+        from repro.models.suite import get_cell
+
+        graph = get_cell("swiftnet-a").factory
+        pipe = CompilationPipeline(strategy, cache=ScheduleCache(tmp_path))
+        pipe.compile(graph())
+        built.clear()
+        warm = pipe.compile(graph())
+        assert warm.meta["cached"]
+        assert built == {"models": 1, "plans": 1}
+
+    def test_cold_greedy_adds_one_of_each_to_the_strategy_itself(self, built):
+        from repro.models.suite import get_cell
+        from repro.scheduler.greedy import greedy_schedule
+
+        graph = get_cell("swiftnet-a").factory
+        greedy_schedule(graph())
+        own = dict(built)
+        built.clear()
+        CompilationPipeline("greedy").compile(graph())
+        assert built == {"models": own.get("models", 0) + 1, "plans": 1}
+
+    def test_freeze_replans_only_for_another_allocator(
+        self, diamond_graph, built
+    ):
+        CompilationPipeline("kahn", allocator="greedy_by_size").compile(
+            diamond_graph
+        )
+        assert built["plans"] == 2  # measured first-fit, frozen greedy-by-size
+
+    def test_outcome_carries_the_plan_it_was_measured_with(self, diamond_graph):
+        from dataclasses import replace
+
+        from repro.scheduler.registry import run_strategy
+
+        out = run_strategy("greedy", diamond_graph)
+        assert out.plan.arena_bytes == out.arena_bytes
+        assert out.plan.strategy == "first_fit"
+        # the plan rides along; it is not part of an outcome's identity
+        assert replace(out, plan=None) == out
+
+    @pytest.mark.parametrize("rewrite", [False, True])
+    def test_experiments_and_pipeline_share_cache_entries(
+        self, tmp_path, monkeypatch, rewrite
+    ):
+        """A cache directory written by ``experiments.common.compiled``
+        is a hit for the pipeline, and the reverse."""
+        from repro.experiments import common
+        from repro.models.suite import get_cell
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        spec = get_cell("swiftnet-c")
+        strategy = common.default_config(rewrite).strategy
+        try:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+            common.clear_cache()
+            report = common.compiled(spec, rewrite=rewrite)
+            assert not report.from_cache
+            model = CompilationPipeline(
+                strategy, cache=ScheduleCache(tmp_path / "a")
+            ).compile(spec.factory())
+            assert model.meta["cached"]
+            assert model.schedule.order == report.schedule.order
+
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+            cold = CompilationPipeline(
+                strategy, cache=ScheduleCache(tmp_path / "b")
+            ).compile(spec.factory())
+            assert not cold.meta["cached"]
+            common.clear_cache()
+            served = common.compiled(spec, rewrite=rewrite)
+            assert served.from_cache
+            assert served.schedule.order == cold.schedule.order
+        finally:
+            common.clear_cache()

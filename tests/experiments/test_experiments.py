@@ -78,6 +78,46 @@ class TestCommon:
             common.clear_cache()
 
 
+    @pytest.mark.parametrize("rewrite", [False, True])
+    def test_cache_served_report_equals_a_direct_compile(
+        self, monkeypatch, tmp_path, rewrite
+    ):
+        """Both are ``measure``d the same way: everything but the search
+        statistics, the provenance flag and the wall clock agrees."""
+        from repro.scheduler.serenity import Serenity
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        spec = next(s for s in _cells() if s.key == "swiftnet-b")
+        try:
+            common.clear_cache()
+            common.compiled(spec, rewrite=rewrite)  # warm the directory
+            common.clear_cache()
+            served = common.compiled(spec, rewrite=rewrite)
+        finally:
+            common.clear_cache()
+        direct = Serenity(common.default_config(rewrite)).compile(spec.factory())
+        assert served.from_cache and not direct.from_cache
+        assert served.divide is None and direct.divide is not None
+        for attr in (
+            "config",
+            "graph",
+            "scheduled_graph",
+            "schedule",
+            "peak_bytes",
+            "arena_bytes",
+            "baseline_peak_bytes",
+            "baseline_arena_bytes",
+            "rewrite_count",
+            "reduction_no_alloc",
+            "reduction_with_alloc",
+        ):
+            assert getattr(served, attr) == getattr(direct, attr), attr
+        assert served.outcome.strategy == direct.outcome.strategy
+        assert served.outcome.plan.offsets == direct.outcome.plan.offsets
+        assert (served.trace().transients == direct.trace().transients).all()
+
+
 def _cells():
     from repro.models.suite import suite_cells
 

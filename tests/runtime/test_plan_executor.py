@@ -681,3 +681,21 @@ class TestVerifyExecution:
         report = verify_execution(model)
         assert report.equivalent
         assert report.max_abs_error == 0.0
+
+    def test_one_step_table_compile_per_verification(
+        self, diamond_graph, monkeypatch
+    ):
+        """The sinks are the default outputs: verification must run the
+        full-schedule table pinned at construction, not compile it a
+        second time under an explicit-subset key."""
+        model = CompilationPipeline("greedy").compile(diamond_graph)
+        compiles = []
+        inner = PlanExecutor._compile_run_plan
+
+        def spy(self, order, pruned_mask, n):
+            compiles.append((len(order), pruned_mask, n))
+            return inner(self, order, pruned_mask, n)
+
+        monkeypatch.setattr(PlanExecutor, "_compile_run_plan", spy)
+        assert verify_execution(model).equivalent
+        assert compiles == [(len(diamond_graph), 0, 1)]

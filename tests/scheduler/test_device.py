@@ -74,3 +74,19 @@ class TestFitToDevice:
         by = {s.name: s for s in fit.stages}
         by["baseline"].schedule.validate(concat_conv_graph)
         by["dp"].schedule.validate(concat_conv_graph)
+
+    def test_stages_are_the_registry_strategies(self, concat_conv_graph):
+        """The ladder is three registry names: each stage carries exactly
+        what ``run_strategy`` measures for its strategy."""
+        from repro.scheduler.registry import run_strategy
+
+        fit = fit_to_device(concat_conv_graph, SPARKFUN_EDGE, stop_early=False)
+        ladder = ("kahn", "serenity-dp", "serenity")
+        for stage, strategy in zip(fit.stages, ladder, strict=True):
+            out = run_strategy(strategy, concat_conv_graph)
+            assert stage.schedule == out.schedule
+            assert (stage.peak_bytes, stage.arena_bytes) == (
+                out.peak_bytes,
+                out.arena_bytes,
+            )
+            assert stage.fits == out.fits(SPARKFUN_EDGE.sram_bytes)

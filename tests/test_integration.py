@@ -64,9 +64,7 @@ class TestFullSwiftNet:
     def test_int8_fits_a_quarter_budget(self, hpd_report):
         g8 = cast_graph(swiftnet_hpd(), "int8")
         fp32_arena = hpd_report.arena_bytes
-        fit = fit_to_device(
-            g8, DeviceSpec("quarter", fp32_arena // 3), max_states_per_step=20_000
-        )
+        fit = fit_to_device(g8, DeviceSpec("quarter", fp32_arena // 3))
         assert fit.fits
 
 
