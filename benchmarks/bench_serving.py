@@ -223,9 +223,9 @@ def run() -> dict:
             {
                 "workers": w,
                 "req_per_s": r.rps,
-                "p50_ms": r.p50_ms,
-                "p99_ms": r.p99_ms,
-                "mean_batch": r.mean_batch,
+                "p50_ms": r.stats.p50_s * 1e3,
+                "p99_ms": r.stats.p99_s * 1e3,
+                "mean_batch": r.stats.mean_batch,
                 "errors": r.errors,
             }
         )
@@ -300,7 +300,7 @@ def render(result: dict) -> str:
         f"{fresh['p50_ms']:.2f} / {fresh['p99_ms']:.2f} ms",
         "",
         f"batching speedup        : "
-        f"{batched.samples_per_s / solo.samples_per_s:9.2f}x samples/sec "
+        f"{batched.rps / solo.rps:9.2f}x samples/sec "
         f"(batch {BATCH} vs batch 1)",
         f"arena reuse speedup     : "
         f"{batched.rps / fresh['req_per_s']:9.2f}x requests/sec vs a "
@@ -374,7 +374,7 @@ def payload(result: dict) -> dict:
         "workers_sweep": result["workers_sweep"],
         "speedups": {
             "batched_vs_solo_samples_per_s": (
-                batched.samples_per_s / solo.samples_per_s
+                batched.rps / solo.rps
             ),
             "pooled_vs_fresh_req_per_s": batched.rps / fresh["req_per_s"],
             "executor_batched_vs_solo": [
@@ -395,12 +395,12 @@ def load_doc(report) -> dict:
         "batch_size": report.batch_size,
         "preloaded": report.preloaded,
         "req_per_s": report.rps,
-        "samples_per_s": report.samples_per_s,
-        "p50_ms": report.p50_ms,
-        "p99_ms": report.p99_ms,
-        "mean_batch": report.mean_batch,
-        "arena_hit_rate": report.pool.hit_rate,
-        "resident_arena_bytes": report.pool.resident_bytes,
+        "samples_per_s": report.rps,  # one sample per request
+        "p50_ms": report.stats.p50_s * 1e3,
+        "p99_ms": report.stats.p99_s * 1e3,
+        "mean_batch": report.stats.mean_batch,
+        "arena_hit_rate": report.stats.pool.hit_rate,
+        "resident_arena_bytes": report.stats.pool.resident_bytes,
         "errors": report.errors,
         "shards": report.shards,
     }
@@ -470,7 +470,7 @@ def test_serving_smoke(benchmark, save_result, save_json):
     # stacked batched runs — is bitwise the reference executor's
     assert len(verified.models) >= 2
     assert verified.clients >= 4
-    assert verified.mean_batch > 1.0  # stacking actually happened
+    assert verified.stats.mean_batch > 1.0  # stacking actually happened
     assert verified.verified is True
 
     # executor-level: stacked batching amortises dispatch >= 2x, with
@@ -490,10 +490,10 @@ def test_serving_smoke(benchmark, save_result, save_json):
     # once a solo micro-cell run became ~0.1 ms; the stacked serving
     # path is bounded by serve-micro's req_per_s / p50_ms in
     # BENCHMARK.json instead
-    assert batched.mean_batch > 1.5
+    assert batched.stats.mean_batch > 1.5
 
     # arena reuse still pays >= 2x over the fresh baseline (PR-3 bar)
-    assert batched.pool.hit_rate > 0.5
+    assert batched.stats.pool.hit_rate > 0.5
     assert batched.rps >= 2.0 * fresh["req_per_s"], (
         f"pooled {batched.rps:.1f} req/s vs fresh "
         f"{fresh['req_per_s']:.1f} req/s "
@@ -526,7 +526,7 @@ def test_sharded_serving(save_result, save_json):
     busy = [s for s in stats if s.requests > 0]
     assert len(busy) >= min(len(sharded.models), SHARDS)
     for s in busy:
-        assert s.pool is not None and s.pool.hits > 0, s
+        assert s.served.pool is not None and s.served.pool.hits > 0, s
         assert s.req_ring_peak > 0
 
     bar, need_cpus = SPEEDUP_BAR

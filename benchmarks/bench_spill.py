@@ -121,7 +121,7 @@ def measure_capacity_sweep(registry: ModelRegistry) -> list[dict]:
         mismatched = sum(
             0 if np.array_equal(want[k], got[k]) else 1 for k in want
         )
-        traffic = px.traffic_report()
+        traffic = px.last_stats.traffic
         px.close()
         bx = model.executor(
             params=params, capacity_bytes=cap, batch_size=BATCH_WIDTH
@@ -180,7 +180,7 @@ def measure_prefetch_ab(registry: ModelRegistry) -> dict:
         px.run(feeds)
         times.append(time.perf_counter() - t0)
     t_compute = min(times)  # the reproducible (noise-free) estimate
-    traffic_bytes = px.traffic_report().total_bytes
+    traffic_bytes = px.last_stats.traffic.total_bytes
     px.close()
     link = OffchipLink(
         bandwidth_bytes_per_s=LINK_COMPUTE_RATIO * traffic_bytes / t_compute
@@ -276,7 +276,7 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
     mismatched = sum(
         0 if np.array_equal(want[k], got[k]) else 1 for k in want
     )
-    traffic = px.traffic_report()
+    traffic = px.last_stats.traffic
     px.close()
 
     # tiled *serving* strictly below the whole-buffer floor
@@ -306,7 +306,7 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
         px.run(feeds)
         times.append(time.perf_counter() - t0)
     t_compute = min(times)
-    calib_bytes = px.traffic_report().total_bytes
+    calib_bytes = px.last_stats.traffic.total_bytes
     px.close()
     link = OffchipLink(
         bandwidth_bytes_per_s=LINK_COMPUTE_RATIO * calib_bytes / t_compute
@@ -321,11 +321,11 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
         best = None
         for _ in range(TILE_REPS):
             out = ex.run(feeds)
-            rep = ex.traffic_report()
+            rep = ex.last_stats.traffic
             best = rep.stall_s if best is None else min(best, rep.stall_s)
         assert all(np.array_equal(want[k], out[k]) for k in want)
         stall[label] = best
-        moved[label] = ex.traffic_report().total_bytes
+        moved[label] = ex.last_stats.traffic.total_bytes
         ex.close()
 
     return {
@@ -430,12 +430,12 @@ def render(result: dict) -> str:
         f"({ab['capacity_bytes'] / 1024:.1f}KB on-chip, modeled link "
         f"{ab['link_mbps']:.0f}MB/s, best of {ab['reps']} passes):",
         f"  inline transfers        : {ab['inline'].rps:9.1f} req/s "
-        f"(stall {ab['inline'].spill_stall_s * 1e3:.1f}ms, "
-        f"hidden {ab['inline'].spill_hidden_s * 1e3:.1f}ms)",
+        f"(stall {ab['inline'].stats.spill_stall_s * 1e3:.1f}ms, "
+        f"hidden {ab['inline'].stats.spill_hidden_s * 1e3:.1f}ms)",
         f"  double-buffered prefetch: {ab['prefetch'].rps:9.1f} req/s "
-        f"(stall {ab['prefetch'].spill_stall_s * 1e3:.1f}ms, "
-        f"hidden {ab['prefetch'].spill_hidden_s * 1e3:.1f}ms, "
-        f"{100.0 * ab['prefetch'].hidden_fraction:.0f}% hidden)",
+        f"(stall {ab['prefetch'].stats.spill_stall_s * 1e3:.1f}ms, "
+        f"hidden {ab['prefetch'].stats.spill_hidden_s * 1e3:.1f}ms, "
+        f"{100.0 * ab['prefetch'].stats.hidden_fraction:.0f}% hidden)",
         f"  prefetch speedup        : {ab['speedup']:9.2f}x req/s "
         f"(median {ab['speedup_median']:.2f}x; bitwise-verified in "
         "both modes)",
@@ -486,20 +486,20 @@ def payload(result: dict) -> dict:
         return {
             "requests": report.requests,
             "req_per_s": report.rps,
-            "p50_ms": report.p50_ms,
-            "p99_ms": report.p99_ms,
+            "p50_ms": report.stats.p50_s * 1e3,
+            "p99_ms": report.stats.p99_s * 1e3,
             "errors": report.errors,
             "verified_bitwise": report.verified,
             "spill": report.spill,
-            "spill_bytes": report.spill_bytes,
-            "spilled_builds": report.pool.spilled_builds,
-            "prefetch_builds": report.pool.prefetch_builds,
-            "resident_arena_bytes": report.pool.resident_bytes,
+            "spill_bytes": report.stats.spill_bytes,
+            "spilled_builds": report.stats.pool.spilled_builds,
+            "prefetch_builds": report.stats.pool.prefetch_builds,
+            "resident_arena_bytes": report.stats.pool.resident_bytes,
             "prefetch": report.prefetch,
             "tile_bytes": report.tile_bytes,
-            "spill_stall_s": report.spill_stall_s,
-            "spill_hidden_s": report.spill_hidden_s,
-            "hidden_fraction": report.hidden_fraction,
+            "spill_stall_s": report.stats.spill_stall_s,
+            "spill_hidden_s": report.stats.spill_hidden_s,
+            "hidden_fraction": report.stats.hidden_fraction,
         }
 
     return {
@@ -566,10 +566,10 @@ def test_spill_smoke(benchmark, save_result, save_json):
     ab = result["prefetch_ab"]
     assert ab["inline_verified"] and ab["prefetch_verified"]
     assert ab["inline"].errors == 0 and ab["prefetch"].errors == 0
-    assert ab["prefetch"].hidden_fraction > 0.0
-    assert ab["prefetch"].spill_hidden_s > 0.0
-    assert ab["inline"].spill_hidden_s == 0.0
-    assert ab["inline"].spill_stall_s > 0.0
+    assert ab["prefetch"].stats.hidden_fraction > 0.0
+    assert ab["prefetch"].stats.spill_hidden_s > 0.0
+    assert ab["inline"].stats.spill_hidden_s == 0.0
+    assert ab["inline"].stats.spill_stall_s > 0.0
     if QUICK:
         # the quick CI smoke keeps a loose floor so noise cannot flake
         assert ab["speedup"] >= 1.0
@@ -591,7 +591,7 @@ def test_spill_smoke(benchmark, save_result, save_json):
     assert ts["served"].errors == 0
     assert ts["served"].verified is True
     assert ts["served"].tile_bytes == TILE_BYTES
-    assert ts["served"].spill_bytes > 0
+    assert ts["served"].stats.spill_bytes > 0
     # range-clipped tiles never move more bytes than whole-buffer
     # windows, and finer granularity never lengthens the stall (5%
     # wall-clock tolerance: stall is measured, not modeled)
@@ -604,13 +604,13 @@ def test_spill_smoke(benchmark, save_result, save_json):
     constrained = result["constrained"]
     assert constrained.errors == 0
     assert constrained.verified is True
-    assert constrained.spill_bytes > 0
-    assert constrained.pool.spilled_builds >= 1
+    assert constrained.stats.spill_bytes > 0
+    assert constrained.stats.pool.spilled_builds >= 1
 
     unconstrained = result["unconstrained"]
     assert unconstrained.errors == 0
     assert unconstrained.verified is True
-    assert unconstrained.spill_bytes == 0
+    assert unconstrained.stats.spill_bytes == 0
     assert constrained.rps > 0
 
 

@@ -59,7 +59,7 @@ from repro.allocator.spill import (
     StagingLayout,
     step_touches,
 )
-from repro.analysis.diagnostics import ERROR, WARNING, AnalysisReport, Diagnostic
+from repro.analysis.diagnostics import ERROR, AnalysisReport, Diagnostic
 from repro.exceptions import ExecutionError, GraphError, SpillError
 from repro.graph.graph import Graph
 from repro.runtime.plan_executor import _range_add, intra_buffer_offsets

@@ -243,7 +243,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"conv kernel workspace   : {executor.workspace_nbytes / 1024:9.1f}KB "
           "(pad maps + im2col columns, beside the arena)")
     if capacity is not None:
-        traffic = executor.traffic_report()
+        traffic = stats.traffic
         print(f"on-chip capacity        : {capacity / 1024:9.1f}KB "
               f"({stats.spilled_buffers} buffers spilled, "
               f"{traffic.policy} policy)")
@@ -282,6 +282,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify_plan(args: argparse.Namespace) -> int:
     import json
+    from pathlib import Path
 
     from repro.analysis.verifier import analyze_artifact
 
@@ -290,7 +291,7 @@ def _cmd_verify_plan(args: argparse.Namespace) -> int:
     unreadable = 0
     for path in args.artifacts:
         try:
-            doc = json.loads(open(path).read())
+            doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read artifact {path}: {exc}", file=sys.stderr)
             unreadable += 1

@@ -27,9 +27,9 @@ half of the story. Its runtime counterpart is
 :mod:`repro.allocator.spill` + the plan executor's tiered arena: spill
 sites are chosen at compile time with the same replacement-policy
 registry (:mod:`repro.memsim.policies`), fetch/writeback steps are
-*executed* at whole-buffer granularity, and the measured traffic comes
-back in this module's :class:`TrafficReport` units
-(:meth:`~repro.runtime.plan_executor.PlanExecutor.traffic_report`).
+*executed* at whole-buffer or tile granularity, and every run reports
+its measured traffic as this module's :class:`TrafficReport`
+(``PlanExecutor.last_stats.traffic``).
 """
 
 from __future__ import annotations

@@ -81,15 +81,16 @@ Tiered arenas & spilling
 layout: an on-chip *resident* region bounded by the plan's capacity,
 plus an off-chip *spill* region holding the home bytes of spilled
 buffers (:class:`~repro.allocator.spill.SpillPlan`). The flat step
-table gains explicit **fetch** transfers (home → staging slot, at every
-staging-window entry after the buffer's first write) and **writeback**
-transfers (staging slot → home, at dirty window exits whose data is
-needed again) — one encoding (a hop list) and one placement; the step
+table gains explicit **fetch** transfers (homed bytes → staging slot, at
+every staging-window entry after the buffer's first write) and
+**writeback** transfers (produced bytes → home, at dirty window exits
+whose data is needed again) — one encoding (a hop list), one piece rule
+for whole buffers and tiles alike, and one placement; the step
 kind only says who runs it, the compute thread (a move row) or the
 background engine (an enqueue row, with sync rows where compute must
 wait). Off-chip traffic is *executed*, not merely estimated — and
-counted per run in :class:`~repro.memsim.hierarchy.TrafficReport`-
-compatible units (:meth:`PlanExecutor.traffic_report`). Because fetch
+counted per run as a :class:`~repro.memsim.hierarchy.TrafficReport`
+(``last_stats.traffic``), the Fig 11 simulator's record. Because fetch
 and writeback copy bytes verbatim, outputs stay **bitwise identical**
 to the resident execution (and therefore to the reference executor)
 under every capacity, solo and batched; batched rows each stage and
@@ -299,13 +300,19 @@ class PlanExecutionStats:
     """Arena accounting measured during one :meth:`PlanExecutor.run`."""
 
     #: step-table rows executed: one per kernel, one per transfer job
-    #: (a whole buffer or one tile piece, however many hops) and one
-    #: per engine sync
+    #: (one piece of a tile or of a whole buffer, however many hops)
+    #: and one per engine sync
     steps: int
     #: the plan's promised capacity (per sample — one arena row)
     arena_bytes: int
     #: highest byte extent any live buffer actually reached (per sample)
     measured_peak_bytes: int
+    #: off-chip traffic this run executed (all samples; all zero without
+    #: a spill plan): ``capacity_bytes`` is the on-chip promise it was
+    #: held to, ``stall_s`` inline copies (modeled link time included)
+    #: plus waits on in-flight prefetch jobs, ``hidden_s`` what the
+    #: engine overlapped behind compute
+    traffic: TrafficReport
     #: whether this run reused the bytes of a previous run's arena
     arena_reused: bool = False
     #: kernels that wrote straight into their arena site
@@ -314,37 +321,19 @@ class PlanExecutionStats:
     copy_writes: int = 0
     #: samples executed by this run (1 for :meth:`PlanExecutor.run`)
     batch: int = 1
-    #: on-chip capacity the run was held to (None: no spill plan; the
-    #: plan's own arena_bytes is the promise)
-    capacity_bytes: int | None = None
     #: buffers homed off-chip by the spill plan
     spilled_buffers: int = 0
-    #: off-chip traffic executed by this run (all samples), in the
-    #: units of :class:`~repro.memsim.hierarchy.TrafficReport`
-    spill_fetches: int = 0
-    spill_writebacks: int = 0
-    spill_bytes_in: int = 0
-    spill_bytes_out: int = 0
-    #: buffer touches replayed (reads + writes), for traffic reports
-    spill_accesses: int = 0
-    #: transfer wall-clock the compute stream waited on: inline
-    #: fetch/writeback copies (plus any modeled link time) and barrier
-    #: waits on in-flight prefetch jobs
-    spill_stall_s: float = 0.0
-    #: transfer wall-clock the background engine overlapped behind
-    #: compute (0 for inline execution)
-    spill_hidden_s: float = 0.0
     #: max prefetch lead (schedule steps) the run executed with; 0
     #: means every transfer ran inline
     prefetch_lead: int = 0
-    #: transfer granularity spilled buffers streamed at (None =
-    #: whole-buffer staging)
-    tile_bytes: int | None = None
 
-    @property
-    def spill_bytes_total(self) -> int:
-        """Total off-chip bytes moved by this run (the Fig 11 quantity)."""
-        return self.spill_bytes_in + self.spill_bytes_out
+    #: the names serving and the benchmarks read, as views of traffic
+    spill_stall_s = property(lambda self: self.traffic.stall_s)
+    spill_hidden_s = property(lambda self: self.traffic.hidden_s)
+    spill_fetches = property(lambda self: self.traffic.fetches)
+    spill_writebacks = property(lambda self: self.traffic.writebacks)
+    #: total off-chip bytes moved by this run (the Fig 11 quantity)
+    spill_bytes_total = property(lambda self: self.traffic.total_bytes)
 
     @property
     def utilization(self) -> float:
@@ -655,8 +644,8 @@ class PlanExecutor:
     ``spill`` executes under a two-region tiered arena: spilled
     buffers live off-chip and are staged on-chip per access window,
     with fetch/writeback steps in the step table and measured traffic
-    in :attr:`last_stats` / :meth:`traffic_report` (see the module
-    docstring). Outputs are bitwise those of the unspilled executor.
+    in ``last_stats.traffic`` (see the module docstring). Outputs are
+    bitwise those of the unspilled executor.
 
     ``prefetch`` (default on) uses the spill plan's ping/pong
     :class:`~repro.allocator.spill.StagingLayout` when it carries one:
@@ -832,8 +821,9 @@ class PlanExecutor:
                 f"positive multiple of the {self._itemsize}-byte element "
                 "size"
             )
-        #: per spilled buffer: staging-slot bytes (tile-clamped under
-        #: tiling, full size otherwise) and the shared tile geometry
+        #: per spilled buffer: the shared tile geometry (whole-buffer
+        #: staging is its one-span case) and staging-slot bytes (one
+        #: tile: tile-clamped under tiling, full size otherwise)
         self._slot_bytes: dict[int, int] = {}
         self._tile_spans: dict[int, tuple[tuple[int, int], ...]] = {}
         spill_extent = 0
@@ -855,11 +845,8 @@ class PlanExecutor:
                     )
                 self._buf_elems[b] = size // self._itemsize
                 self._home_elem[b] = home // self._itemsize
-                if self._tile_bytes is None:
-                    self._slot_bytes[b] = size
-                else:
-                    self._slot_bytes[b] = min(size, self._tile_bytes)
-                    self._tile_spans[b] = tile_spans(size, self._tile_bytes)
+                self._tile_spans[b] = tile_spans(size, self._tile_bytes)
+                self._slot_bytes[b] = self._tile_spans[b][0][1]
                 spill_extent = max(spill_extent, home + size)
                 window_extent = max(
                     window_extent,
@@ -1191,26 +1178,26 @@ class PlanExecutor:
         kind: int,
         b: int,
         window: StageWindow,
-        piece: tuple[int, int, int] | None,
+        piece: tuple[int, int, int],
         n: int,
         fetch: bool,
     ) -> tuple:
-        """The step-table row moving spilled buffer ``b`` (or one tile
-        ``piece`` of it) between its home and ``window``'s staging slot.
+        """The step-table row moving one ``piece`` of spilled buffer
+        ``b`` between its home and ``window``'s staging slot.
 
-        A whole-buffer fetch is one linked hop, home -> slot. A tile
-        piece adds the on-chip hop slot -> scratch, its link-timed hop
-        landing at the piece's intra-tile offset of the window's tile
-        slot. A writeback is the fetch backwards. Views are raw element
-        runs of the moved bytes, no tensor shape."""
+        A fetch is one linked hop, home -> slot, landing at the piece's
+        offset inside the slot (the whole buffer's, or one tile's).
+        Under tiling it adds the on-chip hop slot -> scratch. A
+        writeback is the fetch backwards. Views are raw element runs of
+        the moved bytes, no tensor shape."""
         it = self._itemsize
-        lo, hi, slot_lo = piece or (0, self.model.buf_size[b], 0)
+        lo, hi, slot_lo = piece
         c0, ne = lo // it, (hi - lo) // it
         s0 = window.offset // it + slot_lo // it
         h0 = self._home_elem[b] + c0
         slot = self._arena[:n, s0 : s0 + ne]
         hops = [(slot, self._spill_arena[:n, h0 : h0 + ne], True)]
-        if piece is not None:
+        if self._tile_bytes is not None:
             hops.append((self._scratch[b][:n, c0 : c0 + ne], slot, False))
         if not fetch:
             hops = [(src, dst, linked) for dst, src, linked in reversed(hops)]
@@ -1237,8 +1224,9 @@ class PlanExecutor:
         data movement (see the module docstring): a spilled buffer's
         staging slot is held from its window entry to its last executed
         touch in that window, a window entry after the buffer's first
-        write fetches the home bytes, and a dirty window exit writes
-        them back when the data is needed again. The resulting traffic
+        writeback fetches the homed bytes of its touched tiles (a whole
+        buffer is one tile), and a dirty window exit writes produced
+        ones back when the data is needed again. The resulting traffic
         is data-independent too, so it is counted here, once per plan.
 
         Transfer events are collected against the executed order first
@@ -1264,7 +1252,6 @@ class PlanExecutor:
         fetches = writebacks = bytes_in = bytes_out = accesses = 0
         staged_win: dict[int, StageWindow] = {}
         staged_extent: dict[int, int] = {}
-        written: set[int] = set()
         dirty: set[int] = set()
         windows_at: dict[int, dict[int, StageWindow]] = {}
         last_in_win: dict[tuple[int, int], int] = {}
@@ -1272,29 +1259,28 @@ class PlanExecutor:
         #: transfer events in executed order: (buffer, window, step
         #: index, pieces) — fetch events at window entry, writeback
         #: events at dirty window exit; placement happens after the
-        #: replay. ``pieces`` is None for whole-buffer staging, or the
-        #: per-tile transfer pieces under tile streaming.
-        #: ``entry_events`` records every window entry (fetching or
-        #: not): prefetch placement needs to know when each staging
-        #: slot is first touched to scope writeback syncs
+        #: replay. ``pieces`` are the :func:`_tile_pieces` the event
+        #: moves — whole-buffer staging is the one-span case of the
+        #: tile rule. ``entry_events`` records every window entry
+        #: (fetching or not): prefetch placement needs to know when
+        #: each staging slot is first touched to scope writeback syncs
         fetch_events: list[
-            tuple[int, StageWindow, int, list[tuple[int, int, int]] | None]
+            tuple[int, StageWindow, int, list[tuple[int, int, int]]]
         ] = []
         wb_events: list[
-            tuple[int, StageWindow, int, list[tuple[int, int, int]] | None]
+            tuple[int, StageWindow, int, list[tuple[int, int, int]]]
         ] = []
         entry_events: list[tuple[int, StageWindow, int]] = []
-        tiled = self._tile_bytes is not None
-        #: tile mode: merged byte ranges each window's kernels bind
-        #: ((b, w.start) keyed), plus each buffer's windows in entry
-        #: order — scratch is shared across a buffer's windows, so a
+        #: merged byte ranges each window's kernels bind ((b, w.start)
+        #: keyed), plus each buffer's windows in entry order — under
+        #: tiling scratch is shared across a buffer's windows, so a
         #: tile fetch must trail every earlier window whose ranges
         #: intersect the piece (disjoint windows can neither read nor
         #: dirty the piece's scratch or home bytes)
         win_ranges: dict[tuple[int, int], list[tuple[int, int]]] = {}
         win_order: list[tuple[int, int]] = []
-        #: tile mode, tracked in executed order: bytes some kernel has
-        #: produced (scratch holds them) / bytes written back to the
+        #: tracked in executed order: bytes some kernel has produced
+        #: (the slot or scratch holds them) / bytes written back to the
         #: home (a later fetch may legally read exactly these)
         produced: dict[int, list[tuple[int, int]]] = {}
         homed: dict[int, list[tuple[int, int]]] = {}
@@ -1307,8 +1293,6 @@ class PlanExecutor:
                     windows_at.setdefault(b, {})[oi] = w
                     last_in_win[(b, w.start)] = oi
                     last_touch[b] = oi
-                    if not tiled:
-                        continue
                     if (b, w.start) not in win_ranges:
                         win_order.append((b, w.start))
                     acc = win_ranges.setdefault((b, w.start), [])
@@ -1334,31 +1318,25 @@ class PlanExecutor:
             b_own = model.buffer_of[u]
             if spill is not None:
                 accesses += self._touch_count[name]
-            # stage every spilled buffer this step touches (fetching
-            # home bytes unless nothing was ever written to them)
+            # stage every spilled buffer this step touches, fetching
+            # touched tiles clipped to home bytes a previous writeback
+            # produced (none before the first one); never-homed bytes
+            # the window reads are still live in scratch
             for b in self._touched_spilled.get(name, ()):
                 w = windows_at[b][oi]
                 if staged_win.get(b) is not w:
                     staged_win[b] = w
                     staged_extent[b] = w.offset + self._slot_bytes[b]
                     entry_events.append((b, w, oi))
-                    if tiled:
-                        # fetch = touched tiles clipped to home bytes a
-                        # previous writeback produced; never-homed bytes
-                        # the window reads are still live in scratch
-                        pieces = _tile_pieces(
-                            win_ranges[(b, w.start)],
-                            homed.get(b, []),
-                            self._tile_spans[b],
-                        )
-                        if pieces:
-                            fetch_events.append((b, w, oi, pieces))
-                            fetches += len(pieces)
-                            bytes_in += sum(p[1] - p[0] for p in pieces)
-                    elif b in written:
-                        fetch_events.append((b, w, oi, None))
-                        fetches += 1
-                        bytes_in += model.buf_size[b]
+                    pieces = _tile_pieces(
+                        win_ranges[(b, w.start)],
+                        homed.get(b, []),
+                        self._tile_spans[b],
+                    )
+                    if pieces:
+                        fetch_events.append((b, w, oi, pieces))
+                        fetches += len(pieces)
+                        bytes_in += sum(p[1] - p[0] for p in pieces)
             if b_own not in spilled:
                 live.add(b_own)
             extent = max(
@@ -1446,39 +1424,32 @@ class PlanExecutor:
             # is needed again (or holds a graph output); dead windows
             # drop silently, exactly like the memsim eviction rule
             if b_own in spilled:
-                written.add(b_own)
                 dirty.add(b_own)
-                if tiled:
-                    o_lo = self._intra_elem[name] * self._itemsize
-                    _range_add(
-                        produced.setdefault(b_own, []),
-                        o_lo,
-                        o_lo + node.output.bytes,
-                    )
+                o_lo = self._intra_elem[name] * self._itemsize
+                _range_add(
+                    produced.setdefault(b_own, []),
+                    o_lo,
+                    o_lo + node.output.bytes,
+                )
             for b in self._touched_spilled.get(name, ()):
                 w = staged_win[b]
                 if last_in_win.get((b, w.start)) != oi:
                     continue  # window continues at a later executed step
                 has_later = last_touch[b] != oi
                 if b in dirty and (has_later or model.buf_persistent[b]):
-                    if tiled:
-                        # writeback = touched tiles clipped to produced
-                        # bytes (the rest has no defined value)
-                        pieces = _tile_pieces(
-                            win_ranges[(b, w.start)],
-                            produced.get(b, []),
-                            self._tile_spans[b],
-                        )
-                        wb_events.append((b, w, oi, pieces))
-                        writebacks += len(pieces)
-                        bytes_out += sum(p[1] - p[0] for p in pieces)
-                        hb = homed.setdefault(b, [])
-                        for p_lo, p_hi, _s in pieces:
-                            _range_add(hb, p_lo, p_hi)
-                    else:
-                        wb_events.append((b, w, oi, None))
-                        writebacks += 1
-                        bytes_out += model.buf_size[b]
+                    # writeback = touched tiles clipped to produced
+                    # bytes (the rest has no defined value)
+                    pieces = _tile_pieces(
+                        win_ranges[(b, w.start)],
+                        produced.get(b, []),
+                        self._tile_spans[b],
+                    )
+                    wb_events.append((b, w, oi, pieces))
+                    writebacks += len(pieces)
+                    bytes_out += sum(p[1] - p[0] for p in pieces)
+                    hb = homed.setdefault(b, [])
+                    for p_lo, p_hi, _s in pieces:
+                        _range_add(hb, p_lo, p_hi)
                     dirty.discard(b)
                 elif not has_later:
                     dirty.discard(b)
@@ -1542,10 +1513,12 @@ class PlanExecutor:
         wb_exits: dict[int, list[int]] = {}
         for b, _w, oi, _p in wb_events:
             wb_exits.setdefault(b, []).append(oi)
-        inline_f: dict[int, list[tuple[int, StageWindow]]] = {}
-        #: enqueue oi -> [(buffer, window, entry oi, piece|None)]
+        tiled = self._tile_bytes is not None
+        #: entry oi -> [(buffer, window, piece)]
+        inline_f: dict[int, list[tuple]] = {}
+        #: enqueue oi -> [(buffer, window, entry oi, piece)]
         eng_f: dict[int, list[tuple]] = {}
-        #: exit oi -> [(buffer, window, due oi, piece|None)]
+        #: exit oi -> [(buffer, window, due oi, piece)]
         eng_w: dict[int, list[tuple]] = {}
         #: (buffer, window start) pairs whose fetch routes through the
         #: engine — their window-entry fetch sync already orders every
@@ -1553,17 +1526,19 @@ class PlanExecutor:
         eng_fetch_windows: set[tuple[int, int]] = set()
         for b, w, entry_oi, pieces in fetch_events:
             lead = self._lead_of.get((b, w.start), 0)
-            if pieces is None and lead == 0:
-                inline_f.setdefault(entry_oi, []).append((b, w))
+            if not tiled and lead == 0:
+                inline_f.setdefault(entry_oi, []).extend(
+                    (b, w, piece) for piece in pieces
+                )
                 continue
             eo = bisect.bisect_left(sched, max(0, w.start - lead))
-            if pieces is None:
+            if not tiled:
                 exits = wb_exits.get(b, ())
                 i = bisect.bisect_left(exits, entry_oi)
                 if i:
                     eo = max(eo, exits[i - 1] + 1)
-                eng_f.setdefault(min(eo, entry_oi), []).append(
-                    (b, w, entry_oi, None)
+                eng_f.setdefault(min(eo, entry_oi), []).extend(
+                    (b, w, entry_oi, piece) for piece in pieces
                 )
             else:
                 # per-piece floor: the fetch writes scratch[piece] (hop
@@ -1628,7 +1603,7 @@ class PlanExecutor:
             # ones are FIFO-ordered, inline ones sync explicitly below.
             lo, hi = w.offset, w.offset + self._slot_bytes[b]
             due = n_exec
-            if pieces is None:
+            if not tiled:
                 for b2, w2, e2 in entry_events:
                     if e2 <= exit_oi or e2 >= due:
                         continue
@@ -1642,8 +1617,10 @@ class PlanExecutor:
                     i = bisect.bisect_right(ois, exit_oi)
                     if i < len(ois) and ois[i] < due:
                         due = ois[i]
-            if pieces is None:
-                eng_w.setdefault(exit_oi, []).append((b, w, due, None))
+            if not tiled:
+                eng_w.setdefault(exit_oi, []).extend(
+                    (b, w, due, piece) for piece in pieces
+                )
             else:
                 # tiled: compute never touches tile slots (kernels bind
                 # scratch), and every tiled transfer rides the FIFO, so
@@ -1685,7 +1662,7 @@ class PlanExecutor:
         # an inline fetch reads home bytes a still-pending engine
         # writeback of the same buffer may be producing
         for oi, evs in inline_f.items():
-            for b, _w in evs:
+            for b, _w, _piece in evs:
                 hist = eng_wb_hist.get(b)
                 if hist:
                     i = bisect.bisect_left(hist, (oi, 0))
@@ -1710,8 +1687,8 @@ class PlanExecutor:
                      None, None)
                 )
                 guaranteed = need
-            for b, w in inline_f.get(oi, ()):
-                steps.append(self._transfer_row(_STEP_MOVE, b, w, None, n, True))
+            for b, w, piece in inline_f.get(oi, ()):
+                steps.append(self._transfer_row(_STEP_MOVE, b, w, piece, n, True))
             steps.append(row)
             for b, w, _due, piece in eng_w.get(oi, ()):
                 steps.append(self._transfer_row(job_kind, b, w, piece, n, False))
@@ -1947,25 +1924,27 @@ class PlanExecutor:
             steps=len(plan.steps),
             arena_bytes=self.plan.arena_bytes,
             measured_peak_bytes=plan.measured_peak_bytes,
+            traffic=TrafficReport(
+                capacity_bytes=self._capacity_bytes,
+                policy=self.spill.policy if self.spill is not None else "resident",
+                bytes_in=plan.spill_bytes_in * n,
+                bytes_out=plan.spill_bytes_out * n,
+                fetches=plan.spill_fetches * n,
+                writebacks=plan.spill_writebacks * n,
+                bypass_bytes=0,
+                accesses=plan.spill_accesses * n,
+                stall_s=inline_stall_s + engine_wait_s,
+                hidden_s=hidden_s,
+                tile_bytes=self._tile_bytes,
+            ),
             arena_reused=self.runs > 0,
             direct_writes=plan.direct_writes,
             copy_writes=plan.copy_writes,
             batch=n,
-            capacity_bytes=(
-                self.spill.capacity_bytes if self.spill is not None else None
-            ),
             spilled_buffers=len(self._spilled),
-            spill_fetches=plan.spill_fetches * n,
-            spill_writebacks=plan.spill_writebacks * n,
-            spill_bytes_in=plan.spill_bytes_in * n,
-            spill_bytes_out=plan.spill_bytes_out * n,
-            spill_accesses=plan.spill_accesses * n,
-            spill_stall_s=inline_stall_s + engine_wait_s,
-            spill_hidden_s=hidden_s,
             prefetch_lead=(
                 self._layout.lead_steps if self._layout is not None else 0
             ),
-            tile_bytes=self._tile_bytes,
         )
         self.runs += 1
         return {w: snapshots[w] for w in wanted}
@@ -1983,36 +1962,3 @@ class PlanExecutor:
         from repro.analysis.shadow import shadow_check
 
         return shadow_check(self)
-
-    def traffic_report(self) -> TrafficReport:
-        """Off-chip traffic of the most recent run, in the Fig 11
-        simulator's units (:class:`~repro.memsim.hierarchy.TrafficReport`).
-
-        Unlike the offline simulator this reports *executed* movement:
-        every counted byte was actually copied between the spill region
-        and a staging slot by a fetch or writeback step. Without a
-        spill plan (or with a trivial one) the report is all-zero —
-        the "SERENITY removes off-chip communication" case.
-        """
-        stats = self.last_stats
-        if stats is None:
-            raise ExecutionError(
-                "no run to report traffic for; call run() or run_batch() first"
-            )
-        return TrafficReport(
-            capacity_bytes=(
-                stats.capacity_bytes
-                if stats.capacity_bytes is not None
-                else stats.arena_bytes
-            ),
-            policy=self.spill.policy if self.spill is not None else "resident",
-            bytes_in=stats.spill_bytes_in,
-            bytes_out=stats.spill_bytes_out,
-            fetches=stats.spill_fetches,
-            writebacks=stats.spill_writebacks,
-            bypass_bytes=0,
-            accesses=stats.spill_accesses,
-            stall_s=stats.spill_stall_s,
-            hidden_s=stats.spill_hidden_s,
-            tile_bytes=stats.tile_bytes,
-        )

@@ -1,8 +1,10 @@
 """Synthetic load driver for the serving runtime.
 
 One function, :func:`run_load`, drives N closed-loop clients against a
-:class:`~repro.serving.scheduler.RequestScheduler` and reports
-throughput, latency percentiles and the pool's arena-reuse hit rate.
+:class:`~repro.serving.scheduler.RequestScheduler` (or a sharded one)
+and reports throughput next to the server's own
+:class:`~repro.serving.scheduler.ServingStats` snapshot — latency
+percentiles, stacking, pool, spill traffic — held, not copied.
 It is shared by the ``serve`` CLI subcommand and by
 ``benchmarks/bench_serving.py``, so the number the benchmark asserts on
 is the number the CLI prints.
@@ -27,9 +29,9 @@ from repro.memsim import OffchipLink
 from repro.runtime.executor import Executor, init_params, random_feeds
 from repro.scheduler.device import DeviceSpec
 from repro.serving.faults import FaultPlan
-from repro.serving.pool import ArenaPool, PoolStats
+from repro.serving.pool import ArenaPool
 from repro.serving.registry import ModelRegistry
-from repro.serving.scheduler import RequestScheduler
+from repro.serving.scheduler import RequestScheduler, ServingStats
 from repro.serving.shard import ShardedScheduler, ShardStats
 
 __all__ = ["LoadReport", "run_load"]
@@ -39,16 +41,18 @@ __all__ = ["LoadReport", "run_load"]
 class LoadReport:
     """Outcome of one synthetic serving run."""
 
+    #: requests the clients sent
     requests: int
     clients: int
     workers: int
     max_batch: int
     models: tuple[str, ...]
     wall_s: float
-    p50_ms: float
-    p99_ms: float
-    mean_batch: float
-    pool: PoolStats
+    #: the server's snapshot once the clients finished: latency
+    #: percentiles, stacking, pool, spill traffic, self-healing counts
+    #: (sharded runs: every shard's, summed)
+    stats: ServingStats
+    #: requests whose client saw an exception
     errors: int
     #: ``None`` when verification was off; otherwise all-bitwise-equal
     verified: bool | None
@@ -59,50 +63,24 @@ class LoadReport:
     preloaded: bool = False
     #: over-budget admission policy the pool ran with
     spill: str = "never"
-    #: total simulated off-chip bytes moved by spilled executor runs
-    spill_bytes: int = 0
     #: whether spilled executors ran with the background prefetch engine
     prefetch: bool = True
     #: staging tile size spilled executors streamed at (``None`` =
     #: whole-buffer staging)
     tile_bytes: int | None = None
-    #: transfer seconds runs stalled on vs hid behind compute (sums
-    #: over every executor run in the window)
-    spill_stall_s: float = 0.0
-    spill_hidden_s: float = 0.0
     #: worker processes the run was sharded across (1 = in-process
     #: thread scheduler, no IPC)
     shards: int = 1
     #: per-shard snapshots when ``shards > 1`` (sticky routing, ring
-    #: occupancy, child-side queue depth and spill accounting)
+    #: occupancy, child-side queue depth and scheduler snapshot)
     shard_stats: tuple[ShardStats, ...] = ()
-    #: self-healing counters (sharded runs): shard respawns, request
-    #: retries, deadline expiries, load-shed rejections
-    restarts: int = 0
-    retries: int = 0
-    expired: int = 0
-    shed: int = 0
-    #: shards permanently failed by the crash-loop circuit breaker
-    breaker_trips: int = 0
 
     @property
     def rps(self) -> float:
         return self.requests / self.wall_s if self.wall_s else 0.0
 
-    @property
-    def samples_per_s(self) -> float:
-        """Samples served per second (every request carries one sample,
-        so this equals :attr:`rps`; stacked runs serve several samples
-        per executor dispatch)."""
-        return self.rps
-
-    @property
-    def hidden_fraction(self) -> float:
-        """Share of off-chip transfer time hidden behind compute."""
-        busy = self.spill_stall_s + self.spill_hidden_s
-        return self.spill_hidden_s / busy if busy > 0 else 0.0
-
     def summary(self) -> str:
+        st, pool = self.stats, self.stats.pool
         mode = "arena reuse"
         if self.batch_size > 1:
             mode += f", batch {self.batch_size}"
@@ -114,14 +92,21 @@ class LoadReport:
             f"  models resident       : {', '.join(self.models)}",
             f"  throughput            : {self.rps:9.1f} req/s "
             f"({self.wall_s:.2f}s wall)",
-            f"  latency p50 / p99     : {self.p50_ms:7.2f} / {self.p99_ms:.2f} ms "
-            f"({self.errors} errors, included)",
-            f"  arena reuse hit rate  : {100.0 * self.pool.hit_rate:7.1f}% "
-            f"({self.pool.hits} hits, {self.pool.misses} fresh, "
-            f"{self.pool.preloads} preloaded, {self.pool.evictions} evicted)",
-            f"  mean stacked batch    : {self.mean_batch:7.2f}",
-            f"  resident arena bytes  : {self.pool.resident_bytes / 1024:7.1f}KB",
+            f"  latency p50 / p99     : {st.p50_s * 1e3:7.2f} / "
+            f"{st.p99_s * 1e3:.2f} ms ({self.errors} errors, included)",
         ]
+        # no pool only when no shard ever answered a stats request
+        if pool is not None:
+            lines.append(
+                f"  arena reuse hit rate  : {100.0 * pool.hit_rate:7.1f}% "
+                f"({pool.hits} hits, {pool.misses} fresh, "
+                f"{pool.preloads} preloaded, {pool.evictions} evicted)"
+            )
+        lines.append(f"  mean stacked batch    : {st.mean_batch:7.2f}")
+        if pool is not None:
+            lines.append(
+                f"  resident arena bytes  : {pool.resident_bytes / 1024:7.1f}KB"
+            )
         if self.shards > 1:
             lines.append(
                 f"  shards                : {self.shards} processes, "
@@ -140,30 +125,32 @@ class LoadReport:
                     f"queue {s.queue_depth} | "
                     f"ring peak {s.req_ring_peak}/{s.req_slots} req, "
                     f"{s.resp_ring_peak}/{s.resp_slots} resp | "
-                    f"stall/hidden {s.spill_stall_s * 1e3:.1f}/"
-                    f"{s.spill_hidden_s * 1e3:.1f} ms"
+                    f"stall/hidden {s.served.spill_stall_s * 1e3:.1f}/"
+                    f"{s.served.spill_hidden_s * 1e3:.1f} ms"
                 )
-        if self.restarts or self.retries or self.expired or self.shed:
+        if st.restarts or st.retries or st.expired or st.shed:
+            trips = sum(1 for s in self.shard_stats if s.failed)
             lines.append(
-                f"  self-healing          : {self.restarts} restarts, "
-                f"{self.retries} retries, {self.expired} deadline-expired, "
-                f"{self.shed} shed"
-                + (
-                    f", {self.breaker_trips} breaker trip(s)"
-                    if self.breaker_trips
-                    else ""
-                )
+                f"  self-healing          : {st.restarts} restarts, "
+                f"{st.retries} retries, {st.expired} deadline-expired, "
+                f"{st.shed} shed"
+                + (f", {trips} breaker trip(s)" if trips else "")
             )
-        if self.spill != "never" or self.spill_bytes:
-            lines.append(
-                f"  off-chip spill traffic: {self.spill_bytes / 1024:7.1f}KB "
-                f"(spill={self.spill}, {self.pool.spilled_builds} spilled "
-                f"executors, {self.pool.prefetch_builds} prefetching)"
+        if self.spill != "never" or st.spill_bytes:
+            builds = (
+                f", {pool.spilled_builds} spilled executors, "
+                f"{pool.prefetch_builds} prefetching"
+                if pool is not None
+                else ""
             )
             lines.append(
-                f"  transfer stall/hidden : {self.spill_stall_s * 1e3:7.1f} / "
-                f"{self.spill_hidden_s * 1e3:.1f} ms "
-                f"({100.0 * self.hidden_fraction:.0f}% hidden)"
+                f"  off-chip spill traffic: {st.spill_bytes / 1024:7.1f}KB "
+                f"(spill={self.spill}{builds})"
+            )
+            lines.append(
+                f"  transfer stall/hidden : {st.spill_stall_s * 1e3:7.1f} / "
+                f"{st.spill_hidden_s * 1e3:.1f} ms "
+                f"({100.0 * st.hidden_fraction:.0f}% hidden)"
             )
         if self.errors:
             lines.append(f"  ERRORS                : {self.errors}")
@@ -233,7 +220,7 @@ def run_load(
 
     The robustness knobs pass through to whichever scheduler runs:
     ``deadline_s`` bounds every request end to end (expiries count as
-    errors and in :attr:`LoadReport.expired`); sharded runs also honor
+    errors and in ``LoadReport.stats.expired``); sharded runs also honor
     ``retries`` (retry-with-reroute on shard death), ``max_inflight``
     (per-shard cap, excess shed as
     :class:`~repro.exceptions.OverloadedError`), ``supervise`` (dead
@@ -355,11 +342,6 @@ def run_load(
 
     if pool is not None:
         pool.close()
-    pool_stats = stats.pool
-    if pool_stats is None:  # every shard died before the snapshot
-        pool_stats = PoolStats(
-            **{name: 0 for name in PoolStats.__dataclass_fields__}
-        )
     return LoadReport(
         requests=requests,
         clients=clients,
@@ -367,26 +349,15 @@ def run_load(
         max_batch=max_batch,
         models=tuple(names),
         wall_s=wall_s,
-        p50_ms=stats.p50_s * 1e3,
-        p99_ms=stats.p99_s * 1e3,
-        mean_batch=stats.mean_batch,
-        pool=pool_stats,
+        stats=stats,
         errors=errors,
         verified=(not mismatches) if verify else None,
         mismatches=tuple(mismatches),
         batch_size=batch_size,
         preloaded=preloaded,
         spill=spill,
-        spill_bytes=stats.spill_bytes,
         prefetch=prefetch,
         tile_bytes=tile_bytes,
-        spill_stall_s=stats.spill_stall_s,
-        spill_hidden_s=stats.spill_hidden_s,
         shards=shards,
         shard_stats=shard_stats,
-        restarts=stats.restarts,
-        retries=stats.retries,
-        expired=stats.expired,
-        shed=stats.shed,
-        breaker_trips=sum(1 for s in shard_stats if s.failed),
     )

@@ -54,7 +54,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from repro.allocator.spill import SPILL_MODES, SpillPlan
@@ -97,6 +97,13 @@ class PoolStats:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def __add__(self, other: "PoolStats") -> "PoolStats":
+        """Field-wise sum: the pools of several shards as one."""
+        return PoolStats(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name)
+               for f in fields(self)}
+        )
 
 
 class ArenaPool:

@@ -20,10 +20,12 @@ differ run back to back at width 1 on the same hot arena, and a
 partial drain runs at its true stacked size — never padded to capacity.
 
 Every response carries a :class:`RequestStats` (queue wait, run time,
-measured arena peak, whether the arena was reused, and the *actual*
-number of samples stacked into its run), and the scheduler aggregates
-them into a :class:`ServingStats` snapshot with latency percentiles,
-the true mean batch size, and the pool's arena-reuse hit rate.
+the *actual* number of samples stacked into its run, and attempts);
+run-level accounting — off-chip traffic, transfer stall, the pool's
+arena-reuse counters — is counted once per run in the scheduler's
+:class:`ServingStats` snapshot, alongside latency percentiles and the
+true mean batch size. Snapshots add (``a + b``), which is how sharded
+serving reports its shards as one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -58,21 +60,9 @@ class RequestStats:
     queue_s: float
     #: seconds stacking feeds and inside ``PlanExecutor.run_batch``
     run_s: float
-    #: measured arena high-water mark of this run (per sample)
-    measured_peak_bytes: int
-    #: whether the run reused a previous run's arena bytes
-    arena_reused: bool
     #: how many samples actually ran stacked in this request's run
     #: (1 = ran alone; > 1 = one batched kernel pass served them all)
     batch_size: int
-    #: simulated off-chip bytes moved by the run that served this
-    #: request (0 on a resident, unspilled executor); run-level, like
-    #: :attr:`measured_peak_bytes` — a stacked run's traffic is shared
-    spill_bytes: int = 0
-    #: transfer seconds the run's compute stream stalled on (run-level)
-    spill_stall_s: float = 0.0
-    #: transfer seconds the prefetch engine hid behind compute
-    spill_hidden_s: float = 0.0
     #: how many submissions it took to serve this request: 1 = first
     #: try; > 1 = the sharded front end retried it after a shard died
     #: under it (queue/run times are the *successful* attempt's)
@@ -147,14 +137,23 @@ class ServingStats:
         return self.requests / self.batches if self.batches else 0.0
 
     @property
-    def arena_hit_rate(self) -> float:
-        return self.pool.hit_rate if self.pool is not None else 0.0
-
-    @property
     def hidden_fraction(self) -> float:
         """Share of off-chip transfer time hidden behind compute."""
         busy = self.spill_stall_s + self.spill_hidden_s
         return self.spill_hidden_s / busy if busy > 0 else 0.0
+
+    def __add__(self, other: "ServingStats") -> "ServingStats":
+        """Two snapshots as one: counters add, latencies concatenate,
+        pools add (a missing pool is skipped)."""
+        if self.pool is None or other.pool is None:
+            pool = self.pool or other.pool
+        else:
+            pool = self.pool + other.pool
+        return ServingStats(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name)
+               for f in fields(self) if f.name != "pool"},
+            pool=pool,
+        )
 
 
 @dataclass
@@ -349,23 +348,20 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # deadlines
     # ------------------------------------------------------------------
-    def _expire(self, request: _Request, latencies: bool = True) -> None:
+    def _expire(self, request: _Request) -> None:
         """Fail one already-dequeued request as past-deadline."""
         if not request.future.set_running_or_notify_cancel():
             return
+        with self._cond:
+            self._errors += 1
+            self._expired += 1
+            self._latencies.append(time.perf_counter() - request.enqueued_at)
         request.future.set_exception(
             DeadlineExceededError(
                 f"request for {request.model!r} missed its deadline "
                 "while queued (shed before compute)"
             )
         )
-        with self._cond:
-            self._errors += 1
-            self._expired += 1
-            if latencies:
-                self._latencies.append(
-                    time.perf_counter() - request.enqueued_at
-                )
 
     def _sweep_loop(self) -> None:
         """Shed queued requests whose deadline has passed.
@@ -420,23 +416,18 @@ class RequestScheduler:
             model = batch[0].model
             try:
                 executor = self.pool.acquire(model)
-            except Exception as exc:
-                for req in batch:
-                    if req.future.set_running_or_notify_cancel():
-                        req.future.set_exception(exc)
-                with self._cond:
-                    self._errors += len(batch)
-                continue
             except BaseException as exc:
-                # KeyboardInterrupt / SystemExit must stop the worker,
-                # not be swallowed as a request error: fail the drained
-                # futures so no client hangs, then let the thread die
+                with self._cond:
+                    self._errors += len(batch)
                 for req in batch:
                     if req.future.set_running_or_notify_cancel():
                         req.future.set_exception(exc)
-                with self._cond:
-                    self._errors += len(batch)
-                raise
+                if not isinstance(exc, Exception):
+                    # KeyboardInterrupt / SystemExit must stop the
+                    # worker, not be swallowed as a request error: the
+                    # drained futures failed above so no client hangs
+                    raise
+                continue
             try:
                 self._run_batch(model, batch, executor)
             finally:
@@ -502,13 +493,6 @@ class RequestScheduler:
         ``SystemExit``) fails everything still pending, then re-raises
         so the worker actually stops.
         """
-        completed = 0
-        errors = 0
-        runs = 0
-        spill_bytes = 0
-        spill_stall = 0.0
-        spill_hidden = 0.0
-        latencies: list[float] = []
         capacity = getattr(executor, "batch_size", 1)
         if capacity > 1 and len(batch) > 1:
             groups = self._stack_groups(model, batch)
@@ -556,43 +540,48 @@ class RequestScheduler:
                                 # the exception
                                 pending.extend([req] for req in reversed(live))
                                 continue
-                            t1 = time.perf_counter()
+                            with self._cond:
+                                self._errors += 1
+                                self._batches += 1
+                                self._latencies.append(
+                                    time.perf_counter() - live[0].enqueued_at
+                                )
                             live[0].future.set_exception(exc)
-                            errors += 1
-                            runs += 1
-                            latencies.append(t1 - live[0].enqueued_at)
                             continue
                         t1 = time.perf_counter()
                         run_stats = executor.last_stats
-                        runs += 1
-                        run_spill = run_stats.spill_bytes_total
-                        spill_bytes += run_spill
-                        spill_stall += run_stats.spill_stall_s
-                        spill_hidden += run_stats.spill_hidden_s
-                        for i, req in enumerate(live):
-                            # outputs are private snapshots already: a
-                            # lone request keeps its own, a batchmate
-                            # gets a copy so no response pins the rest
-                            scattered = {
-                                k: v[0] if len(live) == 1 else v[i].copy()
-                                for k, v in outputs.items()
-                            }
-                            stats = RequestStats(
-                                model=model,
-                                queue_s=t0 - req.enqueued_at,
-                                run_s=t1 - t0,
-                                measured_peak_bytes=run_stats.measured_peak_bytes,
-                                arena_reused=run_stats.arena_reused,
-                                batch_size=len(live),
-                                spill_bytes=run_spill,
-                                spill_stall_s=run_stats.spill_stall_s,
-                                spill_hidden_s=run_stats.spill_hidden_s,
+                        results = [
+                            InferenceResult(
+                                # outputs are private snapshots already:
+                                # a lone request keeps its own, a
+                                # batchmate gets a copy so no response
+                                # pins the rest
+                                outputs={
+                                    k: v[0] if len(live) == 1 else v[i].copy()
+                                    for k, v in outputs.items()
+                                },
+                                stats=RequestStats(
+                                    model=model,
+                                    queue_s=t0 - req.enqueued_at,
+                                    run_s=t1 - t0,
+                                    batch_size=len(live),
+                                ),
                             )
-                            req.future.set_result(
-                                InferenceResult(outputs=scattered, stats=stats)
+                            for i, req in enumerate(live)
+                        ]
+                        # counted before any client sees a result, so a
+                        # snapshot taken after one includes its run
+                        with self._cond:
+                            self._requests += len(live)
+                            self._batches += 1
+                            self._spill_bytes += run_stats.spill_bytes_total
+                            self._spill_stall_s += run_stats.spill_stall_s
+                            self._spill_hidden_s += run_stats.spill_hidden_s
+                            self._latencies.extend(
+                                r.stats.total_s for r in results
                             )
-                            completed += 1
-                            latencies.append(stats.total_s)
+                        for req, result in zip(live, results):
+                            req.future.set_result(result)
         except BaseException as exc:
             # a true BaseException (shutdown signal) aborts the batch:
             # fail whatever is still pending so no client blocks
@@ -607,15 +596,7 @@ class RequestScheduler:
                     except Exception:
                         pass
                     if not fut.done():
+                        with self._cond:
+                            self._errors += 1
                         fut.set_exception(exc)
-                        errors += 1
             raise
-        finally:
-            with self._cond:
-                self._requests += completed
-                self._errors += errors
-                self._batches += runs
-                self._spill_bytes += spill_bytes
-                self._spill_stall_s += spill_stall
-                self._spill_hidden_s += spill_hidden
-                self._latencies.extend(latencies)

@@ -53,10 +53,12 @@ The scheduler is also **self-healing** (``supervise=True``, default):
   surfaced in ``RequestStats.attempts``), while per-shard in-flight
   caps (``max_inflight``) turn unbounded blocking into immediate typed
   :class:`~repro.exceptions.OverloadedError` rejections;
-* every recovery action is counted — ``restarts``/``retries``/
-  ``expired``/``shed`` in :class:`ShardStats` and the aggregate
-  :class:`~repro.serving.scheduler.ServingStats` — and the whole story
-  is provable on demand via ``repro.serving.faults.FaultPlan``.
+* every recovery action is counted once, on the shard it happened to
+  (``restarts``/``retries``/``expired``/``shed`` in
+  :class:`ShardStats`); :meth:`ShardedScheduler.stats` sums the shards'
+  own :class:`~repro.serving.scheduler.ServingStats` snapshots and
+  substitutes those front-end counts — and the whole story is provable
+  on demand via ``repro.serving.faults.FaultPlan``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import operator
 import os
 import random
 import shutil
@@ -74,6 +77,7 @@ import time
 import weakref
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
@@ -96,7 +100,7 @@ from repro.serving.faults import (
     KillShard,
     WedgeShard,
 )
-from repro.serving.pool import ArenaPool, PoolStats
+from repro.serving.pool import ArenaPool
 from repro.serving.registry import ModelRegistry
 from repro.serving.scheduler import (
     InferenceResult,
@@ -557,21 +561,6 @@ class _ShardWorker:
             with self._pending_lock:
                 self._pending -= 1
 
-    def _stats_doc(self) -> dict[str, Any]:
-        stats = self.scheduler.stats()
-        return {
-            "requests": stats.requests,
-            "errors": stats.errors,
-            "batches": stats.batches,
-            "expired": stats.expired,
-            "spill_bytes": stats.spill_bytes,
-            "spill_stall_s": stats.spill_stall_s,
-            "spill_hidden_s": stats.spill_hidden_s,
-            "queue_depth": self.scheduler.queue_depth,
-            "resp_ring_peak": self.resp_slots.peak,
-            "pool": asdict(stats.pool) if stats.pool is not None else None,
-        }
-
     # ------------------------------------------------------------------
     def run(self) -> None:
         shutdown = False
@@ -608,7 +597,10 @@ class _ShardWorker:
             elif kind == "free_resp":
                 self.resp_slots.release(msg[1])
             elif kind == "stats":
-                self._send(("stats_res", msg[1], self._stats_doc()))
+                # latencies stay with the front end, which times end to end
+                served = replace(self.scheduler.stats(), latencies_s=())
+                reply = (served, self.scheduler.queue_depth, self.resp_slots.peak)
+                self._send(("stats_res", msg[1], reply))
             elif kind == "shutdown":
                 shutdown = True
         # answer whatever is still sitting unread in the pipe: requests
@@ -648,7 +640,8 @@ class _ShardWorker:
 @dataclass(frozen=True)
 class ShardStats:
     """One shard's slice of the serving run (see
-    :meth:`ShardedScheduler.shard_stats`)."""
+    :meth:`ShardedScheduler.shard_stats`): the front end's counts for
+    this shard plus the shard's own scheduler snapshot."""
 
     shard: int
     pid: int
@@ -662,17 +655,15 @@ class ShardStats:
     inflight_peak: int
     #: child-side scheduler queue depth at snapshot time
     queue_depth: int
-    #: executor runs inside the child (requests / batches = stacking)
-    batches: int
-    spill_bytes: int
-    spill_stall_s: float
-    spill_hidden_s: float
     #: request-ring occupancy: slots, high-water mark
     req_slots: int
     req_ring_peak: int
     resp_slots: int
     resp_ring_peak: int
-    pool: PoolStats | None
+    #: the child scheduler's own snapshot without latencies: executor
+    #: runs (requests / batches = stacking), spill accounting, pool
+    #: (the last one received is kept after the shard dies)
+    served: ServingStats
     #: times the supervisor respawned this shard's process
     restarts: int = 0
     #: retry dispatches routed to this shard after a peer (or an
@@ -690,10 +681,7 @@ class ShardStats:
     incarnation: int = 0
 
     def to_doc(self) -> dict[str, Any]:
-        doc = asdict(self)
-        doc["pool"] = asdict(self.pool) if self.pool is not None else None
-        doc["models"] = list(self.models)
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -753,8 +741,13 @@ class _ShardHandle:
         self.errors = 0
         self.inflight = 0
         self.inflight_peak = 0
-        #: last child stats doc (refreshed by stats(); kept after death)
-        self.child_doc: dict[str, Any] = {}
+        #: last child snapshot, queue depth and response-ring peak
+        #: (refreshed by stats(); kept after death)
+        self.served = ServingStats(
+            requests=0, errors=0, batches=0, latencies_s=()
+        )
+        self.queue_depth = 0
+        self.resp_ring_peak = 0
         # --- supervision state (touched by the supervisor thread) ---
         #: which life of the process is (or was) running
         self.incarnation = 0
@@ -916,13 +909,10 @@ class ShardedScheduler:
         self._req_ids = itertools.count()
         self._inflight: dict[int, _Inflight] = {}
         self._latencies: list[float] = []
-        self._completed = 0
+        #: failures no shard is charged with (e.g. a deadline expiring
+        #: in the retry loop); everything else counts on its handle
         self._errors = 0
-        self._restarts = 0
-        self._retries = 0
         self._expired = 0
-        self._shed = 0
-        self._breaker_trips = 0
         self._stats_waiters: dict[int, tuple[threading.Event, list]] = {}
         self._stats_tokens = itertools.count()
         self._handles: list[_ShardHandle] = []
@@ -1298,7 +1288,6 @@ class ShardedScheduler:
         if self.max_inflight is not None:
             with self._lock:
                 if handle.inflight >= self.max_inflight:
-                    self._shed += 1
                     handle.shed += 1
                     raise OverloadedError(
                         f"shard {shard} is at its in-flight cap "
@@ -1307,13 +1296,11 @@ class ShardedScheduler:
                     )
         if retry:
             with self._lock:
-                self._retries += 1
                 handle.retries += 1
         try:
             req_slot = handle.req_slots.acquire(timeout=self.submit_timeout)
         except OverloadedError:
             with self._lock:
-                self._shed += 1
                 handle.shed += 1
             raise
         req_id = next(self._req_ids)
@@ -1452,7 +1439,6 @@ class ShardedScheduler:
             stats = replace(stats, attempts=pending.attempts)
         latency = time.perf_counter() - pending.enqueued_at
         with self._lock:
-            self._completed += 1
             handle.completed += 1
             self._latencies.append(latency)
         pending.future.set_result(
@@ -1470,14 +1456,14 @@ class ShardedScheduler:
         if not pending.future.set_running_or_notify_cancel():
             return
         latency = time.perf_counter() - pending.enqueued_at
+        expired = isinstance(exc, DeadlineExceededError)
         with self._lock:
-            self._errors += 1
-            if isinstance(exc, DeadlineExceededError):
-                self._expired += 1
-            if shard is not None:
+            if shard is None:
+                self._errors += 1
+                self._expired += expired
+            else:
                 self._handles[shard].errors += 1
-                if isinstance(exc, DeadlineExceededError):
-                    self._handles[shard].expired += 1
+                self._handles[shard].expired += expired
             self._latencies.append(latency)
         pending.future.set_exception(exc)
 
@@ -1603,7 +1589,6 @@ class ShardedScheduler:
         self._start_receiver(handle)
         with self._lock:
             handle.restarts += 1
-            self._restarts += 1
 
     def _trip_breaker(self, handle: _ShardHandle) -> None:
         """Crash-loop circuit breaker: give up on this shard for good
@@ -1616,7 +1601,6 @@ class ShardedScheduler:
             h.shard for h in self._handles if not h.failed
         ]
         with self._lock:
-            self._breaker_trips += 1
             if survivors:
                 sigs = {
                     name: self.registry.get(name).signature
@@ -1761,8 +1745,8 @@ class ShardedScheduler:
             else:
                 self._resolve_error(pending, exc, shard=entry.shard)
 
-    def _on_stats(self, handle: _ShardHandle, token: int, doc: dict) -> None:
-        handle.child_doc = doc
+    def _on_stats(self, handle: _ShardHandle, token: int, reply: tuple) -> None:
+        handle.served, handle.queue_depth, handle.resp_ring_peak = reply
         with self._lock:
             waiter = self._stats_waiters.get(token)
         if waiter is not None:
@@ -1799,76 +1783,54 @@ class ShardedScheduler:
         its last known ones)."""
         if refresh and self._started:
             self._refresh_child_stats()
-        out = []
         with self._lock:
-            for handle in self._handles:
-                doc = handle.child_doc
-                pool_doc = doc.get("pool")
-                out.append(
-                    ShardStats(
-                        shard=handle.shard,
-                        pid=handle.pid,
-                        alive=handle.alive,
-                        models=handle.models,
-                        requests=handle.completed,
-                        errors=handle.errors,
-                        inflight_peak=handle.inflight_peak,
-                        queue_depth=doc.get("queue_depth", 0),
-                        batches=doc.get("batches", 0),
-                        spill_bytes=doc.get("spill_bytes", 0),
-                        spill_stall_s=doc.get("spill_stall_s", 0.0),
-                        spill_hidden_s=doc.get("spill_hidden_s", 0.0),
-                        req_slots=handle.req_slots.slots,
-                        req_ring_peak=handle.req_slots.peak,
-                        resp_slots=handle.resp_ring.slots,
-                        resp_ring_peak=doc.get("resp_ring_peak", 0),
-                        pool=(
-                            PoolStats(**pool_doc)
-                            if pool_doc is not None
-                            else None
-                        ),
-                        restarts=handle.restarts,
-                        retries=handle.retries,
-                        # parent-side count is complete: child-shed
-                        # requests come back as DeadlineExceededError
-                        # responses and are counted on arrival
-                        expired=handle.expired,
-                        shed=handle.shed,
-                        failed=handle.failed,
-                        incarnation=handle.incarnation,
-                    )
+            return [
+                ShardStats(
+                    shard=handle.shard,
+                    pid=handle.pid,
+                    alive=handle.alive,
+                    models=handle.models,
+                    requests=handle.completed,
+                    errors=handle.errors,
+                    inflight_peak=handle.inflight_peak,
+                    queue_depth=handle.queue_depth,
+                    req_slots=handle.req_slots.slots,
+                    req_ring_peak=handle.req_slots.peak,
+                    resp_slots=handle.resp_ring.slots,
+                    resp_ring_peak=handle.resp_ring_peak,
+                    served=handle.served,
+                    restarts=handle.restarts,
+                    retries=handle.retries,
+                    # parent-side count is complete: child-shed
+                    # requests come back as DeadlineExceededError
+                    # responses and are counted on arrival
+                    expired=handle.expired,
+                    shed=handle.shed,
+                    failed=handle.failed,
+                    incarnation=handle.incarnation,
                 )
-        return out
+                for handle in self._handles
+            ]
 
     def stats(self) -> ServingStats:
         """Aggregate :class:`ServingStats` across every shard.
 
-        Latencies are *end-to-end* (submit to response, IPC included);
-        batches, spill accounting and pool stats are summed from the
-        shards' own schedulers.
+        The shards' own snapshots summed (batches, spill accounting,
+        pools), with the front end's counts substituted — each request
+        and recovery action counted once, on its shard, plus failures
+        no shard is charged with — and its latencies, which are
+        *end-to-end* (submit to response, IPC included).
         """
         shards = self.shard_stats()
-        pool = None
-        pools = [s.pool for s in shards if s.pool is not None]
-        if pools:
-            pool = PoolStats(
-                **{
-                    field: sum(getattr(p, field) for p in pools)
-                    for field in PoolStats.__dataclass_fields__
-                }
-            )
+        served = reduce(operator.add, (s.served for s in shards))
         with self._lock:
-            return ServingStats(
-                requests=self._completed,
-                errors=self._errors,
-                batches=sum(s.batches for s in shards),
+            return replace(
+                served,
+                requests=sum(s.requests for s in shards),
+                errors=self._errors + sum(s.errors for s in shards),
                 latencies_s=tuple(self._latencies),
-                pool=pool,
-                spill_bytes=sum(s.spill_bytes for s in shards),
-                spill_stall_s=sum(s.spill_stall_s for s in shards),
-                spill_hidden_s=sum(s.spill_hidden_s for s in shards),
-                restarts=self._restarts,
-                retries=self._retries,
-                expired=self._expired,
-                shed=self._shed,
+                restarts=sum(s.restarts for s in shards),
+                retries=sum(s.retries for s in shards),
+                expired=self._expired + sum(s.expired for s in shards),
+                shed=sum(s.shed for s in shards),
             )

@@ -1,5 +1,7 @@
 """Runtime byte-bounds shadow checker over compiled executor tables."""
 
+from functools import lru_cache
+
 import pytest
 
 from repro.compiler.pipeline import CompilationPipeline
@@ -223,3 +225,45 @@ class TestTransferRows:
             "unknown step kind 99" in d.message
             for d in report.by_code("SHADOW_REGION")
         )
+
+
+#: whole-buffer configurations (cell, strategy, capacity, prefetch,
+#: off-chip bytes per run before the fix) whose writeback of a partially
+#: produced buffer shipped never-written slot bytes home, and whose next
+#: fetch copied them back: staging now applies the tile rule with the
+#: whole buffer as its one span, moving only produced / homed bytes
+_PARTIAL_WRITEBACKS = [
+    ("darts-normal", "serenity", 903168, False, 5870592),
+    ("darts-normal", "serenity", 1016064, False, 5870592),
+    ("swiftnet-a", "greedy", 197568, False, 1317120),
+    ("swiftnet-a", "greedy", 197568, True, 1317120),
+    ("swiftnet-a", "greedy", 223440, False, 1317120),
+    ("swiftnet-a", "greedy", 223440, True, 1317120),
+    ("swiftnet-b", "greedy", 86240, False, 297920),
+    ("swiftnet-b", "greedy", 86240, True, 297920),
+]
+
+
+@lru_cache(maxsize=None)
+def _suite_model(key, strategy):
+    return CompilationPipeline(strategy).compile(get_cell(key).factory())
+
+
+class TestPartialWritebacks:
+    @pytest.mark.parametrize(
+        "key,strategy,cap,prefetch,old_bytes", _PARTIAL_WRITEBACKS
+    )
+    def test_whole_buffer_staging_moves_only_written_bytes(
+        self, key, strategy, cap, prefetch, old_bytes
+    ):
+        from repro.runtime import random_feeds
+
+        model = _suite_model(key, strategy)
+        px = model.executor(seed=0, capacity_bytes=cap, prefetch=prefetch)
+        try:
+            report = px.shadow_check()
+            assert report.ok and len(report) == 0, report.summary()
+            px.run(random_feeds(model.graph, seed=0))
+            assert 0 < px.last_stats.spill_bytes_total <= old_bytes
+        finally:
+            px.close()

@@ -184,7 +184,7 @@ class TestArtifactRoundTrip:
         px = model.executor(capacity_bytes=model.arena_bytes)
         px.run(random_feeds(model.graph))
         assert px.spill is not None and px.spill.is_trivial
-        assert px.traffic_report().eliminated
+        assert px.last_stats.traffic.eliminated
 
     def test_format_versioned(self, tmp_path, diamond_graph):
         model = CompilationPipeline("kahn").compile(diamond_graph)

@@ -97,7 +97,7 @@ class TestStallHiddenAccounting:
             assert px.prefetch_active
             assert stats.prefetch_lead > 0
             assert stats.spill_hidden_s > 0.0
-            report = px.traffic_report()
+            report = stats.traffic
             assert report.hidden_s == stats.spill_hidden_s
             assert 0.0 < report.hidden_fraction <= 1.0
         finally:
@@ -112,7 +112,7 @@ class TestStallHiddenAccounting:
             assert stats.prefetch_lead == 0
             assert stats.spill_hidden_s == 0.0
             assert stats.spill_stall_s > 0.0
-            assert px.traffic_report().hidden_fraction == 0.0
+            assert stats.traffic.hidden_fraction == 0.0
         finally:
             px.close()
 

@@ -109,7 +109,7 @@ class TestSpillParityMatrix:
                     sample = got[name] if n == 1 else got[name][b]
                     np.testing.assert_array_equal(want[b][name], sample)
         stats = px.last_stats
-        assert stats.capacity_bytes == spill.capacity_bytes
+        assert stats.traffic.capacity_bytes == spill.capacity_bytes
         assert stats.measured_peak_bytes <= spill.capacity_bytes
         if spill.is_trivial:
             assert stats.spill_bytes_total == 0
@@ -189,7 +189,7 @@ class TestTiledParityMatrix:
             for name in want[0]:
                 np.testing.assert_array_equal(want[0][name], got[name])
         stats = px.last_stats
-        assert stats.tile_bytes == TILE_BYTES
+        assert stats.traffic.tile_bytes == TILE_BYTES
         assert stats.spill_bytes_total > 0
         assert stats.measured_peak_bytes <= spill.capacity_bytes
         if lead:
@@ -220,7 +220,7 @@ class TestTiledParityMatrix:
                     sample = got[name] if n == 1 else got[name][b]
                     np.testing.assert_array_equal(want[b][name], sample)
         stats = px.last_stats
-        assert stats.tile_bytes == TILE_BYTES
+        assert stats.traffic.tile_bytes == TILE_BYTES
         assert stats.spill_bytes_total > 0
         assert stats.spill_bytes_total % n == 0
 
@@ -264,7 +264,7 @@ class TestTiledParityMatrix:
         )
         feeds, _, _ = _references(cell, 1)
         px.run(feeds[0])
-        report = px.traffic_report()
+        report = px.last_stats.traffic
         assert report.tile_bytes == TILE_BYTES
         assert report.total_bytes == px.last_stats.spill_bytes_total
 
@@ -443,12 +443,12 @@ class TestSpillSemantics:
         )
         feeds, _, _ = _references(cell, 1)
         px.run(feeds[0])
-        report = px.traffic_report()
         stats = px.last_stats
+        report = stats.traffic
         assert report.capacity_bytes == spill.capacity_bytes
         assert report.policy == spill.policy
-        assert report.bytes_in == stats.spill_bytes_in
-        assert report.bytes_out == stats.spill_bytes_out
+        assert report.bytes_in > 0 and report.bytes_out > 0
+        assert report.bypass_bytes == 0 and report.accesses > 0
         assert report.total_bytes == stats.spill_bytes_total
         assert report.fetches == stats.spill_fetches
         assert report.writebacks == stats.spill_writebacks
@@ -462,20 +462,10 @@ class TestSpillSemantics:
         )
         feeds, _, _ = _references(cell, 1)
         px.run(feeds[0])
-        report = px.traffic_report()
+        report = px.last_stats.traffic
         assert report.eliminated
         assert report.policy == "resident"
-
-    def test_traffic_report_requires_a_run(self, spill_suite):
-        from repro.exceptions import ExecutionError
-
-        cell = spill_suite("randwire-c10-b")
-        px = PlanExecutor(
-            cell["graph"], cell["schedule"], cell["plan"],
-            params=cell["params"],
-        )
-        with pytest.raises(ExecutionError, match="no run"):
-            px.traffic_report()
+        assert report.capacity_bytes == cell["plan"].arena_bytes
 
     def test_aliased_home_slots_rejected(self, spill_suite):
         """A corrupt plan whose home slots overlap must fail at

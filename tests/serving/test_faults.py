@@ -161,13 +161,13 @@ class TestChaosAcceptance:
         assert report.verified is True
         # the scheduler returned to the full shard count
         assert all(s.alive for s in report.shard_stats)
-        assert report.breaker_trips == 0
+        assert not any(s.failed for s in report.shard_stats)
         # counters match the injected schedule exactly
-        assert report.restarts == plan.kills() == 2
-        assert report.shed == 0
-        assert report.expired == 0
+        assert report.stats.restarts == plan.kills() == 2
+        assert report.stats.shed == 0
+        assert report.stats.expired == 0
         # recovery implies work was actually retried and rerouted
-        assert report.retries >= 1
+        assert report.stats.retries >= 1
         assert all(s.incarnation == 1 for s in report.shard_stats)
 
     def test_retried_requests_surface_attempts(self, registry):
@@ -436,6 +436,30 @@ class TestSubmitRobustness:
             with pytest.raises(ServingError, match="dead"):
                 server.submit(model, feeds)
 
+    def test_retry_loop_expiry_counted_once(self, registry):
+        """A deadline that runs out while the request waits in the
+        retry loop fails it on no shard: the front end counts that
+        error and expiry itself, exactly once."""
+        import os
+        import signal as _signal
+
+        with make_scheduler(
+            registry, supervise=False, retries=3, retry_backoff_s=0.5
+        ) as server:
+            model = model_on_shard(server, 0)
+            handle = server._handles[0]
+            os.kill(handle.pid, _signal.SIGKILL)
+            assert wait_until(lambda: not handle.alive)
+            feeds = random_feeds(registry.get(model).graph, seed=14)
+            future = server.submit(model, feeds, deadline_s=0.1)
+            with pytest.raises(DeadlineExceededError, match="attempt"):
+                future.result(timeout=30)
+            stats = server.stats()
+            assert (stats.errors, stats.expired) == (1, 1)
+            assert stats.retries == 0  # the retry never dispatched
+            shards = server.shard_stats(refresh=False)
+            assert sum(s.errors + s.expired for s in shards) == 0
+
 
 class TestLoadgenFaultPlumbing:
     def test_faults_require_multiple_shards(self, registry):
@@ -458,9 +482,9 @@ class TestLoadgenFaultPlumbing:
             retries=4,
         )
         assert report.errors == 0
-        assert report.restarts == 0
-        assert report.retries == 0
-        assert report.expired == 0
-        assert report.shed == 0
+        assert report.stats.restarts == 0
+        assert report.stats.retries == 0
+        assert report.stats.expired == 0
+        assert report.stats.shed == 0
         summary = report.summary()
         assert "self-healing" not in summary  # quiet when nothing healed

@@ -295,9 +295,9 @@ class TestStackedBatching:
         )
         assert report.errors == 0
         assert report.verified is True
-        assert report.mean_batch > 1.0
+        assert report.stats.mean_batch > 1.0
         assert report.batch_size == 8
-        assert report.pool.preloads == 2
+        assert report.stats.pool.preloads == 2
 
 
 class TestConcurrentServing:
@@ -316,7 +316,7 @@ class TestConcurrentServing:
         assert report.errors == 0
         assert report.verified is True
         assert len(report.models) == 2
-        assert report.pool.hit_rate > 0.0
+        assert report.stats.pool.hit_rate > 0.0
         assert report.rps > 0
 
     def test_budgeted_run_with_eviction_still_bitwise(self, registry):
@@ -341,11 +341,11 @@ class TestConcurrentServing:
             registry, requests=12, clients=3, workers=2, verify=True
         )
         assert report.verified is True
-        assert report.errors == 0 and report.pool.hits > 0
+        assert report.errors == 0 and report.stats.pool.hits > 0
 
     def test_stats_percentiles_ordered(self, registry):
         report = run_load(registry, requests=16, clients=2, workers=2)
-        assert 0.0 < report.p50_ms <= report.p99_ms
+        assert 0.0 < report.stats.p50_s <= report.stats.p99_s
 
 
 class TestErrorPaths:
@@ -525,21 +525,39 @@ class TestErrorPaths:
         assert len(stats.latencies_s) == 2  # the error's latency counts
 
     def test_plan_execution_stats_fields_pinned_for_serving(self):
-        """The scheduler reads these PlanExecutionStats names directly;
-        renaming them must break loudly here, not silently zero the
-        serving stats."""
+        """The scheduler and the benchmarks read these PlanExecutionStats
+        names directly; renaming them must break loudly here, not
+        silently zero the serving stats. Run traffic is one
+        TrafficReport; the spill names are views of it."""
         from dataclasses import fields
 
+        from repro.memsim import TrafficReport
         from repro.runtime.plan_executor import PlanExecutionStats
 
-        names = {f.name for f in fields(PlanExecutionStats)}
-        assert {
-            "measured_peak_bytes",
-            "arena_reused",
-            "spill_stall_s",
-            "spill_hidden_s",
-        } <= names
-        assert isinstance(PlanExecutionStats.spill_bytes_total, property)
+        by_name = {f.name: f for f in fields(PlanExecutionStats)}
+        assert {"steps", "measured_peak_bytes", "arena_reused"} <= set(
+            by_name
+        )
+        assert by_name["traffic"].type in (TrafficReport, "TrafficReport")
+        views = {
+            "spill_stall_s": "stall_s",
+            "spill_hidden_s": "hidden_s",
+            "spill_fetches": "fetches",
+            "spill_writebacks": "writebacks",
+            "spill_bytes_total": "total_bytes",
+        }
+        traffic = TrafficReport(
+            capacity_bytes=1, policy="belady", bytes_in=3, bytes_out=4,
+            fetches=5, writebacks=6, bypass_bytes=0, accesses=7,
+            stall_s=0.5, hidden_s=0.25,
+        )
+        stats = PlanExecutionStats(
+            steps=1, arena_bytes=1, measured_peak_bytes=1, traffic=traffic
+        )
+        for view, name in views.items():
+            assert view not in by_name
+            assert isinstance(getattr(PlanExecutionStats, view), property)
+            assert getattr(stats, view) == getattr(traffic, name)
 
 
 class TestDeadlines:

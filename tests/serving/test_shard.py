@@ -186,9 +186,9 @@ class TestShardedServing:
             assert s.requests == 6
             # warm-arena reuse inside each shard: preloaded once, then
             # every request hit the pooled arena
-            assert s.pool is not None
-            assert s.pool.preloads == 1
-            assert s.pool.hits > 0
+            assert s.served.pool is not None
+            assert s.served.pool.preloads == 1
+            assert s.served.pool.hits > 0
             assert s.req_ring_peak >= 1
 
     def test_output_subset_crosses_the_ring(self, registry):
@@ -233,6 +233,37 @@ class TestShardedServing:
         assert len(stats.latencies_s) == 10
         assert stats.pool is not None
         assert stats.pool.misses >= 2  # one cold build per shard
+
+    def test_stats_are_the_shards_summed_once(self, registry):
+        """stats() is the front end's counts plus the sum of the
+        shards' own snapshots — every request, run, byte and pool event
+        counted once, whichever process saw it."""
+        from dataclasses import fields
+
+        from repro.serving.pool import PoolStats
+
+        with ShardedScheduler(
+            registry, shards=2, workers=1, preload=True
+        ) as server:
+            for i in range(24):
+                name = registry.names()[i % 2]
+                feeds = random_feeds(registry.get(name).graph, seed=i)
+                server.submit(name, feeds).result(timeout=60)
+            stats = server.stats()
+            shards = server.shard_stats(refresh=False)
+        served = [s.served for s in shards]
+        assert stats.requests == sum(s.requests for s in shards) == 24
+        assert sum(s.requests for s in served) == 24
+        assert stats.errors == sum(s.errors for s in shards) == 0
+        assert len(stats.latencies_s) == 24
+        assert all(s.latencies_s == () for s in served)
+        assert stats.batches == sum(s.batches for s in served) >= 2
+        assert stats.spill_bytes == sum(s.spill_bytes for s in served)
+        for f in fields(PoolStats):
+            assert getattr(stats.pool, f.name) == sum(
+                getattr(s.pool, f.name) for s in served
+            ), f.name
+        assert stats.pool.preloads == 2
 
 
 class TestLifecycle:

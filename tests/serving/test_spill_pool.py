@@ -169,7 +169,7 @@ class TestTileStreamingAdmission:
             ref = Executor(graph, params=executor.params).run(feeds)
             for k in ref:
                 np.testing.assert_array_equal(ref[k], got[k])
-            assert executor.last_stats.tile_bytes == self.TILE
+            assert executor.last_stats.traffic.tile_bytes == self.TILE
             assert executor.last_stats.spill_bytes_total > 0
         finally:
             pool.release(name, executor)
@@ -191,7 +191,7 @@ class TestTileStreamingAdmission:
         assert report.errors == 0
         assert report.verified is True
         assert report.tile_bytes == self.TILE
-        assert report.spill_bytes > 0
+        assert report.stats.spill_bytes > 0
 
     def test_untiled_report_has_no_tile_bytes(self, registry):
         report = run_load(
@@ -216,31 +216,61 @@ class TestServingStatsSurface:
         assert report.errors == 0
         assert report.verified is True
         assert report.spill == "auto"
-        assert report.spill_bytes > 0
-        assert report.pool.spilled_builds >= 1
+        assert report.stats.spill_bytes > 0
+        assert report.stats.pool.spilled_builds >= 1
         assert "off-chip spill traffic" in report.summary()
 
     def test_request_stats_carry_spill_bytes(self, registry):
+        """Traffic is run-level: the ServingStats a request is served
+        under counts it once per executor run, exactly what the
+        executor moved; the per-request record carries none."""
         budget = _tight_budget(registry)
         pool = ArenaPool(registry, budget, spill="auto")
         name = registry.names()[0]
         graph = registry.get(name).graph
         with RequestScheduler(registry, pool, workers=1) as server:
-            result = server.submit(
-                name, random_feeds(graph, seed=0)
-            ).result(timeout=30)
-            assert result.stats.spill_bytes > 0
-            stats = server.stats()
-        assert stats.spill_bytes >= result.stats.spill_bytes
+            for seed in (0, 1):
+                result = server.submit(
+                    name, random_feeds(graph, seed=seed)
+                ).result(timeout=30)
+        stats = server.stats()
+        with pool.lease(name) as executor:
+            per_run = executor.last_stats.spill_bytes_total
+        assert per_run > 0
+        assert stats.batches == 2 and stats.spill_bytes == 2 * per_run
+        assert not hasattr(result.stats, "spill_bytes")
         pool.close()
+
+    def test_sharded_spill_accounting_matches_in_process(self, registry):
+        """One spilled workload served in-process and over two shards
+        reports the same counters: each run is counted once, in the
+        process that ran it, and the shards' snapshots add up."""
+        name = registry.names()[0]
+        model = registry.get(name)
+        single = ModelRegistry()
+        single.register(model, name=name)
+        budget = model.spill_floor_bytes + 16
+        assert budget < model.arena_bytes
+        inproc, sharded = (
+            run_load(
+                single, requests=12, clients=2, max_batch=1,
+                budget=budget, spill="auto", shards=shards,
+            ).stats
+            for shards in (1, 2)
+        )
+        assert inproc.spill_bytes > 0
+        for stats in (inproc, sharded):
+            assert (stats.requests, stats.batches, stats.errors) == (12, 12, 0)
+        assert sharded.spill_bytes == inproc.spill_bytes
+        assert sharded.pool.spilled_builds == inproc.pool.spilled_builds == 1
 
     def test_never_mode_reports_zero_spill(self, registry):
         report = run_load(
             registry, requests=8, clients=2, workers=1, max_batch=1
         )
         assert report.spill == "never"
-        assert report.spill_bytes == 0
-        assert report.pool.spilled_builds == 0
+        assert report.stats.spill_bytes == 0
+        assert report.stats.pool.spilled_builds == 0
         assert "off-chip spill traffic" not in report.summary()
 
 
