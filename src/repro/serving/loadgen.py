@@ -185,7 +185,6 @@ def run_load(
     deadline_s: float | None = None,
     retries: int = 0,
     max_inflight: int | None = None,
-    supervise: bool = True,
     faults: FaultPlan | None = None,
 ) -> LoadReport:
     """Drive ``requests`` inferences from ``clients`` concurrent threads.
@@ -223,8 +222,8 @@ def run_load(
     errors and in ``LoadReport.stats.expired``); sharded runs also honor
     ``retries`` (retry-with-reroute on shard death), ``max_inflight``
     (per-shard cap, excess shed as
-    :class:`~repro.exceptions.OverloadedError`), ``supervise`` (dead
-    and wedged shards respawn), and ``faults`` — a deterministic
+    :class:`~repro.exceptions.OverloadedError`), and ``faults`` — a
+    deterministic
     :class:`~repro.serving.faults.FaultPlan` injected into the workers,
     which is how the chaos acceptance test
     (``tests/serving/test_faults.py``) proves the self-healing counters.
@@ -261,7 +260,6 @@ def run_load(
             deadline_s=deadline_s,
             retries=retries,
             max_inflight=max_inflight,
-            supervise=supervise,
             faults=faults,
         )
     else:

@@ -37,20 +37,27 @@ or mid-load — fails fast: its in-flight futures error with
 :class:`~repro.exceptions.ServingError` instead of hanging, and other
 shards keep serving.
 
-The scheduler is also **self-healing** (``supervise=True``, default):
+The front end runs **one control thread** (``shard-control``): it
+waits on every child pipe through one selector, and between messages
+runs a timer heap (retries, respawns) and a supervision tick. It never
+blocks — a respawn only spawns; the child's ready message arrives like
+any other. Client threads write the ring and send on the pipe
+themselves. The scheduler is **self-healing** (``supervise=True``):
 
-* a supervisor thread detects dead shards (process exit) and *wedged*
-  ones (alive but no heartbeat for ``wedge_timeout_s``) and respawns
-  them with jittered exponential backoff — same rings, fresh slot
-  window, warm preload of the models currently routed there;
+* a pipe reaching EOF is a dead shard; the tick SIGKILLs a *wedged*
+  one (alive but no heartbeat for ``wedge_timeout_s``) or one that
+  missed its ready deadline, so every failure takes the EOF path. Dead
+  shards respawn with jittered exponential backoff — same rings, fresh
+  slot window, warm preload of the models currently routed there;
 * K rapid failures in a row trip a crash-loop **circuit breaker**: the
   shard is marked permanently failed and removed from the rendezvous
   routing, so its models rehash onto the survivors (HRW makes that
   minimal-movement by construction) and service continues;
-* requests carry **deadlines** (swept in flight by the supervisor,
-  shed pre-compute in the worker) and are **retried** with reroute
-  when the shard under them dies (``retries=N``, bounded, jittered,
-  surfaced in ``RequestStats.attempts``), while per-shard in-flight
+* requests carry **deadlines** (swept by the tick in flight, never
+  outwaited by a pending retry, shed pre-compute in the worker) and
+  are **retried** with reroute when the shard under them dies
+  (``retries=N``, bounded, jittered, surfaced in
+  ``RequestStats.attempts``), while per-shard in-flight
   caps (``max_inflight``) turn unbounded blocking into immediate typed
   :class:`~repro.exceptions.OverloadedError` rejections;
 * every recovery action is counted once, on the shard it happened to
@@ -66,9 +73,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 import operator
 import os
 import random
+import selectors
 import shutil
 import signal
 import tempfile
@@ -684,9 +693,10 @@ class ShardStats:
         return asdict(self)
 
 
-@dataclass
-class _PendingRequest:
-    """One client request across all its submission attempts."""
+@dataclass(eq=False)
+class _Request:
+    """One client request across all its submission attempts: its
+    deadline, its retry budget, and where the live attempt runs."""
 
     model: str
     feeds: Mapping[str, np.ndarray]
@@ -698,20 +708,11 @@ class _PendingRequest:
     deadline: float | None
     retries_left: int
     attempts: int = 0
+    #: the shard the latest attempt went to
+    shard: int = -1
 
-    def expired(self, now: float | None = None) -> bool:
-        if self.deadline is None:
-            return False
-        return (time.monotonic() if now is None else now) >= self.deadline
-
-
-@dataclass
-class _Inflight:
-    """One attempt of a pending request, live on a specific shard."""
-
-    pending: _PendingRequest
-    shard: int
-    req_slot: int
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
 
 class _ShardHandle:
@@ -735,7 +736,6 @@ class _ShardHandle:
         self.alive = False
         self.byed = False
         self.send_lock = threading.Lock()
-        self.receiver: threading.Thread | None = None
         # front-end accounting (guarded by the scheduler's lock)
         self.completed = 0
         self.errors = 0
@@ -748,15 +748,17 @@ class _ShardHandle:
         )
         self.queue_depth = 0
         self.resp_ring_peak = 0
-        # --- supervision state (touched by the supervisor thread) ---
+        # --- supervision state (touched by the control thread) ---
         #: which life of the process is (or was) running
         self.incarnation = 0
         #: monotonic time of the last message received from the child
         self.last_hb = 0.0
         #: monotonic time the current incarnation reported ready
         self.last_ready = 0.0
-        #: when the next respawn attempt is due (None = not scheduled)
-        self.restart_due: float | None = None
+        #: monotonic time by which the current incarnation must report
+        #: ready, and why it never did (start() raises that)
+        self.ready_by = math.inf
+        self.failure: str | None = None
         #: consecutive rapid failures (crash-loop strikes)
         self.strikes = 0
         #: completed respawns
@@ -906,11 +908,13 @@ class ShardedScheduler:
             shards,
         )
         self._lock = threading.Lock()
+        #: start() waits on it for every shard's ready (or a failure)
+        self._ready = threading.Condition(self._lock)
         self._req_ids = itertools.count()
-        self._inflight: dict[int, _Inflight] = {}
+        self._inflight: dict[int, _Request] = {}
         self._latencies: list[float] = []
         #: failures no shard is charged with (e.g. a deadline expiring
-        #: in the retry loop); everything else counts on its handle
+        #: while a retry waits); everything else counts on its handle
         self._errors = 0
         self._expired = 0
         self._stats_waiters: dict[int, tuple[threading.Event, list]] = {}
@@ -920,15 +924,14 @@ class ShardedScheduler:
         self._started = False
         self._closed = False
         self._finalizer: weakref.finalize | None = None
-        # retry machinery: a due-time heap drained by one daemon thread;
-        # the condition shares self._lock so heap and counters stay
-        # consistent under one mutex
-        self._retry_cond = threading.Condition(self._lock)
-        self._retry_heap: list[tuple[float, int, _PendingRequest, Exception]] = []
-        self._retry_seq = itertools.count()
+        #: (due, seq, action, arg) timers — retries and respawns — run
+        #: by the control thread; pushed under self._lock
+        self._timers: list[tuple[float, int, Any, Any]] = []
+        self._timer_seq = itertools.count()
         self._rng = random.Random(seed ^ 0x5EED)
-        self._supervisor: threading.Thread | None = None
-        self._retryer: threading.Thread | None = None
+        #: every live child pipe, registered at spawn, dropped at EOF
+        self._selector: selectors.BaseSelector | None = None
+        self._control: threading.Thread | None = None
         self._paths: dict[str, str] = {}
         self._slot_bytes = 0
 
@@ -956,6 +959,13 @@ class ShardedScheduler:
         return paths
 
     def start(self) -> "ShardedScheduler":
+        """Spawn every shard, start the control thread, and block until
+        each shard reports ready — or raise why one did not.
+
+        A worker that dies during startup (artifact load failure, OOM
+        during preload, import crash) must surface as a clear error
+        here, never as futures that hang later.
+        """
         if self._started:
             return self
         if self._closed:
@@ -971,6 +981,7 @@ class ShardedScheduler:
         for name, shard in self.routing.items():
             by_shard[shard].append(name)
         segment_names: list[str] = []
+        self._selector = selectors.DefaultSelector()
         try:
             for shard in range(self.shards):
                 models = tuple(sorted(by_shard[shard]))
@@ -983,25 +994,33 @@ class ShardedScheduler:
                 # rings down (and unlinks them) with everything else
                 self._handles.append(handle)
                 self._spawn_child(handle)
-            self._await_ready()
+            self._control = threading.Thread(
+                target=self._control_loop, name="shard-control", daemon=True
+            )
+            self._control.start()
+            with self._lock:
+                self._ready.wait_for(
+                    lambda: all(h.alive for h in self._handles)
+                    or any(h.failure for h in self._handles)
+                )
+                failed = next((h for h in self._handles if h.failure), None)
+                # set under the lock the control thread reads it under:
+                # a shard dying from here on is respawned, not a failed
+                # start
+                self._started = failed is None
+            if failed is not None:
+                failed.process.join(timeout=5.0)
+                raise ServingError(
+                    f"shard {failed.shard} {failed.failure} (exit code "
+                    f"{failed.process.exitcode}, models {list(failed.models)})"
+                )
         except BaseException:
             self._closed = True
-            self._teardown(force=True)
+            self._teardown()
             raise
         self._finalizer = weakref.finalize(
             self, _unlink_segments, segment_names
         )
-        for handle in self._handles:
-            self._start_receiver(handle)
-        self._started = True
-        self._supervisor = threading.Thread(
-            target=self._supervisor_loop, name="shard-supervisor", daemon=True
-        )
-        self._supervisor.start()
-        self._retryer = threading.Thread(
-            target=self._retry_loop, name="shard-retry", daemon=True
-        )
-        self._retryer.start()
         return self
 
     def _make_cfg(self, handle: _ShardHandle) -> _ShardConfig:
@@ -1034,8 +1053,10 @@ class ShardedScheduler:
         )
 
     def _spawn_child(self, handle: _ShardHandle) -> None:
-        """Fork/spawn one worker process and wire its pipe into
-        ``handle`` (used by first start and by respawn alike)."""
+        """Fork/spawn one worker process, wire its pipe into ``handle``
+        and register it with the control thread's selector (used by
+        first start and by respawn alike). Returns without waiting: the
+        child's ``("ready",)`` arrives through the selector."""
         parent_conn, child_conn = _MP.Pipe()
         cfg = self._make_cfg(handle)
         process = _MP.Process(
@@ -1046,81 +1067,12 @@ class ShardedScheduler:
         )
         process.start()
         child_conn.close()
-        with handle.send_lock:
-            old_conn = handle.conn
-            handle.conn = parent_conn
-        if old_conn is not None:
-            try:
-                old_conn.close()
-            except OSError:
-                pass
+        handle.conn = parent_conn
         handle.process = process
         handle.byed = False
-
-    def _start_receiver(self, handle: _ShardHandle) -> None:
-        handle.receiver = threading.Thread(
-            target=self._receiver_loop,
-            args=(handle, handle.conn),
-            name=f"shard-recv-{handle.shard}-i{handle.incarnation}",
-            daemon=True,
-        )
-        handle.receiver.start()
-
-    def _await_ready(self) -> None:
-        """Block until every shard reports ready — or explain why not.
-
-        A worker that dies during startup (artifact load failure, OOM
-        during preload, import crash) must surface as a clear error
-        here, never as futures that hang later.
-        """
-        deadline = time.monotonic() + self.start_timeout
-        for handle in self._handles:
-            error = self._wait_ready(handle, deadline)
-            if error is not None:
-                raise ServingError(error)
-
-    def _wait_ready(self, handle: _ShardHandle, deadline: float) -> str | None:
-        """Wait for one shard's ready message; ``None`` on success, an
-        error description otherwise (initial start raises it, respawn
-        treats it as another crash-loop strike)."""
-        while True:
-            if self._closed:
-                return f"shard {handle.shard} start aborted by shutdown"
-            if handle.conn.poll(0.1):
-                try:
-                    msg = handle.conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-                if msg is not None and msg[0] == "ready":
-                    handle.pid = msg[1]
-                    now = time.monotonic()
-                    handle.last_hb = now
-                    handle.last_ready = now
-                    handle.alive = True
-                    return None
-                if msg is not None and msg[0] == "hb":
-                    continue
-                detail = (
-                    f": {msg[1]}" if msg is not None and msg[0] == "fatal"
-                    else ""
-                )
-                handle.process.join(timeout=5.0)
-                return (
-                    f"shard {handle.shard} died during startup"
-                    f"{detail} (exit code {handle.process.exitcode}, "
-                    f"models {list(handle.models)})"
-                )
-            if not handle.process.is_alive():
-                return (
-                    f"shard {handle.shard} died during startup "
-                    f"(exit code {handle.process.exitcode}, models "
-                    f"{list(handle.models)})"
-                )
-            if time.monotonic() > deadline:
-                return (
-                    f"shard {handle.shard} did not become ready "
-                    f"within {self.start_timeout}s"
-                )
+        handle.failure = None
+        handle.ready_by = time.monotonic() + self.start_timeout
+        self._selector.register(parent_conn, selectors.EVENT_READ, handle)
 
     def shutdown(self, wait: bool = True) -> None:
         """Drain every shard, stop the workers, unlink all segments.
@@ -1132,8 +1084,6 @@ class ShardedScheduler:
                 return
             self._closed = True
             self._started = False
-            # wake the retry thread so it can fail its pending requests
-            self._retry_cond.notify_all()
         for handle in self._handles:
             if handle.alive:
                 try:
@@ -1147,38 +1097,40 @@ class ShardedScheduler:
                     handle.process.join(
                         timeout=max(0.1, deadline - time.monotonic())
                     )
-        self._teardown(force=True)
+        self._teardown()
 
     close = shutdown
 
-    def _teardown(self, force: bool) -> None:
-        current = threading.current_thread()
-        for thread in (self._supervisor, self._retryer):
-            if thread is not None and thread is not current:
-                thread.join(timeout=10.0)
-        self._supervisor = None
-        self._retryer = None
+    def _teardown(self) -> None:
+        # every child dead means every pipe reaches EOF, which is what
+        # lets the control thread drain its last messages and exit
         for handle in self._handles:
-            if handle.process is not None and handle.process.is_alive():
-                if force:
-                    handle.process.terminate()
-                    handle.process.join(timeout=5.0)
+            process = handle.process
+            if process is not None and process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+                if process.is_alive():
+                    process.kill()
+                    process.join(timeout=5.0)
+        if self._control is not None:
+            if self._control is not threading.current_thread():
+                self._control.join(timeout=10.0)
+            self._control = None
+        for handle in self._handles:
             handle.alive = False
             handle.req_slots.kill()
             if handle.conn is not None:
-                try:
+                with handle.send_lock:
                     handle.conn.close()
-                except OSError:
-                    pass
-            if (
-                handle.receiver is not None
-                and handle.receiver is not threading.current_thread()
-            ):
-                handle.receiver.join(timeout=5.0)
+            if handle.process is not None and handle.process.exitcode is not None:
+                # frees the process's own pipe fds now, not at GC
+                handle.process.close()
             handle.req_ring.close()
             handle.resp_ring.close()
             handle.req_ring.unlink()
             handle.resp_ring.unlink()
+        if self._selector is not None:
+            self._selector.close()
         self._fail_inflight(
             None, ServingError("sharded scheduler shut down")
         )
@@ -1223,9 +1175,10 @@ class ShardedScheduler:
         ``deadline_s`` (default: the scheduler's) bounds the request
         end to end: past it, the future fails with
         :class:`~repro.exceptions.DeadlineExceededError` — whether the
-        request is queued in the child (shed before compute) or in
-        flight on a dead shard (swept by the supervisor). ``retries``
-        (default: the scheduler's) resubmits the request — rerouted
+        request is queued in the child (shed before compute), in flight
+        on a dead or wedged shard (swept by the control thread), or
+        waiting to retry. ``retries`` (default: the scheduler's)
+        resubmits the request — rerouted
         through the *current* routing table — when a shard dies or
         drains with it in flight; the attempt count is surfaced in
         ``result.stats.attempts``. With ``retries == 0`` a dead shard
@@ -1238,7 +1191,7 @@ class ShardedScheduler:
             deadline_s = self.deadline_s
         if retries is None:
             retries = self.retries
-        pending = _PendingRequest(
+        request = _Request(
             model=model,
             feeds=feeds,
             outputs=list(outputs) if outputs is not None else None,
@@ -1250,39 +1203,42 @@ class ShardedScheduler:
             retries_left=retries,
         )
         try:
-            self._send_attempt(pending)
+            self._send_attempt(request)
         except ShardFailedError as exc:
             # dying shard on the FIRST attempt: with retries budgeted,
             # absorb it — schedule the retry and hand back the future
-            if pending.retries_left > 0 and not pending.expired():
-                self._schedule_retry(pending, exc)
+            if request.retries_left > 0 and not request.expired():
+                self._schedule_retry(request, exc)
             else:
                 raise
-        return pending.future
+        return request.future
 
-    def _send_attempt(self, pending: _PendingRequest, retry: bool = False) -> None:
-        """One submission attempt of ``pending`` to its current shard.
+    def _send_attempt(self, request: _Request, retry: bool = False) -> None:
+        """One submission attempt of ``request`` to its current shard.
 
-        Raises :class:`~repro.exceptions.ShardFailedError` (retryable),
+        Runs on the submitting client thread, or on the control thread
+        for a retry — which must not block, so it takes a ring slot
+        only if one is free right now. Raises
+        :class:`~repro.exceptions.ShardFailedError` (retryable),
         :class:`~repro.exceptions.OverloadedError` (shed), or plain
         :class:`~repro.exceptions.ServingError`. Every failure path
         releases anything it acquired — most importantly the ring slot,
         which used to leak if the pipe send raised."""
-        pending.attempts += 1
+        request.attempts += 1
         if not self._started or self._closed:
             raise ServingError(
                 "sharded scheduler is not running (call start())"
             )
-        shard = self.route(pending.model)
+        shard = self.route(request.model)
         handle = self._handles[shard]
         if handle.failed:
             raise ShardFailedError(
                 f"shard {shard} is dead (circuit breaker open); requests "
-                f"for {pending.model!r} cannot be served"
+                f"for {request.model!r} cannot be served"
             )
         if not handle.alive:
             raise ShardFailedError(
-                f"shard {shard} is dead; requests for {pending.model!r} "
+                f"shard {shard} is dead; requests for {request.model!r} "
                 "cannot be served"
             )
         if self.max_inflight is not None:
@@ -1292,27 +1248,30 @@ class ShardedScheduler:
                     raise OverloadedError(
                         f"shard {shard} is at its in-flight cap "
                         f"({self.max_inflight}); request for "
-                        f"{pending.model!r} shed"
+                        f"{request.model!r} shed"
                     )
         if retry:
             with self._lock:
                 handle.retries += 1
         try:
-            req_slot = handle.req_slots.acquire(timeout=self.submit_timeout)
+            req_slot = handle.req_slots.acquire(
+                timeout=0.0 if retry else self.submit_timeout
+            )
         except OverloadedError:
             with self._lock:
                 handle.shed += 1
             raise
         req_id = next(self._req_ids)
+        request.shard = shard
         try:
-            descs = handle.req_ring.write(req_slot, pending.feeds)
+            descs = handle.req_ring.write(req_slot, request.feeds)
             deadline_rem = (
                 None
-                if pending.deadline is None
-                else pending.deadline - time.monotonic()
+                if request.deadline is None
+                else request.deadline - time.monotonic()
             )
             with self._lock:
-                self._inflight[req_id] = _Inflight(pending, shard, req_slot)
+                self._inflight[req_id] = request
                 handle.inflight += 1
                 handle.inflight_peak = max(
                     handle.inflight_peak, handle.inflight
@@ -1322,8 +1281,8 @@ class ShardedScheduler:
                     (
                         "req",
                         req_id,
-                        pending.model,
-                        pending.outputs,
+                        request.model,
+                        request.outputs,
                         descs,
                         req_slot,
                         deadline_rem,
@@ -1341,154 +1300,92 @@ class ShardedScheduler:
             raise
 
     # ------------------------------------------------------------------
-    # retries
+    # the control thread: child pipes, timers, supervision
     # ------------------------------------------------------------------
-    def _retry_delay(self, attempts: int) -> float:
-        """Jittered exponential backoff for the Nth retry."""
-        base = self.retry_backoff_s * (2 ** max(0, attempts - 1))
-        return min(base, 2.0) * (0.5 + self._rng.random())
-
-    def _schedule_retry(
-        self, pending: _PendingRequest, exc: Exception
-    ) -> None:
-        """Queue ``pending`` for resubmission after a jittered delay.
-
-        Caller must NOT hold ``self._lock``. Consumes one retry."""
-        resolve_now = False
-        with self._retry_cond:
-            if self._closed:
-                resolve_now = True
-            else:
-                pending.retries_left -= 1
-                due = time.monotonic() + self._retry_delay(pending.attempts)
-                heapq.heappush(
-                    self._retry_heap,
-                    (due, next(self._retry_seq), pending, exc),
-                )
-                self._retry_cond.notify_all()
-        if resolve_now:
-            self._resolve_error(pending, exc)
-
-    def _retry_loop(self) -> None:
-        """Drain the retry heap: redispatch each due request through
-        the *current* routing (reroute is free: the breaker rewrites
-        ``self.routing`` and the next attempt follows it)."""
-        while True:
-            with self._retry_cond:
-                while True:
-                    if self._closed:
-                        drained = [
-                            (p, e) for (_, _, p, e) in self._retry_heap
-                        ]
-                        self._retry_heap.clear()
-                        break
-                    now = time.monotonic()
-                    if self._retry_heap and self._retry_heap[0][0] <= now:
-                        _, _, pending, exc = heapq.heappop(self._retry_heap)
-                        drained = None
-                        break
-                    timeout = (
-                        self._retry_heap[0][0] - now
-                        if self._retry_heap
-                        else None
-                    )
-                    self._retry_cond.wait(timeout=timeout)
-            if drained is not None:
-                for pending, exc in drained:
-                    self._resolve_error(
-                        pending,
-                        ServingError("sharded scheduler shut down"),
-                    )
-                return
-            if pending.future.done():
-                continue  # swept by the deadline sweeper meanwhile
-            if pending.expired():
-                self._resolve_error(
-                    pending,
-                    DeadlineExceededError(
-                        f"request for {pending.model!r} missed its deadline "
-                        f"after {pending.attempts} attempt(s)"
-                    ),
-                )
-                continue
-            try:
-                self._send_attempt(pending, retry=True)
-            except (ShardFailedError, OverloadedError) as exc2:
-                if pending.retries_left > 0 and not pending.expired():
-                    self._schedule_retry(pending, exc2)
-                else:
-                    self._resolve_error(pending, exc2)
-            except Exception as exc2:
-                self._resolve_error(pending, exc2)
-
-    # ------------------------------------------------------------------
-    # resolution (exactly-once per pending request)
-    # ------------------------------------------------------------------
-    def _resolve_result(
-        self,
-        pending: _PendingRequest,
-        handle: _ShardHandle,
-        outputs: dict[str, np.ndarray],
-        stats: RequestStats,
-    ) -> None:
-        if pending.future.done():
-            return
-        if not pending.future.set_running_or_notify_cancel():
-            return
-        if pending.attempts > 1:
-            stats = replace(stats, attempts=pending.attempts)
-        latency = time.perf_counter() - pending.enqueued_at
-        with self._lock:
-            handle.completed += 1
-            self._latencies.append(latency)
-        pending.future.set_result(
-            InferenceResult(outputs=outputs, stats=stats)
-        )
-
-    def _resolve_error(
-        self,
-        pending: _PendingRequest,
-        exc: Exception,
-        shard: int | None = None,
-    ) -> None:
-        if pending.future.done():
-            return
-        if not pending.future.set_running_or_notify_cancel():
-            return
-        latency = time.perf_counter() - pending.enqueued_at
-        expired = isinstance(exc, DeadlineExceededError)
-        with self._lock:
-            if shard is None:
-                self._errors += 1
-                self._expired += expired
-            else:
-                self._handles[shard].errors += 1
-                self._handles[shard].expired += expired
-            self._latencies.append(latency)
-        pending.future.set_exception(exc)
-
-    # ------------------------------------------------------------------
-    # supervision
-    # ------------------------------------------------------------------
-    def _supervisor_loop(self) -> None:
-        """Monitor thread: sweeps in-flight deadlines every tick and —
-        when ``supervise`` — detects dead/wedged shards, respawns them
-        with jittered exponential backoff, and trips the crash-loop
-        circuit breaker."""
+    def _control_loop(self) -> None:
+        """The front end's one thread: dispatch whatever the child
+        pipes deliver, run due timers, and tick. Nothing here blocks.
+        After close it reads on until every pipe hits EOF, so work the
+        children drain still resolves."""
         tick = min(0.05, self.heartbeat_s / 2.0)
-        while not self._closed:
-            self._sweep_deadlines()
-            if self.supervise:
-                now = time.monotonic()
-                for handle in self._handles:
-                    try:
-                        self._check_handle(handle, now)
-                    except Exception:
-                        # supervision must never die with the patient
-                        pass
-            time.sleep(tick)
+        next_tick = time.monotonic() + tick
+        while True:
+            timeout = next_tick - time.monotonic()
+            if self._timers:
+                timeout = min(timeout, self._timers[0][0] - time.monotonic())
+            for key, _ in self._selector.select(max(0.0, timeout)):
+                self._on_readable(key.data)
+            now = time.monotonic()
+            self._run_timers(now)
+            if now >= next_tick:
+                self._tick(now)
+                next_tick = now + tick
+            if self._closed and not self._selector.get_map():
+                break
+        self._run_timers(now)  # closed: fails every retry still waiting
 
-    def _sweep_deadlines(self) -> None:
+    def _on_readable(self, handle: _ShardHandle) -> None:
+        try:
+            msg = handle.conn.recv()
+        except (EOFError, OSError):
+            self._on_eof(handle)
+            return
+        handle.last_hb = time.monotonic()
+        kind = msg[0]
+        if kind == "res":
+            self._on_result(handle, *msg[1:])
+        elif kind == "err":
+            self._on_error(handle, *msg[1:])
+        elif kind == "stats_res":
+            self._on_stats(handle, msg[1], msg[2])
+        elif kind == "ready":
+            self._on_ready(handle, msg[1])
+        elif kind == "fatal":
+            handle.failure = f"died during startup: {msg[1]}"
+        elif kind == "bye":
+            handle.byed = True
+
+    def _at(self, due: float, action, arg) -> None:
+        """Run ``action(arg)`` on the control thread at monotonic
+        ``due`` (or the next tick). Caller must hold ``self._lock``."""
+        heapq.heappush(self._timers, (due, next(self._timer_seq), action, arg))
+
+    def _run_timers(self, now: float) -> None:
+        """Run every due timer — every timer at all once closed: a
+        retry then fails its request and a respawn does nothing."""
+        while self._timers:
+            with self._lock:
+                if self._timers[0][0] > now and not self._closed:
+                    return
+                _, _, action, arg = heapq.heappop(self._timers)
+            action(arg)
+
+    def _tick(self, now: float) -> None:
+        """Supervision step: sweep deadlines, then SIGKILL any child
+        that owes a message — a live one silent for ``wedge_timeout_s``
+        or one not ready by ``ready_by``; its EOF runs the death path."""
+        self._sweep_deadlines(now)
+        for handle in self._handles:
+            if handle.conn is None or handle.conn.closed:
+                continue  # dead, or its death already handled
+            if handle.alive:
+                if (
+                    not self.supervise
+                    or self.wedge_timeout_s is None
+                    or now - handle.last_hb <= self.wedge_timeout_s
+                ):
+                    continue
+                handle.last_hb = now  # one kill per wedge, not per tick
+            else:
+                if now <= handle.ready_by:
+                    continue
+                handle.ready_by = math.inf
+                handle.failure = handle.failure or (
+                    f"did not become ready within {self.start_timeout}s"
+                )
+            handle.process.kill()
+
+    def _sweep_deadlines(self, now: float) -> None:
         """Fail in-flight futures whose deadline passed — the guarantee
         that no client blocks past its deadline even when the shard
         under the request is wedged or mid-respawn. The ring slot is
@@ -1496,26 +1393,114 @@ class ShardedScheduler:
         the feed views lazily. It is reclaimed by the child's eventual
         response (popped entry, no-op resolve) or by the fresh slot
         window a respawn installs."""
-        now = time.monotonic()
         with self._lock:
             ripe = [
-                entry
-                for entry in self._inflight.values()
-                if entry.pending.deadline is not None
-                and entry.pending.deadline <= now
-                and not entry.pending.future.done()
+                request
+                for request in self._inflight.values()
+                if request.deadline is not None
+                and request.deadline <= now
+                and not request.future.done()
             ]
-        for entry in ripe:
-            self._resolve_error(
-                entry.pending,
+        for request in ripe:
+            self._resolve(
+                request,
                 DeadlineExceededError(
-                    f"request for {entry.pending.model!r} missed its "
-                    f"deadline in flight on shard {entry.shard} after "
-                    f"{entry.pending.attempts} attempt(s)"
+                    f"request for {request.model!r} missed its "
+                    f"deadline in flight on shard {request.shard} after "
+                    f"{request.attempts} attempt(s)"
                 ),
-                shard=entry.shard,
+                shard=request.shard,
             )
 
+    # ------------------------------------------------------------------
+    # retries
+    # ------------------------------------------------------------------
+    def _retry_delay(self, attempts: int) -> float:
+        """Jittered exponential backoff for the Nth retry."""
+        base = self.retry_backoff_s * (2 ** max(0, attempts - 1))
+        return min(base, 2.0) * (0.5 + self._rng.random())
+
+    def _schedule_retry(self, request: _Request, exc: Exception) -> None:
+        """Queue ``request`` for resubmission after a jittered delay —
+        or at its deadline, if that comes first. Consumes one retry.
+        Caller must NOT hold ``self._lock``."""
+        with self._lock:
+            closed = self._closed
+            if not closed:
+                request.retries_left -= 1
+                due = time.monotonic() + self._retry_delay(request.attempts)
+                if request.deadline is not None:
+                    due = min(due, request.deadline)
+                self._at(due, self._retry, request)
+        if closed:
+            self._resolve(request, exc)
+
+    def _retry(self, request: _Request) -> None:
+        """Redispatch one due request through the *current* routing
+        (reroute is free: the breaker rewrites ``self.routing`` and the
+        next attempt follows it)."""
+        if request.future.done():
+            return
+        if self._closed:
+            self._resolve(request, ServingError("sharded scheduler shut down"))
+            return
+        if request.expired():
+            self._resolve(
+                request,
+                DeadlineExceededError(
+                    f"request for {request.model!r} missed its deadline "
+                    f"after {request.attempts} attempt(s)"
+                ),
+            )
+            return
+        try:
+            self._send_attempt(request, retry=True)
+        except (ShardFailedError, OverloadedError) as exc:
+            if request.retries_left > 0 and not request.expired():
+                self._schedule_retry(request, exc)
+            else:
+                self._resolve(request, exc)
+        except Exception as exc:
+            self._resolve(request, exc)
+
+    # ------------------------------------------------------------------
+    # resolution (exactly-once per request)
+    # ------------------------------------------------------------------
+    def _resolve(
+        self,
+        request: _Request,
+        outcome: InferenceResult | Exception,
+        shard: int | None = None,
+    ) -> None:
+        """Settle ``request``'s future with a result or an error and
+        count it on ``shard`` — ``None`` for a failure no shard is
+        charged with. A second resolution (a late response to a swept
+        request) is a no-op."""
+        if request.future.done():
+            return
+        if not request.future.set_running_or_notify_cancel():
+            return
+        latency = time.perf_counter() - request.enqueued_at
+        failed = isinstance(outcome, Exception)
+        expired = isinstance(outcome, DeadlineExceededError)
+        with self._lock:
+            self._latencies.append(latency)
+            if not failed:
+                self._handles[shard].completed += 1
+            elif shard is None:
+                self._errors += 1
+                self._expired += expired
+            else:
+                self._handles[shard].errors += 1
+                self._handles[shard].expired += expired
+        if failed:
+            request.future.set_exception(outcome)
+        else:
+            request.future.set_result(outcome)
+
+    # ------------------------------------------------------------------
+    # shard deaths and respawns
+    # ------------------------------------------------------------------
     def _backoff(self, strikes: int) -> float:
         """Jittered exponential respawn backoff for the Nth strike."""
         base = min(
@@ -1524,136 +1509,36 @@ class ShardedScheduler:
         )
         return base * (0.5 + self._rng.random())
 
-    def _check_handle(self, handle: _ShardHandle, now: float) -> None:
-        """One supervision step for one shard: wedge detection while
-        alive; strike accounting, breaker, and backoff-gated respawn
-        once dead."""
-        if handle.failed:
-            return
-        if handle.alive:
-            if (
-                self.wedge_timeout_s is not None
-                and handle.pid > 0
-                and now - handle.last_hb > self.wedge_timeout_s
-            ):
-                # wedged: the process is up but its event loop stopped
-                # heartbeating. SIGKILL it and let the normal death
-                # path (receiver EOF → _fail_inflight → respawn) run.
-                try:
-                    os.kill(handle.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
-                handle.last_hb = now  # one kill per wedge, not per tick
-            return
-        if handle.restart_due is None:
-            # just noticed this death: account the strike and decide
-            # between breaker and backoff
-            rapid = (now - handle.last_ready) < self.crashloop_window_s
-            handle.strikes = handle.strikes + 1 if rapid else 1
-            if handle.strikes >= self.crashloop_threshold:
-                self._trip_breaker(handle)
-                return
-            handle.restart_due = now + self._backoff(handle.strikes)
-        elif now >= handle.restart_due:
-            self._respawn(handle)
-
-    def _respawn(self, handle: _ShardHandle) -> None:
-        """Bring one dead shard back: fresh process, fresh pipe, fresh
-        slot window over the same rings, warm preload of whatever is
-        routed to it *now*."""
-        if self._closed:
-            return
-        handle.restart_due = None
-        handle.incarnation += 1
-        # every pre-death slot is either free or pinned by a swept
-        # request the child will never answer; the new incarnation gets
-        # a clean window
-        handle.req_slots = _SlotPool(handle.req_ring.slots)
-        try:
-            self._spawn_child(handle)
-            error = self._wait_ready(
-                handle, time.monotonic() + self.start_timeout
-            )
-        except Exception as exc:
-            error = f"shard {handle.shard} respawn failed: {exc}"
-        if error is not None:
-            # a respawn that cannot reach ready is another strike
-            handle.strikes += 1
-            if handle.strikes >= self.crashloop_threshold:
-                self._trip_breaker(handle)
-            else:
-                handle.restart_due = (
-                    time.monotonic() + self._backoff(handle.strikes)
-                )
-            return
-        self._start_receiver(handle)
+    def _on_ready(self, handle: _ShardHandle, pid: int) -> None:
+        handle.pid = pid
+        handle.last_ready = handle.last_hb
+        handle.ready_by = math.inf
         with self._lock:
-            handle.restarts += 1
-
-    def _trip_breaker(self, handle: _ShardHandle) -> None:
-        """Crash-loop circuit breaker: give up on this shard for good
-        and rehash its models onto the survivors (rendezvous keeps
-        every survivor's existing assignment in place)."""
-        handle.failed = True
-        handle.alive = False
-        handle.restart_due = None
-        survivors = [
-            h.shard for h in self._handles if not h.failed
-        ]
-        with self._lock:
-            if survivors:
-                sigs = {
-                    name: self.registry.get(name).signature
-                    for name in self.registry.names()
-                }
-                self.routing = balanced_routing(sigs, survivors)
-        # in-flight requests on the broken shard reroute (with retry
-        # budget) or fail typed — never hang
-        self._fail_inflight(
-            handle.shard,
-            ShardFailedError(
-                f"shard {handle.shard} is crash-looping "
-                f"({handle.strikes} rapid failures); circuit breaker "
-                "open, models rerouted to surviving shards"
-            ),
-        )
-        if not survivors:
-            self._fail_inflight(
-                None,
-                ShardFailedError(
-                    "every shard is dead; circuit breaker open on all"
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # responses
-    # ------------------------------------------------------------------
-    def _receiver_loop(self, handle: _ShardHandle, conn) -> None:
-        # bound to ONE incarnation's pipe: a respawn starts a fresh
-        # receiver on the fresh pipe, and this one drains out
-        while True:
+            handle.alive = True
+            if handle.incarnation:  # a respawn reached ready
+                handle.restarts += 1
+            closed = self._closed
+            self._ready.notify_all()
+        if closed:  # respawned while the scheduler was closing
             try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            handle.last_hb = time.monotonic()
-            kind = msg[0]
-            if kind == "hb":
-                continue
-            if kind == "res":
-                self._on_result(handle, *msg[1:])
-            elif kind == "err":
-                self._on_error(handle, *msg[1:])
-            elif kind == "stats_res":
-                self._on_stats(handle, msg[1], msg[2])
-            elif kind == "bye":
-                handle.byed = True
-        # the shard is gone (clean or not): fail or retry only ITS
-        # in-flight requests, wake its slot waiters, leave other shards
-        # serving. Even after a clean "bye" nothing may remain
-        # unresolved — a request can lose the race against the child's
-        # drain
-        handle.alive = False
+                handle.send(("shutdown",))
+            except (OSError, ValueError):
+                pass
+
+    def _on_eof(self, handle: _ShardHandle) -> None:
+        """The shard is gone (clean or not): fail or retry only ITS
+        in-flight requests — even after a clean "bye", as a request can
+        lose the race against the drain — then count the strike."""
+        self._selector.unregister(handle.conn)
+        with handle.send_lock:
+            handle.conn.close()
+        was_ready = handle.alive
+        with self._lock:
+            handle.alive = False
+            started = self._started
+            if not started:
+                handle.failure = handle.failure or "died during startup"
+            self._ready.notify_all()
         handle.req_slots.kill()
         detail = (
             "exited while the request was in flight"
@@ -1671,18 +1556,70 @@ class ShardedScheduler:
             waiters = list(self._stats_waiters.values())
         for event, _sink in waiters:
             event.set()
+        if self.supervise and started:
+            rapid = time.monotonic() - handle.last_ready < self.crashloop_window_s
+            # a respawn that dies before reporting ready is rapid too
+            self._strike(handle, rapid or not was_ready)
 
+    def _strike(self, handle: _ShardHandle, rapid: bool) -> None:
+        """Crash-loop accounting for one death: trip the breaker at the
+        threshold, else schedule a backoff-gated respawn."""
+        handle.strikes = handle.strikes + 1 if rapid else 1
+        if handle.strikes >= self.crashloop_threshold:
+            self._trip_breaker(handle)
+            return
+        due = time.monotonic() + self._backoff(handle.strikes)
+        with self._lock:
+            self._at(due, self._respawn, handle)
+
+    def _respawn(self, handle: _ShardHandle) -> None:
+        """Bring one dead shard back: fresh process, fresh pipe, fresh
+        slot window over the same rings, warm preload of whatever is
+        routed to it *now*."""
+        if self._closed:
+            return
+        handle.incarnation += 1
+        # every pre-death slot is either free or pinned by a swept
+        # request the child will never answer; the new incarnation gets
+        # a clean window
+        handle.req_slots = _SlotPool(handle.req_ring.slots)
+        try:
+            self._spawn_child(handle)
+        except Exception:
+            self._strike(handle, True)
+
+    def _trip_breaker(self, handle: _ShardHandle) -> None:
+        """Crash-loop circuit breaker: give up on this shard for good
+        and rehash its models onto the survivors (rendezvous keeps
+        every survivor's existing assignment in place). Its in-flight
+        requests already failed at EOF; their retries follow the new
+        routing."""
+        handle.failed = True
+        survivors = [
+            h.shard for h in self._handles if not h.failed
+        ]
+        with self._lock:
+            if survivors:
+                sigs = {
+                    name: self.registry.get(name).signature
+                    for name in self.registry.names()
+                }
+                self.routing = balanced_routing(sigs, survivors)
+
+    # ------------------------------------------------------------------
+    # responses
+    # ------------------------------------------------------------------
     def _pop_inflight(self, handle: _ShardHandle, req_id: int):
         with self._lock:
-            entry = self._inflight.pop(req_id, None)
-            if entry is not None:
+            request = self._inflight.pop(req_id, None)
+            if request is not None:
                 handle.inflight -= 1
-        return entry
+        return request
 
     def _on_result(
         self, handle, req_id, stats: RequestStats, descs, req_slot, resp_slot
     ) -> None:
-        entry = self._pop_inflight(handle, req_id)
+        request = self._pop_inflight(handle, req_id)
         views = handle.resp_ring.read(descs)
         outputs = {name: view.copy() for name, view in views.items()}
         try:
@@ -1690,27 +1627,30 @@ class ShardedScheduler:
         except (OSError, ValueError):
             pass
         handle.req_slots.release(req_slot)
-        if entry is None:
+        if request is None:
             return
-        self._resolve_result(entry.pending, handle, outputs, stats)
+        if request.attempts > 1:
+            stats = replace(stats, attempts=request.attempts)
+        self._resolve(
+            request, InferenceResult(outputs=outputs, stats=stats), handle.shard
+        )
 
     def _on_error(self, handle, req_id, exc, req_slot) -> None:
-        entry = self._pop_inflight(handle, req_id)
+        request = self._pop_inflight(handle, req_id)
         handle.req_slots.release(req_slot)
-        if entry is None:
+        if request is None:
             return
-        pending = entry.pending
         if (
             isinstance(exc, ShardFailedError)
-            and pending.retries_left > 0
-            and not pending.expired()
+            and request.retries_left > 0
+            and not request.expired()
         ):
-            self._schedule_retry(pending, exc)
+            self._schedule_retry(request, exc)
             return
-        self._resolve_error(pending, exc, shard=handle.shard)
+        self._resolve(request, exc, shard=handle.shard)
 
     def _fail_inflight(self, shard: int | None, exc: Exception) -> None:
-        """Pop every in-flight entry on ``shard`` (all shards when
+        """Pop every in-flight request on ``shard`` (all shards when
         ``None``) and either reschedule it — a :class:`ShardFailedError`
         with retry budget left — or fail its future. Requests whose
         deadline already passed fail as
@@ -1718,32 +1658,31 @@ class ShardedScheduler:
         burning retries on work nobody is waiting for."""
         with self._lock:
             doomed = [
-                (req_id, entry)
-                for req_id, entry in self._inflight.items()
-                if shard is None or entry.shard == shard
+                (req_id, request)
+                for req_id, request in self._inflight.items()
+                if shard is None or request.shard == shard
             ]
-            for req_id, entry in doomed:
+            for req_id, request in doomed:
                 del self._inflight[req_id]
-                self._handles[entry.shard].inflight -= 1
-        for _req_id, entry in doomed:
-            pending = entry.pending
-            if pending.expired():
-                self._resolve_error(
-                    pending,
+                self._handles[request.shard].inflight -= 1
+        for _req_id, request in doomed:
+            if request.expired():
+                self._resolve(
+                    request,
                     DeadlineExceededError(
-                        f"request for {pending.model!r} missed its "
-                        f"deadline on failed shard {entry.shard}"
+                        f"request for {request.model!r} missed its "
+                        f"deadline on failed shard {request.shard}"
                     ),
-                    shard=entry.shard,
+                    shard=request.shard,
                 )
             elif (
                 isinstance(exc, ShardFailedError)
-                and pending.retries_left > 0
+                and request.retries_left > 0
                 and not self._closed
             ):
-                self._schedule_retry(pending, exc)
+                self._schedule_retry(request, exc)
             else:
-                self._resolve_error(pending, exc, shard=entry.shard)
+                self._resolve(request, exc, shard=request.shard)
 
     def _on_stats(self, handle: _ShardHandle, token: int, reply: tuple) -> None:
         handle.served, handle.queue_depth, handle.resp_ring_peak = reply

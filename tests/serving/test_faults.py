@@ -35,6 +35,8 @@ from repro.serving import (
     WedgeShard,
     run_load,
 )
+from repro.serving import shard as shard_module
+
 
 @pytest.fixture
 def registry(chain_graph, diamond_graph):
@@ -313,6 +315,52 @@ class TestResponseFaults:
                 fast.result(timeout=30)
             assert slow.result(timeout=30) is not None
             assert server.stats().expired == 1
+
+
+class TestRespawnDoesNotStallDeadlines:
+    @pytest.mark.skipif(
+        shard_module._START_METHOD != "fork",
+        reason="the slow-start patch reaches children only through fork",
+    )
+    def test_peer_respawn_does_not_delay_deadline_sweep(
+        self, registry, monkeypatch
+    ):
+        """A shard taking 2 s to come back must not hold up the deadline
+        of a request in flight on a healthy peer."""
+        init = shard_module._ShardWorker.__init__
+
+        def slow_respawn_init(self, cfg, conn):
+            if cfg.incarnation >= 1:
+                time.sleep(2.0)
+            init(self, cfg, conn)
+
+        monkeypatch.setattr(
+            shard_module._ShardWorker, "__init__", slow_respawn_init
+        )
+        plan = FaultPlan(
+            faults=(
+                KillShard(shard=0, at_request=1),
+                DropResponse(shard=1, at_request=1),
+            )
+        )
+        with make_scheduler(registry, faults=plan) as server:
+            victim = model_on_shard(server, 0)
+            healthy = model_on_shard(server, 1)
+            doomed = server.submit(
+                victim, random_feeds(registry.get(victim).graph, seed=15)
+            )
+            with pytest.raises(ShardFailedError, match="died"):
+                doomed.result(timeout=30)
+            assert wait_until(lambda: server._handles[0].incarnation == 1)
+            t0 = time.monotonic()
+            dropped = server.submit(
+                healthy,
+                random_feeds(registry.get(healthy).graph, seed=16),
+                deadline_s=0.2,
+            )
+            with pytest.raises(DeadlineExceededError):
+                dropped.result(timeout=30)
+            assert time.monotonic() - t0 < 1.0
 
 
 class TestPartialResponseCrashWindow:

@@ -284,6 +284,25 @@ class TestLifecycle:
             with pytest.raises(FileNotFoundError):
                 SharedMemory(name=name)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_close_leaves_no_fds_open(self, registry):
+        def serve_once():
+            server = ShardedScheduler(registry, shards=2, workers=1).start()
+            graph = registry.get("chain").graph
+            server.submit("chain", random_feeds(graph, seed=0)).result(
+                timeout=60
+            )
+            server.close()
+            return server  # still referenced: nothing is left to GC
+
+        serve_once()  # the first cycle starts the process-wide resource tracker
+        before = len(os.listdir("/proc/self/fd"))
+        server = serve_once()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert not server._handles[0].alive
+
     def test_segments_unlinked_after_failed_start(self, registry, tmp_path):
         # a model whose artifact cannot be opened in the child must
         # fail start() AND leave no shared-memory segments behind
