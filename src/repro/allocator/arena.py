@@ -57,9 +57,15 @@ class AllocationPlan:
         return self.arena_bytes / 1024.0
 
     def validate(self) -> "AllocationPlan":
-        """Raise :class:`AllocationError` on address-space overlap of
-        temporally live buffer pairs, or on out-of-arena placement."""
+        """Raise :class:`AllocationError` on a buffer without an offset,
+        on address-space overlap of temporally live buffer pairs, or on
+        out-of-arena placement."""
         lts = list(self.lifetimes)
+        missing = sorted({lt.buffer_id for lt in lts} - self.offsets.keys())
+        if missing:
+            raise AllocationError(
+                f"allocation plan places no offset for buffer {missing[0]}"
+            )
         for i, a in enumerate(lts):
             off_a = self.offsets[a.buffer_id]
             if off_a < 0 or off_a + a.size > self.arena_bytes:

@@ -23,13 +23,19 @@ distances are exact, exactly as in the offline simulator. Offsets for
 the resident region (full lifetimes for resident buffers, one interval
 per staging window for spilled ones) come from the same
 ``greedy_by_size`` allocator that lays out ordinary arenas, and the
-resulting region is *proved* to fit the capacity before any kernel
-runs. A region's offsets, windows and per-window fetch leads are one
-:class:`StagingLayout`; a :class:`SpillPlan` carries the inline
-``base`` layout (every lead 0) and, optionally, a ``prefetch`` layout
-of the same windows with lead-extended slots for overlapped transfers
-— one type, so planner, executor and verifier each handle a layout
-once instead of forking on which of the two they were handed.
+resulting region is sized to fit the capacity. A region's offsets,
+windows and per-window fetch leads are one :class:`StagingLayout`; a
+:class:`SpillPlan` carries the inline ``base`` layout (every lead 0)
+and, optionally, a ``prefetch`` layout of the same windows with
+lead-extended slots for overlapped transfers — one type, so planner,
+executor and verifier each handle a layout once instead of forking on
+which of the two they were handed.
+
+This module builds plans but does not judge them: a plan's invariants
+are stated once, by the static verifier's spill checker, whose first
+finding :meth:`SpillPlan.validate` raises. The rule all three share —
+a staging slot's bytes, and so the capacity floor — is
+:func:`slot_bytes` / :func:`staging_floor`.
 
 Spill model (mirrors the :mod:`repro.memsim.hierarchy` rules; the
 fetch/writeback steps the executor inserts implement it literally):
@@ -85,6 +91,8 @@ __all__ = [
     "SpillPlan",
     "plan_spill",
     "min_capacity_bytes",
+    "slot_bytes",
+    "staging_floor",
     "step_touches",
     "buffer_access_trace",
 ]
@@ -157,60 +165,9 @@ class StagingLayout:
 
     def window_at(self, buffer_id: int, step: int) -> StageWindow:
         """The staging window of ``buffer_id`` covering schedule
-        ``step`` (every touch step is covered by construction)."""
+        ``step`` (a validated plan covers every touch step)."""
         ws = self.windows[buffer_id]
-        i = bisect.bisect_right([w.start for w in ws], step) - 1
-        if i >= 0 and ws[i].start <= step < ws[i].end:
-            return ws[i]
-        raise SpillError(
-            f"step {step} touches spilled buffer {buffer_id} outside "
-            "every staging window (corrupt spill plan)"
-        )
-
-    def validate(self, what: str, capacity: int) -> None:
-        """Structural sanity of one layout: region bounded by
-        ``capacity``, windows well-formed and ordered, offsets inside
-        the region, one lead in ``[0, lead_steps]`` per window."""
-        if self.lead_steps < 0:
-            raise SpillError(
-                f"{what} lead must be >= 0 steps, got {self.lead_steps}"
-            )
-        if self.resident_bytes > capacity:
-            raise SpillError(
-                f"{what} resident region ({self.resident_bytes} bytes) "
-                f"exceeds the {capacity}-byte capacity"
-            )
-        if set(self.window_leads) != set(self.windows):
-            raise SpillError(
-                f"{what} layout is inconsistent: windows and leads "
-                "name different buffers"
-            )
-        for b, ws in self.windows.items():
-            prev_end = -1
-            for w in ws:
-                if w.start < 0 or w.end <= w.start:
-                    raise SpillError(
-                        f"buffer {b}: malformed window [{w.start}, {w.end})"
-                    )
-                if w.start <= prev_end:
-                    raise SpillError(
-                        f"buffer {b}: staging windows overlap or are "
-                        "out of order"
-                    )
-                prev_end = w.end - 1
-                if w.offset < 0 or w.offset > self.resident_bytes:
-                    raise SpillError(
-                        f"buffer {b}: {what} staging offset {w.offset} "
-                        f"escapes the {self.resident_bytes}-byte region"
-                    )
-            leads = self.window_leads[b]
-            if len(leads) != len(ws) or any(
-                ld < 0 or ld > self.lead_steps for ld in leads
-            ):
-                raise SpillError(
-                    f"buffer {b}: {what} window leads are malformed "
-                    f"(want {len(ws)} leads in [0, {self.lead_steps}])"
-                )
+        return ws[bisect.bisect_right([w.start for w in ws], step) - 1]
 
     def to_doc(self) -> dict[str, Any]:
         return {
@@ -315,56 +272,20 @@ class SpillPlan:
             return self.prefetch
         return self.base
 
-    def window_at(self, buffer_id: int, step: int) -> StageWindow:
-        """The base-layout staging window covering ``step``."""
-        return self.base.window_at(buffer_id, step)
-
     # ------------------------------------------------------------------
-    def validate(self) -> "SpillPlan":
-        """Structural sanity: regions bounded, windows ordered,
-        spilled/home/window sets consistent, the prefetch layout a
-        re-placement of the base windows. Raises :class:`SpillError`
-        on violation. (Home-slot *overlap* needs buffer sizes, which
-        the plan does not carry — the executor cross-checks it against
-        the graph's buffer model at construction.)"""
-        self.base.validate("spill plan", self.capacity_bytes)
-        if self.tile_bytes is not None and self.tile_bytes <= 0:
-            raise SpillError(
-                f"spill plan tile_bytes must be positive, got "
-                f"{self.tile_bytes}"
-            )
-        if set(self.windows) != set(self.spilled) or set(
-            self.home_offsets
-        ) != set(self.spilled):
-            raise SpillError(
-                "spill plan is inconsistent: spilled set, homes and "
-                "windows disagree"
-            )
-        for b, off in sorted(self.home_offsets.items()):
-            if off < 0 or off > self.spill_bytes:
-                raise SpillError(
-                    f"buffer {b}: home offset {off} escapes the "
-                    f"{self.spill_bytes}-byte spill region"
-                )
-        p = self.prefetch
-        if p is None:
-            return self
-        if set(p.windows) != set(self.spilled) or set(
-            p.resident_offsets
-        ) != set(self.resident_offsets):
-            raise SpillError(
-                "prefetch layout is inconsistent: buffer sets disagree "
-                "with the base spill plan"
-            )
-        for b, ws in p.windows.items():
-            if [(w.start, w.end) for w in ws] != [
-                (w.start, w.end) for w in self.windows[b]
-            ]:
-                raise SpillError(
-                    f"buffer {b}: prefetch windows disagree with the "
-                    "base staging windows"
-                )
-        p.validate("prefetch", self.capacity_bytes)
+    def validate(
+        self, graph: Graph, schedule: Schedule, model: BufferModel | None = None
+    ) -> "SpillPlan":
+        """Raise :class:`SpillError` unless this plan is sound for the
+        ``(graph, schedule)`` it stages. The static verifier's spill
+        checker is the one statement of the invariants; this raises its
+        first finding (and how many more there are)."""
+        from repro.analysis.verifier import spill_plan_findings
+
+        findings = spill_plan_findings(graph, schedule, self, model)
+        if findings:
+            more = f" (+{len(findings) - 1} more)" if len(findings) > 1 else ""
+            raise SpillError(f"{findings[0].format()}{more}")
         return self
 
     # ------------------------------------------------------------------
@@ -391,10 +312,9 @@ class SpillPlan:
         return doc
 
     @classmethod
-    def parse(cls, doc: dict[str, Any]) -> "SpillPlan":
-        """Rebuild a plan document *without* validating it — for the
-        static verifier, which must be handed layout corruptions rather
-        than have them raise at parse time. Use :meth:`from_doc`."""
+    def from_doc(cls, doc: dict[str, Any]) -> "SpillPlan":
+        """Rebuild a plan document. Parses only: a plan is judged
+        against the graph it stages, by :meth:`validate`."""
         if doc.get("format") != SPILL_FORMAT:
             raise SpillError(
                 f"unsupported spill plan format {doc.get('format')!r}"
@@ -419,10 +339,6 @@ class SpillPlan:
                 else None
             ),
         )
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "SpillPlan":
-        return cls.parse(doc).validate()
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +418,7 @@ def _select_spilled(
     policy_name: str,
     trace: AccessTrace,
     pos_end: list[int],
-    slot: Sequence[int] | None = None,
+    slot: Sequence[int],
 ) -> frozenset[int]:
     """Pick the spilled buffer set for a selection capacity.
 
@@ -512,10 +428,8 @@ def _select_spilled(
     there, until every step fits. Belady uses exact next-use distances
     from the trace; LRU/FIFO replay the access history up to the
     overflow point. ``slot`` gives the staged footprint per buffer
-    (tile-clamped under tiling; defaults to full sizes)."""
+    (:func:`slot_bytes`)."""
     size = model.buf_size
-    if slot is None:
-        slot = size
     spilled: set[int] = set()
     n_steps = len(touch)
     for _ in range(model.n_buffers + 1):
@@ -735,27 +649,43 @@ def _windows_from(
     }
 
 
+def slot_bytes(size: int, tile_bytes: int | None) -> int:
+    """Staging-slot bytes of a spilled buffer of ``size`` bytes: one
+    ``min(size, tile_bytes)`` tile under tile streaming, the whole
+    buffer otherwise (``None`` or a non-positive tile size)."""
+    if tile_bytes is None or tile_bytes <= 0:
+        return size
+    return min(size, tile_bytes)
+
+
+def staging_floor(
+    touch: Sequence[Iterable[int]], size: Sequence[int], tile_bytes: int | None
+) -> int:
+    """The largest single-step working set of staging slots: every
+    buffer one kernel touches must be staged at once, so no spill
+    configuration with this granularity executes below it."""
+    return max(
+        (sum(slot_bytes(size[b], tile_bytes) for b in bufs) for bufs in touch),
+        default=0,
+    )
+
+
 def min_capacity_bytes(
     graph: Graph,
     schedule: Schedule,
     model: BufferModel | None = None,
     tile_bytes: int | None = None,
 ) -> int:
-    """The irreducible on-chip floor of ``schedule``: the largest
-    single-step working set. Whole-buffer staging must hold every
+    """The irreducible on-chip floor of ``schedule``
+    (:func:`staging_floor`). Whole-buffer staging must hold every
     tensor one kernel touches simultaneously; with ``tile_bytes`` set,
-    each touched buffer needs only a ``min(size, tile_bytes)`` tile
-    slot, so the floor drops from the largest-buffer to the
-    largest-tile working set — no spill configuration can execute
-    below this."""
+    each touched buffer needs only one tile slot, so the floor drops
+    from the largest-buffer to the largest-tile working set."""
     model = model or BufferModel.of(graph)
-    touch = step_touches(graph, schedule, model)
-    tile = resolve_tile_bytes(tile_bytes, default=None)
-    size = model.buf_size
-    if tile is None:
-        return max((sum(size[b] for b in bufs) for bufs in touch), default=0)
-    return max(
-        (sum(min(size[b], tile) for b in bufs) for bufs in touch), default=0
+    return staging_floor(
+        step_touches(graph, schedule, model),
+        model.buf_size,
+        resolve_tile_bytes(tile_bytes, default=None),
     )
 
 
@@ -811,17 +741,13 @@ def plan_spill(
             home_offsets={},
             base=StagingLayout.inline(plan.arena_bytes, dict(plan.offsets), {}),
             tile_bytes=tile,
-        ).validate()
+        )
 
     size = model.buf_size
-    slot: Sequence[int] = (
-        size if tile is None else [min(s, tile) for s in size]
-    )
+    slot = [slot_bytes(s, tile) for s in size]
     touch = step_touches(graph, schedule, model)
     n_steps = len(touch)
-    min_needed = max(
-        (sum(slot[b] for b in bufs) for bufs in touch), default=0
-    )
+    min_needed = staging_floor(touch, size, tile)
     if capacity_bytes < min_needed:
         raise SpillError(
             f"{graph.name}: no spill plan fits {capacity_bytes} bytes "
@@ -916,4 +842,4 @@ def plan_spill(
         ),
         prefetch=prefetch,
         tile_bytes=tile,
-    ).validate()
+    )

@@ -46,6 +46,12 @@ records inside an :class:`~repro.analysis.diagnostics.AnalysisReport`;
 nothing here raises on a corrupt plan — raising is the caller's policy
 (:meth:`CompiledModel.load` turns error reports into
 :class:`~repro.exceptions.PlanVerificationError`).
+
+The spill and prefetch families are the only statement of a spill
+plan's invariants: :meth:`SpillPlan.validate` raises the first
+:func:`spill_plan_findings` finding as a ``SpillError``, and
+:meth:`CompiledModel.from_doc` (at every verify level) and
+``PlanExecutor`` call it, so neither accepts a plan this module rejects.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ from repro.allocator.spill import (
     SPILL_FORMAT,
     SpillPlan,
     StagingLayout,
+    slot_bytes,
+    staging_floor,
     step_touches,
 )
 from repro.analysis.diagnostics import ERROR, AnalysisReport, Diagnostic
@@ -71,6 +79,7 @@ __all__ = [
     "analyze_plan",
     "analyze_model",
     "analyze_artifact",
+    "spill_plan_findings",
 ]
 
 #: verification levels: ``none`` skips analysis entirely, ``basic``
@@ -321,18 +330,6 @@ def _check_read_coverage(
         _range_add(written.setdefault(b_own, []), lo, lo + node.output.bytes)
 
 
-def _slot_bytes(
-    model: BufferModel, b: int, tile_bytes: int | None
-) -> int:
-    """Staging-slot footprint of spilled buffer ``b`` — the whole
-    buffer, or one tile under tile streaming (the executor's
-    ``_slot_bytes`` rule, restated from the plan document)."""
-    size = model.buf_size[b]
-    if tile_bytes is None or tile_bytes <= 0:
-        return size
-    return min(size, tile_bytes)
-
-
 def _staging_intervals(
     model: BufferModel,
     lifetimes: Sequence[BufferLifetime],
@@ -365,7 +362,7 @@ def _staging_intervals(
                     max(0, w.start - lead),
                     w.end,
                     w.offset,
-                    w.offset + _slot_bytes(model, b, tile_bytes),
+                    w.offset + slot_bytes(model.buf_size[b], tile_bytes),
                     "window",
                     b,
                 )
@@ -406,18 +403,12 @@ def _check_spill(
                 plan=tag,
             )
         )
-        # fall through with whole-buffer slots (_slot_bytes ignores a
+        # fall through with whole-buffer slots (slot_bytes ignores a
         # non-positive tile size), so layout checks still run
     # the irreducible floor is per-plan: whole-buffer staging needs the
     # largest single-step working set of entire buffers, tile streaming
     # only the largest working set of tile slots
-    floor = max(
-        (
-            sum(_slot_bytes(model, b, sp.tile_bytes) for b in bufs)
-            for bufs in touch
-        ),
-        default=0,
-    )
+    floor = staging_floor(touch, size, sp.tile_bytes)
     if sp.capacity_bytes < floor:
         diags.append(
             Diagnostic(
@@ -681,7 +672,7 @@ def _check_layout(
             continue
         for w in ws:
             lo = w.offset
-            hi = lo + _slot_bytes(model, b, sp.tile_bytes)
+            hi = lo + slot_bytes(model.buf_size[b], sp.tile_bytes)
             if lo < 0 or hi > layout.resident_bytes:
                 flag(
                     "BOUNDS",
@@ -717,6 +708,23 @@ def _check_layout(
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
+def spill_plan_findings(
+    graph: Graph,
+    schedule: Schedule,
+    sp: SpillPlan,
+    model: BufferModel | None = None,
+) -> list[Diagnostic]:
+    """Every ``SPILL_*`` / ``PREFETCH_*`` finding against one spill
+    plan for ``(graph, schedule)`` — the findings :func:`analyze_plan`
+    reports for it, without the schedule and arena families."""
+    model = model or BufferModel.of(graph)
+    lifetimes = compute_lifetimes(graph, schedule, model=model)
+    touch = step_touches(graph, schedule, model)
+    diags: list[Diagnostic] = []
+    _check_spill(graph, model, lifetimes, sp, touch, diags)
+    return diags
+
+
 def analyze_plan(
     graph: Graph,
     schedule: Schedule | Sequence[str],
@@ -824,11 +832,11 @@ def analyze_model(
 def _spill_plan_lenient(
     doc: dict[str, Any], diags: list[Diagnostic], index: int
 ) -> SpillPlan | None:
-    """Rebuild a spill plan *without* its self-validation, so layout
-    corruptions reach the analyzer instead of raising at parse time."""
+    """Parse a spill plan document, reporting an unreadable one as a
+    finding instead of raising."""
     tag = f"spill_plans[{index}]"
     try:
-        return SpillPlan.parse(doc)
+        return SpillPlan.from_doc(doc)
     except SpillError as exc:
         code, message = "ARTIFACT_FORMAT", f"{tag}: {exc} (want {SPILL_FORMAT!r})"
     except (KeyError, TypeError, ValueError) as exc:

@@ -242,8 +242,11 @@ class CompiledModel:
         """Rebuild and *verify* an artifact document.
 
         The schedule is re-validated against the carried graph, the
-        plan is re-checked for overlaps, and the embedded signature must
-        match the graph's recomputed one.
+        plan is re-checked for coverage and overlaps, the embedded
+        signature must match the graph's recomputed one, and every
+        embedded spill plan passes the static verifier's spill checker
+        in full (:meth:`SpillPlan.validate` raises
+        :class:`~repro.exceptions.SpillError` on its first finding).
         """
         if doc.get("format") != ARTIFACT_FORMAT:
             raise GraphError(
@@ -294,7 +297,8 @@ class CompiledModel:
             else None
         )
         spill_plans = tuple(
-            SpillPlan.from_doc(sp) for sp in doc.get("spill_plans", ())
+            SpillPlan.from_doc(sp).validate(graph, schedule, model)
+            for sp in doc.get("spill_plans", ())
         )
         return cls(
             graph=graph,
@@ -319,7 +323,8 @@ class CompiledModel:
         """Load and verify an artifact written by :meth:`save`.
 
         Structural validation (format version, signature, schedule and
-        plan self-consistency) always runs. ``verify`` additionally
+        plan self-consistency, embedded spill plans in full — see
+        :meth:`from_doc`) always runs. ``verify`` additionally
         routes the loaded model through the static plan verifier
         (:mod:`repro.analysis.verifier`): ``"basic"`` (default) proves
         schedule legality and arena/spill/prefetch layout soundness,

@@ -95,7 +95,11 @@ and writeback copy bytes verbatim, outputs stay **bitwise identical**
 to the resident execution (and therefore to the reference executor)
 under every capacity, solo and batched; batched rows each stage and
 move their own bytes, so a batch-``N`` spilled run pays ``N x`` the
-per-sample traffic.
+per-sample traffic. Construction runs the plan through
+:meth:`SpillPlan.validate <repro.allocator.spill.SpillPlan.validate>`
+— the static verifier's spill checker — so a plan the verifier rejects
+raises :class:`~repro.exceptions.SpillError` before a view is bound;
+the executor adds only its own binding rule, element-size alignment.
 
 Offsets inside a shared buffer
 ------------------------------
@@ -123,7 +127,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.allocator.arena import AllocationPlan
-from repro.allocator.spill import SpillPlan, StageWindow, step_touches
+from repro.allocator.spill import SpillPlan, StageWindow, slot_bytes, step_touches
 from repro.exceptions import ExecutionError
 from repro.graph.graph import Graph
 from repro.graph.node import Node
@@ -730,14 +734,8 @@ class PlanExecutor:
             )
         self._link = link
         if spill is not None:
-            spill.validate()
-            resident = set(range(self.model.n_buffers)) - set(self._spilled)
-            if set(spill.resident_offsets) != resident:
-                raise ExecutionError(
-                    "spill plan does not cover this graph's buffers: "
-                    f"{len(spill.resident_offsets)} resident offsets for "
-                    f"{len(resident)} resident buffers"
-                )
+            # nothing runs a plan the static verifier rejects
+            spill.validate(graph, schedule, self.model)
         # the one staging layout this executor runs: the ping/pong
         # prefetch layout when the plan carries one and the caller wants
         # overlap, else the base (inline) layout — window (start, end)
@@ -813,21 +811,15 @@ class PlanExecutor:
         self._tile_bytes: int | None = (
             spill.tile_bytes if spill is not None else None
         )
-        if self._tile_bytes is not None and (
-            self._tile_bytes <= 0 or self._tile_bytes % self._itemsize
-        ):
+        if self._tile_bytes is not None and self._tile_bytes % self._itemsize:
             raise ExecutionError(
                 f"spill plan tile_bytes ({self._tile_bytes}) must be a "
-                f"positive multiple of the {self._itemsize}-byte element "
-                "size"
+                f"multiple of the {self._itemsize}-byte element size"
             )
         #: per spilled buffer: the shared tile geometry (whole-buffer
-        #: staging is its one-span case) and staging-slot bytes (one
-        #: tile: tile-clamped under tiling, full size otherwise)
+        #: staging is its one-span case) and staging-slot bytes
         self._slot_bytes: dict[int, int] = {}
         self._tile_spans: dict[int, tuple[tuple[int, int], ...]] = {}
-        spill_extent = 0
-        window_extent = 0
         if spill is not None:
             for b in self._spilled:
                 size = self.model.buf_size[b]
@@ -846,30 +838,7 @@ class PlanExecutor:
                 self._buf_elems[b] = size // self._itemsize
                 self._home_elem[b] = home // self._itemsize
                 self._tile_spans[b] = tile_spans(size, self._tile_bytes)
-                self._slot_bytes[b] = self._tile_spans[b][0][1]
-                spill_extent = max(spill_extent, home + size)
-                window_extent = max(
-                    window_extent,
-                    max(
-                        w.offset + self._slot_bytes[b]
-                        for w in layout.windows[b]
-                    ),
-                )
-            # homes must be pairwise disjoint — the plan document does
-            # not carry buffer sizes, so this cross-check against the
-            # graph's buffer model is the executor's job (a corrupt
-            # artifact with aliased homes would silently corrupt data)
-            homes = sorted(
-                (spill.home_offsets[b], self.model.buf_size[b], b)
-                for b in self._spilled
-            )
-            for (off_a, size_a, a), (off_b, _, b2) in zip(homes, homes[1:]):
-                if off_a + size_a > off_b:
-                    raise ExecutionError(
-                        f"spill plan home slots overlap: buffers {a} "
-                        f"([{off_a}, {off_a + size_a})) and {b2} "
-                        f"(starting at {off_b}) share spill-region bytes"
-                    )
+                self._slot_bytes[b] = slot_bytes(size, self._tile_bytes)
             # the planner's touch model, verbatim — capacity floors and
             # staging sets must never diverge from it
             for name, bufs in zip(schedule, step_touches(graph, schedule, self.model)):
@@ -877,7 +846,10 @@ class PlanExecutor:
                 touched = tuple(b for b in bufs if b in self._spilled)
                 if touched:
                     self._touched_spilled[name] = touched
-        self._spill_elems = -(-spill_extent // self._itemsize)
+        # a validated plan keeps every home inside the spill region and
+        # every staging slot inside the resident region
+        spill_region = spill.spill_bytes if spill is not None else 0
+        self._spill_elems = -(-spill_region // self._itemsize)
 
         # sized to the layout's true extent so every site view exists
         # even under a plan that understates arena_bytes (the run-time
@@ -887,7 +859,6 @@ class PlanExecutor:
         )
         self._arena_elems = max(
             -(-resident_promise // self._itemsize),
-            -(-window_extent // self._itemsize),
             max(
                 (
                     self._elem_offset[name] + graph.node(name).output.elements
@@ -1814,17 +1785,10 @@ class PlanExecutor:
         subset = None if outputs is None else wanted
         plan = self._get_plan(subset, n)
         if plan.overflow_at is not None:
-            if self.spill is not None:
-                raise ExecutionError(
-                    f"resident region overflow at {plan.overflow_at!r}: "
-                    f"measured high-water mark {plan.measured_peak_bytes} "
-                    f"exceeds the {self._capacity_bytes}-byte on-chip "
-                    "capacity per sample (corrupt spill plan)"
-                )
             raise ExecutionError(
                 f"arena overflow at {plan.overflow_at!r}: measured high-water "
                 f"mark {plan.measured_peak_bytes} exceeds the planned "
-                f"{self.plan.arena_bytes} bytes per sample"
+                f"{self._capacity_bytes} bytes per sample"
             )
 
         if self.scrub == "zero":

@@ -113,6 +113,18 @@ class TestPlans:
         with pytest.raises(AllocationError, match="escapes"):
             bad.validate()
 
+    def test_validate_catches_missing_offset(self):
+        """A buffer with a lifetime but no offset is a plan error, not
+        a bare KeyError from the overlap sweep."""
+        bad = AllocationPlan(
+            strategy="manual",
+            offsets={0: 0},
+            arena_bytes=128,
+            lifetimes=(_lt(0, 64, 0, 4), _lt(1, 64, 0, 4)),
+        )
+        with pytest.raises(AllocationError, match="no offset for buffer 1"):
+            bad.validate()
+
     def test_unknown_strategy(self, chain_graph):
         with pytest.raises(AllocationError, match="unknown"):
             plan_allocation(chain_graph, kahn_schedule(chain_graph), "bogus")

@@ -69,14 +69,16 @@ class TestPrefetchLayout:
         assert rebuilt.prefetch.window_leads == sp.prefetch.window_leads
 
     def test_validate_rejects_negative_lead(self, compiled_cell):
+        graph, schedule, _ = compiled_cell
         sp = _constrained(compiled_cell)
         broken = dataclasses.replace(
             sp, prefetch=dataclasses.replace(sp.prefetch, lead_steps=-1)
         )
         with pytest.raises(SpillError, match="lead must be >= 0"):
-            broken.validate()
+            broken.validate(graph, schedule)
 
     def test_validate_rejects_moved_windows(self, compiled_cell):
+        graph, schedule, _ = compiled_cell
         sp = _constrained(compiled_cell)
         b, ws = next(iter(sp.prefetch.windows.items()))
         shifted = tuple(
@@ -89,4 +91,4 @@ class TestPrefetchLayout:
             ),
         )
         with pytest.raises(SpillError, match="disagree with the"):
-            broken.validate()
+            broken.validate(graph, schedule)

@@ -97,7 +97,7 @@ class TestPlanSpill:
         for s, bufs in enumerate(touch):
             for b in bufs:
                 if b in sp.spilled:
-                    w = sp.window_at(b, s)
+                    w = sp.base.window_at(b, s)
                     assert w.start <= s < w.end
 
 
@@ -204,8 +204,8 @@ class TestTiledPlan:
         )
         doc = sp.to_doc()
         doc["tile_bytes"] = 0
-        with pytest.raises(SpillError, match="tile_bytes"):
-            SpillPlan.from_doc(doc)
+        with pytest.raises(SpillError, match="SPILL_TILE_GEOMETRY"):
+            SpillPlan.from_doc(doc).validate(graph, schedule)
 
 
 class TestSpillPlanDoc:
@@ -228,8 +228,8 @@ class TestSpillPlanDoc:
         sp = plan_spill(graph, schedule, plan, int(plan.arena_bytes * 0.7))
         doc = sp.to_doc()
         doc["resident_bytes"] = doc["capacity_bytes"] + 1
-        with pytest.raises(SpillError, match="exceeds"):
-            SpillPlan.from_doc(doc)
+        with pytest.raises(SpillError, match="SPILL_CAPACITY.*exceeds"):
+            SpillPlan.from_doc(doc).validate(graph, schedule)
 
 
 class TestBufferTrace:

@@ -469,11 +469,11 @@ class TestSpillSemantics:
 
     def test_aliased_home_slots_rejected(self, spill_suite):
         """A corrupt plan whose home slots overlap must fail at
-        construction, not corrupt data at run time (SpillPlan.validate
-        cannot see buffer sizes; the executor cross-checks)."""
+        construction, not corrupt data at run time: the executor asks
+        the verifier's spill checker, which names the invariant."""
         from dataclasses import replace
 
-        from repro.exceptions import ExecutionError
+        from repro.exceptions import SpillError
 
         cell = spill_suite("randwire-c10-b")
         spill = _spill_plan(cell, 0.5)
@@ -482,7 +482,7 @@ class TestSpillSemantics:
         a, b = sorted(spill.spilled)[:2]
         homes[b] = homes[a]  # alias two buffers onto one home slot
         corrupt = replace(spill, home_offsets=homes)
-        with pytest.raises(ExecutionError, match="home slots overlap"):
+        with pytest.raises(SpillError, match="SPILL_HOME_OVERLAP"):
             PlanExecutor(
                 cell["graph"], cell["schedule"], cell["plan"],
                 params=cell["params"], spill=corrupt,
