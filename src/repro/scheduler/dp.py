@@ -17,9 +17,12 @@ row per state: the downset as ``ceil(n / 64)`` ``uint64`` *columns* (bit
 seed). One step is one array sweep: for each node ``u`` a vectorised
 pass finds the states where ``u`` is ready and applies
 :meth:`~repro.scheduler.memory.BufferModel.step` to all of them from the
-constants in :attr:`BufferModel.node_tables`; the passes' candidate rows
-are concatenated and deduplicated with one ``np.lexsort``. Parent
-pointers are one ``int64`` array of order keys per step.
+constants in :attr:`BufferModel.node_tables`. The passes' candidate
+rows are concatenated and sorted by the downset alone (``np.argsort`` of
+one column, ``np.lexsort`` of several), which puts the transitions
+reaching each new state next to each other; one ``np.minimum.reduceat``
+over a packed rank then picks every group's survivor. Parent pointers
+are one ``int64`` array of order keys per step.
 
 **Tie-break contract.** Of the transitions reaching one new state, the
 survivor is the lexicographic minimum of ``(peak, adj, key)``: ``peak``
@@ -29,11 +32,19 @@ in peak but improves cache locality of the emitted schedule, measured in
 Fig 11); ``key = parent_pos * n + u`` is the transition's rank in the
 order a state-by-state, node-by-node loop would visit it — "first seen
 wins", independent of the node-major order the sweep generates rows in.
-New states are ordered by their *smallest* key (first creation), which
-fixes ``parent_pos`` for the next step. This is exactly what the
+The kernel packs the triple into one ``int64`` rank ``(peak * 2 + adj)
+* span + key``, where ``span = states * n`` exceeds every key, so the
+least rank is the least triple; keys are unique, so ranks are, and the
+survivor is the one row whose rank equals its group's minimum.
+**Overflow rule:** when ``(2 * max_peak + 2) * span`` exceeds ``2**63``
+the pack would wrap silently, so ``peak`` is first replaced by its dense
+rank among the step's peaks (same order, below the row count). New
+states are ordered by their *smallest* key (first creation), which fixes
+``parent_pos`` for the next step. This is exactly what the
 per-transition loop in ``tests/scheduler/_reference_dp.py`` computes, so
 every schedule, cache entry and arena derived from it is unchanged;
-``test_dp_differential.py`` and ``test_dp_golden.py`` hold the kernel to it.
+``test_dp_differential.py`` and ``test_dp_golden.py`` hold the kernel to
+it, the overflow branch included.
 
 **Pruning controls** (driven by Algorithm 2, adaptive soft budgeting):
 
@@ -186,14 +197,22 @@ class DPScheduler:
                 )
             mu, peak, adj, key, *cols = (np.concatenate(rows) for rows in zip(*passes))
 
-            # sort equal masks together, best (peak, adj, key) first ...
-            order = np.lexsort((key, adj, peak, *cols))
+            # group equal masks together ...
+            order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols)
             differs = [c[1:] != c[:-1] for c in (c[order] for c in cols)]
             starts = np.append(0, np.logical_or.reduce(differs).nonzero()[0] + 1)
             if cap is not None and len(starts) > cap:
                 raise StepTimeoutError(step, cap + 1, states_expanded=expanded)
-            # ... and the new states by their first-seen (smallest) key
-            winners = order[starts][np.argsort(np.minimum.reduceat(key[order], starts))]
+            # ... keep each group's least (peak, adj, key), packed in one rank ...
+            span = len(prev_u) * n  # exceeds every key
+            hi = peak
+            if (int(peak.max()) + 1) * 2 * span > 1 << 63:  # the pack would overflow
+                hi = np.unique(peak, return_inverse=True)[1]  # dense rank, same order
+            rank = ((hi * 2 + adj) * span + key)[order]
+            best = np.repeat(np.minimum.reduceat(rank, starts), np.diff(starts, append=len(rank)))
+            winners = order[rank == best]
+            # ... and order the new states by their first-seen (smallest) key
+            winners = winners[np.argsort(np.minimum.reduceat(key[order], starts))]
             if timeout is not None and time.perf_counter() - step_start > timeout:
                 raise StepTimeoutError(step, len(winners), states_expanded=expanded)
 

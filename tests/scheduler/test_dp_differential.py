@@ -7,10 +7,15 @@ every combination of the pruning controls. These tests hold it to that
 on generated graphs with buffer aliasing (whole and partial views,
 in-place chains), and on narrow graphs around the 64-node word boundary
 where the downset spills into a second and third ``uint64`` column.
+Two small graphs pin the packed-rank dedup: equal parallel branches,
+where only the first-seen order key breaks ties, and a diamond of
+tensors so large that the rank would overflow ``int64`` and the kernel
+ranks peaks densely.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +135,44 @@ def test_kernel_is_the_reference_function(g, n_pre):
 def test_agreement_across_the_word_boundary(n_nodes, seed):
     g = aliasing_dag(n_nodes, seed, window=3)
     assert_agree(g, preallocated=g.node_names[: seed % 2], caps=(None, 4))
+
+
+def test_equal_branches_are_decided_by_first_seen_order():
+    # every downset of k identical branches between one input and one
+    # join is reached by several transitions with equal (peak, adj): only
+    # the order key tells them apart, which the packed rank must carry
+    k = 6
+    g = Graph(f"fan{k}")
+    g.add(Node(name="x", op="input", inputs=(), output=TensorSpec((4, 2, 2))))
+    for i in range(k):
+        g.add(Node(name=f"b{i}", op="blob", inputs=("x",), output=TensorSpec((4, 2, 2))))
+    branches = tuple(f"b{i}" for i in range(k))
+    g.add(Node(name="cat", op="blob", inputs=branches, output=TensorSpec((4 * k, 2, 2))))
+    assert_agree(g)
+    assert_agree(g, preallocated=("x",))
+
+
+def test_rank_overflow_falls_back_to_dense_peaks(monkeypatch):
+    # 2**58 bytes per channel (shapes are only multiplied, never
+    # allocated): every footprint fits int64, but (2 * peak + 1) * span
+    # does not, and an overflowing pack would pick the wrong order here
+    g = Graph("huge-diamond")
+    for name, inputs, channels in [
+        ("x", (), 8), ("left", ("x",), 2), ("right", ("x",), 6),
+        ("down", ("left",), 7), ("join", ("down", "right"), 7),
+    ]:
+        spec = TensorSpec((channels, 2**28, 2**28))
+        g.add(Node(name=name, op="blob" if inputs else "input", inputs=inputs, output=spec))
+    assert sum(g.node(n).output_bytes for n in g.node_names) < 2**63
+    calls, unique = [], np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    assert_agree(g)  # unpruned, under budgets and under state caps
+    assert calls  # the dense-rank branch ran
 
 
 def test_zero_step_timeout_fires_on_the_first_step(diamond_graph):
