@@ -17,7 +17,7 @@ from repro.scheduler.budget import AdaptiveSoftBudgetScheduler
 def manual_probes(graph) -> None:
     """Probe a few budgets by hand to see the feasibility frontier."""
     kahn_peak = simulate_schedule(graph, kahn_schedule(graph)).peak_bytes
-    print(f"hard budget (Kahn's peak) : {kahn_peak / 1024:7.1f}KB")
+    print(f"Kahn's peak (upper bound): {kahn_peak / 1024:7.1f}KB")
     print(f"\n  {'budget':>10}  {'outcome':>12}  {'states':>8}")
     for frac in (1.0, 0.75, 0.6, 0.5, 0.4):
         tau = int(kahn_peak * frac)

@@ -140,6 +140,6 @@ def render_trajectory(result) -> str:
     )
     return (
         table
-        + f"\nhard budget {result.hard_budget / 1024:.1f}KB -> optimal "
+        + f"\nhard budget min(Kahn, greedy) {result.hard_budget / 1024:.1f}KB -> optimal "
         + f"{result.peak_bytes / 1024:.1f}KB in {len(result.probes)} probes"
     )

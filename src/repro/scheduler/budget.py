@@ -1,9 +1,11 @@
 """Adaptive soft budgeting (paper Algorithm 2, Fig 8).
 
 A meta binary-search around the DP scheduler. The *hard budget*
-``tau_max`` is the peak of Kahn's O(|V|+|E|) schedule — a feasible upper
-bound, so any ``tau >= tau_max`` is pointless to probe. The *soft
-budget* ``tau`` is then searched:
+``tau_max`` is ``min(Kahn peak, greedy peak)``: the paper takes Kahn's
+O(|V|+|E|) schedule, and the greedy one is as cheap and often tighter.
+Both are feasible, so any ``tau >= tau_max`` is pointless to probe, and
+no budget ``>= mu*`` moves the DP's answer (:mod:`repro.scheduler.dp`).
+The *soft budget* ``tau`` is then searched:
 
 * ``'timeout'`` (a DP search step blew its state/time allowance — too
   little pruning) → halve ``tau``;
@@ -17,8 +19,9 @@ The number of explored schedules grows monotonically with ``tau``
 (Fig 8(b)), which is what makes the bisection sound. On top of the
 paper's scheme we track an explicit infeasible lower bound so repeated
 "no solution" probes cannot oscillate, and we guarantee termination with
-a final unpruned fallback run at ``tau_max`` if the probe allowance is
+a final uncapped fallback run at ``tau_max`` if the probe allowance is
 exhausted (in practice the search converges in a handful of probes).
+It returns exactly the unpruned DP's schedule, as does every successful probe.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from repro.exceptions import BudgetSearchError, NoSolutionError, StepTimeoutError
 from repro.graph.graph import Graph
 from repro.scheduler.dp import DPResult, DPScheduler
+from repro.scheduler.greedy import greedy_schedule
 from repro.scheduler.memory import BufferModel, simulate_schedule
 from repro.scheduler.schedule import Schedule
 from repro.scheduler.topological import kahn_schedule
@@ -92,14 +96,17 @@ class AdaptiveSoftBudgetScheduler:
     ) -> BudgetSearchResult:
         model = model or BufferModel.of(graph)
 
-        kahn = kahn_schedule(graph)
-        # The Kahn schedule starts from scratch; when a prefix is
-        # preallocated its order must lead the schedule for simulation.
-        if self.preallocated:
-            pre = set(self.preallocated)
-            rest = [n for n in kahn.order if n not in pre]
-            kahn = Schedule(tuple(self.preallocated) + tuple(rest), graph.name)
-        tau_max = simulate_schedule(graph, kahn, model=model).peak_bytes
+        # Both baselines start from scratch; a preallocated prefix must
+        # lead each schedule for simulation.
+        pre = tuple(self.preallocated)
+        tau_max = min(
+            simulate_schedule(
+                graph,
+                Schedule(pre + tuple(n for n in s.order if n not in pre), graph.name),
+                model=model,
+            ).peak_bytes
+            for s in (kahn_schedule(graph), greedy_schedule(graph, model))
+        )
 
         probes: list[BudgetProbe] = []
         tau_old = tau_max

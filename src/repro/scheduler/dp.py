@@ -24,27 +24,30 @@ reaching each new state next to each other; one ``np.minimum.reduceat``
 over a packed rank then picks every group's survivor. Parent pointers
 are one ``int64`` array of order keys per step.
 
-**Tie-break contract.** Of the transitions reaching one new state, the
-survivor is the lexicographic minimum of ``(peak, adj, key)``: ``peak``
-is the running peak along the path; ``adj`` is 0 when ``u`` consumes
+**Tie-break contract.** A step's states are kept in downset-mask order.
+Of the transitions reaching one new state, the survivor is the
+lexicographic minimum of ``(peak, adj, parent mask, u)``: ``peak`` is
+the running peak along the path; ``adj`` is 0 when ``u`` consumes
 ``prev_u``'s output, else 1 (producer->consumer adjacency costs nothing
 in peak but improves cache locality of the emitted schedule, measured in
-Fig 11); ``key = parent_pos * n + u`` is the transition's rank in the
-order a state-by-state, node-by-node loop would visit it — "first seen
-wins", independent of the node-major order the sweep generates rows in.
-The kernel packs the triple into one ``int64`` rank ``(peak * 2 + adj)
-* span + key``, where ``span = states * n`` exceeds every key, so the
-least rank is the least triple; keys are unique, so ranks are, and the
-survivor is the one row whose rank equals its group's minimum.
-**Overflow rule:** when ``(2 * max_peak + 2) * span`` exceeds ``2**63``
-the pack would wrap silently, so ``peak`` is first replaced by its dense
-rank among the step's peaks (same order, below the row count). New
-states are ordered by their *smallest* key (first creation), which fixes
-``parent_pos`` for the next step. This is exactly what the
-per-transition loop in ``tests/scheduler/_reference_dp.py`` computes, so
-every schedule, cache entry and arena derived from it is unchanged;
+Fig 11); the last two travel as ``key = parent_pos * n + u``, which
+orders like ``(parent mask, u)``. The kernel packs the triple into one
+``int64`` rank ``(peak * 2 + adj) * span + key``, where ``span = states
+* n`` exceeds every key, so the least rank is the least triple (and
+unique, as keys are). **Overflow rule:** when ``(2 * max_peak + 2) *
+span`` exceeds ``2**63`` the pack would wrap silently, so ``peak`` is
+first replaced by its dense rank among the step's peaks (same order,
+below the row count). The per-transition loop in ``tests/scheduler/_reference_dp.py``
+computes the same, visiting states in mask order;
 ``test_dp_differential.py`` and ``test_dp_golden.py`` hold the kernel to
 it, the overflow branch included.
+
+**A budget ``tau >= OPT`` returns the unpruned schedule.** ``mu`` is a
+function of the mask alone. Every transition on an optimal path has
+running peak ``<= OPT <= tau``, so it survives. Surviving states keep
+their relative mask order, so every comparison among surviving
+transitions is the one the unpruned run makes. By induction, every state
+whose best peak is ``<= tau`` keeps its winner, the final state included.
 
 **Pruning controls** (driven by Algorithm 2, adaptive soft budgeting):
 
@@ -210,9 +213,7 @@ class DPScheduler:
                 hi = np.unique(peak, return_inverse=True)[1]  # dense rank, same order
             rank = ((hi * 2 + adj) * span + key)[order]
             best = np.repeat(np.minimum.reduceat(rank, starts), np.diff(starts, append=len(rank)))
-            winners = order[rank == best]
-            # ... and order the new states by their first-seen (smallest) key
-            winners = winners[np.argsort(np.minimum.reduceat(key[order], starts))]
+            winners = order[rank == best]  # one per group, in mask order
             if timeout is not None and time.perf_counter() - step_start > timeout:
                 raise StepTimeoutError(step, len(winners), states_expanded=expanded)
 

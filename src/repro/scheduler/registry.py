@@ -239,6 +239,7 @@ register_strategy(
     summary="rewriting + divide-and-conquer DP at a small state budget",
     rewrites=True,
     rank=20,
+    version="2",
 )(_divide_and_conquer(max_states_per_step=2_000))
 
 register_strategy(
@@ -251,6 +252,7 @@ register_strategy(
     "serenity-dp",
     summary="divide-and-conquer DP + adaptive budgeting, no rewriting",
     rank=40,
+    version="2",
 )(_divide_and_conquer(max_states_per_step=50_000))
 
 register_strategy(
@@ -258,4 +260,5 @@ register_strategy(
     summary="full SERENITY: rewriting + divide-and-conquer DP + budgeting",
     rewrites=True,
     rank=60,
+    version="2",
 )(_divide_and_conquer(max_states_per_step=50_000))

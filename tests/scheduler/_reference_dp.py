@@ -1,12 +1,19 @@
 """Reference DP: the per-transition dict loop the array kernel replaced.
 
 This is ``DPScheduler.schedule`` as it stood before the DP was
-vectorised, kept verbatim (one Python ``dict`` of states per search
-step, one ``BufferModel.step`` call per transition) as the differential
+vectorised (one Python ``dict`` of states per search step, one
+``BufferModel.step`` call per transition), kept as the differential
 oracle for ``repro.scheduler.dp``: ``test_dp_differential.py`` requires
 the kernel to agree with it on order, peak, every counter and on which
 exception is raised at which step. It is test-only on purpose — do not
 optimise it, its value is that it is obviously Algorithm 1.
+
+One edit since it was frozen follows the kernel's tie-break contract:
+each step visits its states in ascending downset-mask order
+(``sorted(states.items())``) rather than in dict insertion (first-seen)
+order. Among equal ``(peak, adj)`` the first transition visited wins,
+so the survivor is the least ``(parent mask, u)``, which does not
+depend on which other states a budget pruned.
 """
 
 from __future__ import annotations
@@ -88,7 +95,7 @@ class ReferenceDPScheduler:
             step_start = time.perf_counter() if self.step_timeout_s else 0.0
             nxt: dict[int, list[int]] = {}
             nxt_parents: dict[int, tuple[int, int]] = {}
-            for mask, (mu, peak, frontier, _) in states.items():
+            for mask, (mu, peak, frontier, _) in sorted(states.items()):
                 prev = parents.get(mask)
                 prev_u = prev[1] if prev is not None else -1
                 for u in bits(frontier):

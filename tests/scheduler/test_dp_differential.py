@@ -8,9 +8,11 @@ on generated graphs with buffer aliasing (whole and partial views,
 in-place chains), and on narrow graphs around the 64-node word boundary
 where the downset spills into a second and third ``uint64`` column.
 Two small graphs pin the packed-rank dedup: equal parallel branches,
-where only the first-seen order key breaks ties, and a diamond of
+where only the parent's mask order breaks ties, and a diamond of
 tensors so large that the rank would overflow ``int64`` and the kernel
-ranks peaks densely.
+ranks peaks densely. The last tests pin what the mask-order tie-break
+buys: no budget at or above the optimum moves the schedule, so
+Algorithm 2 may prune with its tightest cheap upper bound.
 """
 
 import random
@@ -25,6 +27,7 @@ from repro.graph.node import MemorySemantics, Node
 from repro.graph.tensor import TensorSpec
 from repro.scheduler.budget import AdaptiveSoftBudgetScheduler
 from repro.scheduler.dp import DPScheduler
+from repro.scheduler.greedy import greedy_schedule
 from repro.scheduler.memory import peak_of
 from repro.scheduler.topological import kahn_schedule
 
@@ -93,11 +96,16 @@ def outcome(scheduler_cls, graph, **kwargs):
     )
 
 
+def led_by(graph, preallocated, schedule):
+    """Peak of ``schedule`` with the preallocated prefix moved to the front."""
+    rest = [n for n in schedule.order if n not in preallocated]
+    return peak_of(graph, [*preallocated, *rest])
+
+
 def budgets(graph, preallocated):
     """None, the optimum, just below it, and Kahn's (feasible) peak."""
     opt = ReferenceDPScheduler(preallocated=preallocated).schedule(graph).peak_bytes
-    rest = [n for n in kahn_schedule(graph).order if n not in preallocated]
-    return (None, opt, opt - 1, peak_of(graph, [*preallocated, *rest]))
+    return (None, opt, opt - 1, led_by(graph, preallocated, kahn_schedule(graph)))
 
 
 def assert_agree(graph, preallocated=(), caps=(None, 1, 8)):
@@ -137,10 +145,11 @@ def test_agreement_across_the_word_boundary(n_nodes, seed):
     assert_agree(g, preallocated=g.node_names[: seed % 2], caps=(None, 4))
 
 
-def test_equal_branches_are_decided_by_first_seen_order():
+def test_equal_branches_are_decided_by_mask_order():
     # every downset of k identical branches between one input and one
     # join is reached by several transitions with equal (peak, adj): only
-    # the order key tells them apart, which the packed rank must carry
+    # the (parent mask, u) key tells them apart, which the packed rank
+    # must carry
     k = 6
     g = Graph(f"fan{k}")
     g.add(Node(name="x", op="input", inputs=(), output=TensorSpec((4, 2, 2))))
@@ -199,3 +208,34 @@ class TestFailedProbesAreCounted:
         assert failed and all(p.states_expanded > 0 for p in failed)
         assert res.total_states_expanded == sum(p.states_expanded for p in res.probes)
         assert res.total_states_expanded > res.result.states_expanded
+
+
+class TestPruningCannotChangeTheAnswer:
+    @settings(max_examples=120, deadline=None)
+    @given(g=graphs, n_pre=st.integers(0, 2))
+    def test_every_feasible_budget_returns_the_unpruned_order(self, g, n_pre):
+        pre = tuple(g.node_names[:n_pre])
+        unpruned = DPScheduler(preallocated=pre).schedule(g)
+        opt = unpruned.peak_bytes
+        for budget in (
+            None,
+            opt,
+            led_by(g, pre, greedy_schedule(g)),
+            led_by(g, pre, kahn_schedule(g)),
+        ):
+            res = DPScheduler(budget=budget, preallocated=pre).schedule(g)
+            assert res.schedule.order == unpruned.schedule.order, budget
+        for cap in (None, 8):
+            asb = AdaptiveSoftBudgetScheduler(max_states_per_step=cap, preallocated=pre)
+            assert asb.schedule(g).schedule.order == unpruned.schedule.order, cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs)
+    def test_hard_budget_is_between_the_optimum_and_kahn(self, g):
+        for n_pre in range(3):  # with and without a preallocated prefix
+            pre = tuple(g.node_names[:n_pre])
+            opt = DPScheduler(preallocated=pre).schedule(g).peak_bytes
+            kahn = led_by(g, pre, kahn_schedule(g))
+            greedy = led_by(g, pre, greedy_schedule(g))
+            res = AdaptiveSoftBudgetScheduler(preallocated=pre).schedule(g)
+            assert opt <= res.hard_budget == min(kahn, greedy) <= kahn, n_pre

@@ -1,8 +1,12 @@
 """Golden identity of the SERENITY DP on the paper's suite.
 
-``dp_golden.json`` was recorded from the last commit whose DP was the
-per-transition dict loop (now ``tests/scheduler/_reference_dp.py``), by
-running this file as a script. Any later DP implementation must
+``dp_golden.json`` was first recorded from the last commit whose DP was
+the per-transition dict loop (now ``tests/scheduler/_reference_dp.py``),
+by running this file as a script. It was re-recorded once, with the
+strategies' version "2", when the tie-break moved from first-seen to
+downset-mask order and Algorithm 2's hard budget became ``min(Kahn,
+greedy)``: every order, peak, arena and probe count stayed, and only
+``segment_states_expanded`` fell. Any later DP implementation must
 reproduce it byte for byte: the schedule order (as a sha256), both
 peaks, and the per-segment search counters of the three DP-backed
 strategies. ``serenity-fast`` (2 000-state cap) is here because its
