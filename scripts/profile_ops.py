@@ -83,8 +83,7 @@ def profile_cell(key: str, runs: int, batch: int) -> None:
         # plan executor: time every kernel row of the compiled step table
         px_t: dict[str, list[float]] = defaultdict(list)
         path: dict[str, set[str]] = defaultdict(set)
-        plan_key = (None, batch)
-        plan = px._run_plans[plan_key]
+        plan = px._run_plans[batch]
         rows = []
         for row in plan.steps:
             if row[0] in (_STEP_DIRECT, _STEP_COPY):
@@ -92,12 +91,12 @@ def profile_cell(key: str, runs: int, batch: int) -> None:
                 path[op].add("direct" if row[0] == _STEP_DIRECT else "copy")
                 row = row[:3] + (_timed(row[3], px_t[op]),) + row[4:]
             rows.append(row)
-        px._run_plans[plan_key] = replace(plan, steps=tuple(rows))
+        px._run_plans[batch] = replace(plan, steps=tuple(rows))
         try:
             for _ in range(runs):
                 px.run_batch(stacked)
         finally:
-            px._run_plans[plan_key] = plan
+            px._run_plans[batch] = plan
         workspace = px.workspace_nbytes
     finally:
         px.close()

@@ -65,7 +65,6 @@ spilling trades traffic for footprint, never accuracy.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -110,9 +109,10 @@ class StageWindow:
 
     ``[start, end)`` are full-schedule step bounds covering a maximal
     run of consecutive steps that touch the buffer; ``offset`` is the
-    staging slot's byte offset in the resident region. Whether the
-    staged copy turns dirty is tracked dynamically by the executor
-    (a pruned run may skip the window's writing steps)."""
+    staging slot's byte offset in the resident region. The executor
+    enters the window at ``start`` and leaves it at ``end - 1``; the
+    staged copy is dirty iff one of the window's steps produces into
+    the buffer, so every transfer is a constant of the plan."""
 
     start: int
     end: int
@@ -162,12 +162,6 @@ class StagingLayout:
         """A layout whose every lead is 0 (the base layout's shape)."""
         leads = {b: (0,) * len(ws) for b, ws in windows.items()}
         return cls(0, resident_bytes, resident_offsets, windows, leads)
-
-    def window_at(self, buffer_id: int, step: int) -> StageWindow:
-        """The staging window of ``buffer_id`` covering schedule
-        ``step`` (a validated plan covers every touch step)."""
-        ws = self.windows[buffer_id]
-        return ws[bisect.bisect_right([w.start for w in ws], step) - 1]
 
     def to_doc(self) -> dict[str, Any]:
         return {

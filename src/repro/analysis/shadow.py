@@ -291,20 +291,18 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
 
 
 def shadow_check(px: Any) -> AnalysisReport:
-    """Byte-bounds replay of an executor's pinned step tables.
+    """Byte-bounds replay of an executor's compiled step tables.
 
     Takes a live :class:`~repro.runtime.plan_executor.PlanExecutor` and
-    checks every pinned compiled plan (the full schedule, at width 1
-    and at width ``batch_size``). Returns an
-    :class:`AnalysisReport`; ``report.ok`` means every read is covered,
-    every view in bounds and no engine transfer can race compute.
+    checks every compiled table — one per batch width: 1 and
+    ``batch_size`` from construction, plus any width already run.
+    Returns an :class:`AnalysisReport`; ``report.ok`` means every read
+    is covered, every view in bounds and no engine transfer can race
+    compute.
     """
     diags: list[Diagnostic] = []
     checks: list[str] = []
-    for wanted, nb in sorted(
-        px._pinned, key=lambda k: (k[0] is not None, k[1])
-    ):
-        plan = px._run_plans[(wanted, nb)]
+    for nb, plan in sorted(px._run_plans.items()):
         checks.append(f"shadow@batch{nb}")
         _walk_plan(px, plan, nb, diags)
     return AnalysisReport(

@@ -268,9 +268,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.runtime import Executor
         from repro.runtime.verify import compare_outputs
 
-        ref = Executor(model.graph, params=executor.params).run(
-            feeds, outputs=list(outputs)
-        )
+        ref = Executor(model.graph, params=executor.params).run(feeds)
         report = compare_outputs(ref, outputs)
         verdict = "bitwise-equal" if report.equivalent else "DIVERGED"
         print(f"reference executor      : {verdict} "

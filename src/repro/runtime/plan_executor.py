@@ -23,6 +23,13 @@ parameters, same float64 compute dtype); the parity suite in
 ``tests/runtime/test_plan_executor.py`` asserts exactly that across the
 whole benchmark suite.
 
+Every run executes the **whole schedule** and returns the graph's sinks
+— the one thing the scheduler's peak and the arena plan are proven for.
+Output subsets (and the feed pruning they imply) belong to the
+reference executor, the oracle. So there is one compiled step table per
+batch width: widths 1 and ``batch_size`` are compiled at construction,
+any other width the first time it runs.
+
 The arena is allocated **once per executor** and reused across ``run()``
 calls — that is the paper's deployment model (a fixed, preallocated
 footprint serving request after request) and what makes the serving
@@ -122,7 +129,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -569,7 +576,7 @@ class _TransferEngine:
 
 @dataclass(frozen=True)
 class _RunPlan:
-    """One execution order compiled to a flat step table.
+    """The schedule compiled at one batch width to a flat step table.
 
     ``steps`` rows are ``(kind, name, site, fn, args, attrs, params,
     shape)`` with every field resolved against the persistent arena —
@@ -611,11 +618,6 @@ def _workspace_view(
 
 #: arena scrub policies between runs (see :class:`PlanExecutor`)
 SCRUB_POLICIES = ("never", "zero")
-
-#: compiled pruned-output plans kept per executor (the full-schedule
-#: plans are pinned separately); long-lived pooled executors must not
-#: grow without bound under request traffic with varied output subsets
-_RUN_PLAN_CACHE_LIMIT = 32
 
 
 class PlanExecutor:
@@ -769,9 +771,8 @@ class PlanExecutor:
         )
 
         intra = intra_buffer_offsets(graph, self.model)
-        self._schedule_pos = schedule.positions()
         hazard = next(
-            write_hazards(graph, self.model, self._schedule_pos, intra), None
+            write_hazards(graph, self.model, schedule.positions(), intra), None
         )
         if hazard is not None:
             raise ExecutionError(
@@ -874,7 +875,7 @@ class PlanExecutor:
         # layout solved above is stamped out batch_size times, byte for
         # byte. Everything the hot loop needs per step (site view,
         # kernel, argument views, parameters, liveness trace) is
-        # compiled once per (output subset, batch width) and cached.
+        # compiled once per batch width and cached.
         #: GEMM lowerings of the direct-writing conv-family nodes
         self._lowered: dict[str, ConvLowering] = {}
         self._direct = self._plan_direct_writes()
@@ -894,14 +895,11 @@ class PlanExecutor:
             (low.scratch_elems for low in self._lowered.values()), default=0
         )
         self._alloc_arena()
-        #: compiled run plans keyed by (output subset or None for the
-        #: full schedule, batch width)
-        self._run_plans: dict[tuple[frozenset[str] | None, int], _RunPlan] = {}
-        self._pinned = {(None, 1), (None, batch_size)}
-        for key in self._pinned:
-            self._run_plans[key] = self._compile_run_plan(
-                tuple(self.schedule), 0, key[1]
-            )
+        #: the whole schedule's step table per batch width (at most
+        #: ``batch_size`` of them)
+        self._run_plans: dict[int, _RunPlan] = {
+            n: self._compile_run_plan(n) for n in sorted({1, batch_size})
+        }
 
     def _alloc_arena(self) -> None:
         """Allocate the zeroed region(s) every site view binds into."""
@@ -1175,11 +1173,8 @@ class PlanExecutor:
         tag = "fetch" if fetch else "writeback"
         return (kind, f"<{tag}:b{b}>", None, None, (), tuple(hops), None, None)
 
-    def _compile_run_plan(
-        self, order: tuple[str, ...], executed0: int, n: int
-    ) -> "_RunPlan":
-        """Bake one execution order into a flat step table at batch
-        width ``n``.
+    def _compile_run_plan(self, n: int) -> "_RunPlan":
+        """Bake the schedule into a flat step table at batch width ``n``.
 
         The liveness trace is replayed here, once: which buffers are
         live at each step — and therefore the measured high-water mark —
@@ -1193,95 +1188,74 @@ class PlanExecutor:
 
         Under a spill plan the replay also inserts the fetch/writeback
         data movement (see the module docstring): a spilled buffer's
-        staging slot is held from its window entry to its last executed
-        touch in that window, a window entry after the buffer's first
-        writeback fetches the homed bytes of its touched tiles (a whole
-        buffer is one tile), and a dirty window exit writes produced
-        ones back when the data is needed again. The resulting traffic
-        is data-independent too, so it is counted here, once per plan.
+        staging slot is held for its window ``[start, end)``, entering
+        a window after the buffer's first writeback fetches the homed
+        bytes of its touched tiles (a whole buffer is one tile), and
+        leaving a dirty window writes produced ones back when the data
+        is needed again. The resulting traffic is data-independent too,
+        so it is counted here, once per plan.
 
-        Transfer events are collected against the executed order first
-        and *placed* second, by the one placement there is
+        Transfer events are collected against the schedule first and
+        *placed* second, by the one placement there is
         (:meth:`_place_transfers`).
         """
         graph, model, params = self.graph, self.model, self.params
+        order = self.schedule.order
         sites = self._sites_for(n)
         idx = model.index
         spill = self.spill
         spilled = self._spilled
-        pos = self._schedule_pos
-        kernel_rows: list[tuple] = []  # exactly one row per executed step
+        layout = self._layout
+        kernel_rows: list[tuple] = []  # exactly one row per step
         direct_writes = 0
         copy_writes = 0
         live: set[int] = set()
-        executed = executed0
+        executed = 0
         measured_peak = 0
         overflow_at: str | None = None
 
-        # static spill bookkeeping for THIS order: which window each
-        # executed touch lands in, and where windows (as executed) end
+        # static spill bookkeeping: every window is entered at its
+        # start step and left at its last one
         fetches = writebacks = bytes_in = bytes_out = accesses = 0
         staged_win: dict[int, StageWindow] = {}
         staged_extent: dict[int, int] = {}
         dirty: set[int] = set()
-        windows_at: dict[int, dict[int, StageWindow]] = {}
-        last_in_win: dict[tuple[int, int], int] = {}
-        last_touch: dict[int, int] = {}
-        #: transfer events in executed order: (buffer, window, step
-        #: index, pieces) — fetch events at window entry, writeback
-        #: events at dirty window exit; placement happens after the
-        #: replay. ``pieces`` are the :func:`_tile_pieces` the event
-        #: moves — whole-buffer staging is the one-span case of the
-        #: tile rule. ``entry_events`` records every window entry
-        #: (fetching or not): prefetch placement needs to know when
-        #: each staging slot is first touched to scope writeback syncs
+        enter_at: dict[int, list[tuple[int, StageWindow]]] = {}
+        leave_at: dict[int, list[tuple[int, StageWindow]]] = {}
+        #: transfer events in schedule order: (buffer, window, step,
+        #: pieces) — fetch events at window entry, writeback events at
+        #: dirty window exit; placement happens after the replay.
+        #: ``pieces`` are the :func:`_tile_pieces` the event moves —
+        #: whole-buffer staging is the one-span case of the tile rule.
         fetch_events: list[
             tuple[int, StageWindow, int, list[tuple[int, int, int]]]
         ] = []
         wb_events: list[
             tuple[int, StageWindow, int, list[tuple[int, int, int]]]
         ] = []
-        entry_events: list[tuple[int, StageWindow, int]] = []
-        #: merged byte ranges each window's kernels bind ((b, w.start)
-        #: keyed), plus each buffer's windows in entry order — under
-        #: tiling scratch is shared across a buffer's windows, so a
-        #: tile fetch must trail every earlier window whose ranges
-        #: intersect the piece (disjoint windows can neither read nor
-        #: dirty the piece's scratch or home bytes)
+        #: merged byte ranges each window's kernels bind, keyed
+        #: ``(b, w.start)``
         win_ranges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        win_order: list[tuple[int, int]] = []
-        #: tracked in executed order: bytes some kernel has produced
+        #: tracked in schedule order: bytes some kernel has produced
         #: (the slot or scratch holds them) / bytes written back to the
         #: home (a later fetch may legally read exactly these)
         produced: dict[int, list[tuple[int, int]]] = {}
         homed: dict[int, list[tuple[int, int]]] = {}
         if spilled:
             it = self._itemsize
-            for oi, name in enumerate(order):
-                touched = self._touched_spilled.get(name, ())
-                for b in touched:
-                    w = self._layout.window_at(b, pos[name])
-                    windows_at.setdefault(b, {})[oi] = w
-                    last_in_win[(b, w.start)] = oi
-                    last_touch[b] = oi
-                    if (b, w.start) not in win_ranges:
-                        win_order.append((b, w.start))
-                    acc = win_ranges.setdefault((b, w.start), [])
-                    for t in (name, *graph.node(name).inputs):
-                        if self._buf_of_name[t] != b:
-                            continue
-                        t_lo = self._intra_elem[t] * it
-                        _range_add(
-                            acc, t_lo, t_lo + graph.node(t).output.bytes
-                        )
-        #: per buffer, its windows in entry order as (start, last touch
-        #: executed index, touched ranges) — the per-piece fetch floor
-        #: scans this
-        win_seq: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
-        for b, start in win_order:
-            win_seq.setdefault(b, []).append(
-                (start, last_in_win[(b, start)], win_ranges[(b, start)])
-            )
+            for b, ws in layout.windows.items():
+                for w in ws:
+                    enter_at.setdefault(w.start, []).append((b, w))
+                    leave_at.setdefault(w.end - 1, []).append((b, w))
+                    acc = win_ranges[(b, w.start)] = []
+                    for name in order[w.start : w.end]:
+                        for t in (name, *graph.node(name).inputs):
+                            if self._buf_of_name[t] != b:
+                                continue
+                            t_lo = self._intra_elem[t] * it
+                            _range_add(
+                                acc, t_lo, t_lo + graph.node(t).output.bytes
+                            )
 
         for oi, name in enumerate(order):
             node = graph.node(name)
@@ -1289,25 +1263,22 @@ class PlanExecutor:
             b_own = model.buffer_of[u]
             if spill is not None:
                 accesses += self._touch_count[name]
-            # stage every spilled buffer this step touches, fetching
-            # touched tiles clipped to home bytes a previous writeback
-            # produced (none before the first one); never-homed bytes
-            # the window reads are still live in scratch
-            for b in self._touched_spilled.get(name, ()):
-                w = windows_at[b][oi]
-                if staged_win.get(b) is not w:
-                    staged_win[b] = w
-                    staged_extent[b] = w.offset + self._slot_bytes[b]
-                    entry_events.append((b, w, oi))
-                    pieces = _tile_pieces(
-                        win_ranges[(b, w.start)],
-                        homed.get(b, []),
-                        self._tile_spans[b],
-                    )
-                    if pieces:
-                        fetch_events.append((b, w, oi, pieces))
-                        fetches += len(pieces)
-                        bytes_in += sum(p[1] - p[0] for p in pieces)
+            # enter every window starting here, fetching touched tiles
+            # clipped to home bytes a previous writeback produced (none
+            # before the first one); never-homed bytes the window reads
+            # are still live in scratch
+            for b, w in enter_at.get(oi, ()):
+                staged_win[b] = w
+                staged_extent[b] = w.offset + self._slot_bytes[b]
+                pieces = _tile_pieces(
+                    win_ranges[(b, w.start)],
+                    homed.get(b, []),
+                    self._tile_spans[b],
+                )
+                if pieces:
+                    fetch_events.append((b, w, oi, pieces))
+                    fetches += len(pieces)
+                    bytes_in += sum(p[1] - p[0] for p in pieces)
             if b_own not in spilled:
                 live.add(b_own)
             extent = max(
@@ -1402,11 +1373,8 @@ class PlanExecutor:
                     o_lo,
                     o_lo + node.output.bytes,
                 )
-            for b in self._touched_spilled.get(name, ()):
-                w = staged_win[b]
-                if last_in_win.get((b, w.start)) != oi:
-                    continue  # window continues at a later executed step
-                has_later = last_touch[b] != oi
+            for b, w in leave_at.get(oi, ()):
+                has_later = w is not layout.windows[b][-1]
                 if b in dirty and (has_later or model.buf_persistent[b]):
                     # writeback = touched tiles clipped to produced
                     # bytes (the rest has no defined value)
@@ -1426,8 +1394,7 @@ class PlanExecutor:
                     dirty.discard(b)
                 staged_extent.pop(b, None)
         steps, total_jobs = self._place_transfers(
-            order, kernel_rows, fetch_events, wb_events, entry_events,
-            win_seq, n
+            kernel_rows, fetch_events, wb_events, win_ranges, n
         )
         return _RunPlan(
             steps=steps,
@@ -1445,12 +1412,10 @@ class PlanExecutor:
 
     def _place_transfers(
         self,
-        order: tuple[str, ...],
         kernel_rows: list[tuple],
         fetch_events: list,
         wb_events: list,
-        entry_events: list[tuple[int, StageWindow, int]],
-        win_seq: dict[int, list[tuple[int, int, list[tuple[int, int]]]]],
+        win_ranges: dict[tuple[int, int], list[tuple[int, int]]],
         n: int,
     ) -> tuple[tuple[tuple, ...], int]:
         """Interleave the collected transfer events with the kernel rows.
@@ -1459,7 +1424,7 @@ class PlanExecutor:
         placed once: a fetch up to its window's ``lead`` schedule
         positions early (never before the same buffer's previous
         writeback — the FIFO then orders the home accesses), a
-        writeback right after its window's last touch. With the engine,
+        writeback right after its window's last step. With the engine,
         jobs are ENQUEUE rows; one SYNC per step waits for the highest
         job the step depends on (fetches at window entry, writebacks
         when a slot reservation expires or a compute-thread fetch needs
@@ -1474,9 +1439,7 @@ class PlanExecutor:
         no sync rows, no engine jobs. Returns ``(steps, total engine
         jobs per run)``.
         """
-        pos = self._schedule_pos
-        n_exec = len(order)
-        sched = [pos[nm] for nm in order]
+        n_exec = len(kernel_rows)
         # full per-buffer writeback history (exit step indices, both
         # inline and engine) — a later fetch of the same buffer reads
         # home bytes the previous writeback produces, so its enqueue
@@ -1502,7 +1465,7 @@ class PlanExecutor:
                     (b, w, piece) for piece in pieces
                 )
                 continue
-            eo = bisect.bisect_left(sched, max(0, w.start - lead))
+            eo = max(0, w.start - lead)
             if not tiled:
                 exits = wb_exits.get(b, ())
                 i = bisect.bisect_left(exits, entry_oi)
@@ -1517,24 +1480,23 @@ class PlanExecutor:
                 # last earlier window of b whose touched ranges
                 # intersect the piece — that window's kernels read/write
                 # exactly those scratch bytes and its exit writeback
-                # (FIFO-enqueued at its last touch) refreshes exactly
+                # (FIFO-enqueued at its last step) refreshes exactly
                 # those home bytes. Windows touching disjoint ranges
                 # impose nothing, which is what lets consecutive
                 # windows of a hot buffer keep their full prefetch lead.
                 prior = [
-                    (wp_last, wp_ranges)
-                    for wp_start, wp_last, wp_ranges in win_seq[b]
-                    if wp_start < w.start
+                    (wp.end, win_ranges[(b, wp.start)])
+                    for wp in self._layout.windows[b]
+                    if wp.start < w.start
                 ]
                 for piece in pieces:
                     p_lo, p_hi = piece[0], piece[1]
                     floor = 0
-                    for wp_last, wp_ranges in prior:
-                        if wp_last + 1 > floor and any(
-                            r_lo < p_hi and p_lo < r_hi
-                            for r_lo, r_hi in wp_ranges
+                    for end, ranges in prior:
+                        if any(
+                            r_lo < p_hi and p_lo < r_hi for r_lo, r_hi in ranges
                         ):
-                            floor = wp_last + 1
+                            floor = max(floor, end)
                     eng_f.setdefault(
                         min(max(eo, floor), entry_oi), []
                     ).append((b, w, entry_oi, piece))
@@ -1552,7 +1514,7 @@ class PlanExecutor:
         scratch_writes: dict[int, list[tuple[int, int, int]]] = {}
         spilled = self._spilled
         it = self._itemsize
-        for oi, name in enumerate(order):
+        for oi, name in enumerate(self.schedule):
             r = self._buf_of_name[name]
             if r not in spilled:
                 resident_writes.setdefault(r, []).append(oi)
@@ -1575,13 +1537,14 @@ class PlanExecutor:
             lo, hi = w.offset, w.offset + self._slot_bytes[b]
             due = n_exec
             if not tiled:
-                for b2, w2, e2 in entry_events:
-                    if e2 <= exit_oi or e2 >= due:
-                        continue
-                    if (b2, w2.start) in eng_fetch_windows:
-                        continue
-                    if w2.offset < hi and lo < w2.offset + self._slot_bytes[b2]:
-                        due = e2
+                for b2, ws2 in self._layout.windows.items():
+                    for w2 in ws2:
+                        if not exit_oi < w2.start < due:
+                            continue
+                        if (b2, w2.start) in eng_fetch_windows:
+                            continue
+                        if w2.offset < hi and lo < w2.offset + self._slot_bytes[b2]:
+                            due = w2.start
             for r, ois in resident_writes.items():
                 off = self._region_offset[r]
                 if off < hi and lo < off + size[r]:
@@ -1616,7 +1579,7 @@ class PlanExecutor:
                     eng_w.setdefault(exit_oi, []).append((b, w, p_due, piece))
 
         # FIFO job numbers follow step-table enqueue order: walk the
-        # executed order once, fetch enqueues before writeback enqueues
+        # schedule once, fetch enqueues before writeback enqueues
         # within a step, and record where each job must be complete
         job = 0
         need_at = [0] * n_exec
@@ -1665,61 +1628,13 @@ class PlanExecutor:
                 steps.append(self._transfer_row(job_kind, b, w, piece, n, False))
         return tuple(steps), job if queued else 0
 
-    def _get_plan(self, wanted: list[str] | None, n: int) -> "_RunPlan":
-        """The compiled plan for ``(output subset, batch width)``.
+    def run(self, feeds: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Execute the whole schedule inside the executor's persistent
+        arena.
 
-        ``wanted=None`` is the full schedule; otherwise the schedule is
-        restricted to ancestors of ``wanted``, with every pruned node
-        treated as already executed so shared buffers release once their
-        *remaining* consumers have run (reference-executor semantics).
-        """
-        key = (None if wanted is None else frozenset(wanted), n)
-        hit = self._run_plans.get(key)
-        if hit is not None:
-            return hit
-        if wanted is None:
-            order: tuple[str, ...] = tuple(self.schedule)
-            pruned_mask = 0
-        else:
-            needed: set[str] = set()
-            stack = list(key[0])  # type: ignore[arg-type]
-            while stack:
-                name = stack.pop()
-                if name in needed:
-                    continue
-                needed.add(name)
-                stack.extend(self.graph.node(name).inputs)
-            order = tuple(nm for nm in self.schedule if nm in needed)
-            idx = self.model.index
-            pruned_mask = 0
-            for name in idx.order:
-                if name not in needed:
-                    pruned_mask |= 1 << idx.index[name]
-        compiled = self._compile_run_plan(order, pruned_mask, n)
-        if len(self._run_plans) - len(self._pinned) >= _RUN_PLAN_CACHE_LIMIT:
-            # drop the oldest unpinned plan (dict preserves insertion
-            # order; the full-schedule plans stay)
-            for stale in self._run_plans:
-                if stale not in self._pinned:
-                    del self._run_plans[stale]
-                    break
-        self._run_plans[key] = compiled
-        return compiled
-
-    def run(
-        self,
-        feeds: Mapping[str, np.ndarray],
-        outputs: Iterable[str] | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Execute the schedule inside the executor's persistent arena.
-
-        Returns copies of the requested ``outputs`` (default: graph
-        sinks) — an intermediate output is snapshotted the moment it is
-        produced, before any later in-place consumer can overwrite its
-        bytes. Like the reference executor, an explicit ``outputs``
-        subset prunes execution (and required feeds) to the ancestors of
-        the requested nodes. Sets :attr:`last_stats` with the measured
-        arena peak and raises :class:`ExecutionError` if that peak ever
+        Returns a copy of every graph sink, snapshotted the moment it
+        is produced. Sets :attr:`last_stats` with the measured arena
+        peak and raises :class:`ExecutionError` if that peak ever
         exceeds the plan's ``arena_bytes``.
 
         A solo run is the batch of one: feeds gain a leading axis (a
@@ -1730,14 +1645,11 @@ class PlanExecutor:
             for k in self.graph.input_nodes
             if k in feeds
         }
-        return {
-            k: v[0] for k, v in self._execute(stacked, outputs, 1).items()
-        }
+        return {k: v[0] for k, v in self._execute(stacked, 1).items()}
 
     def run_batch(
         self,
         feeds: Mapping[str, np.ndarray],
-        outputs: Iterable[str] | None = None,
         batch: int | None = None,
     ) -> dict[str, np.ndarray]:
         """Execute ``n`` stacked samples in one pass over the arena rows.
@@ -1745,13 +1657,14 @@ class PlanExecutor:
         Every feed carries a leading batch axis: input ``x`` of spec
         shape ``s`` is fed as ``(n, *s)`` with ``1 <= n <= batch_size``.
         ``batch`` makes ``n`` explicit; by default it is inferred from
-        the feeds (which must agree). Outputs come back with the same
-        leading axis, and sample ``b`` of every output is bitwise what
-        :meth:`run` returns for sample ``b`` alone — stacking is a
-        dispatch-amortisation strategy, not an approximation. A partial
-        batch (``n < batch_size``) runs at its true size on the first
-        ``n`` arena rows; nothing is padded. Sets :attr:`last_stats`
-        with ``batch=n``.
+        the feeds (which must agree). The graph's sinks come back with
+        the same leading axis, and sample ``b`` of every output is
+        bitwise what :meth:`run` returns for sample ``b`` alone —
+        stacking is a dispatch-amortisation strategy, not an
+        approximation. A partial batch (``n < batch_size``) runs at its
+        true size on the first ``n`` arena rows; nothing is padded.
+        Each width compiles its step table once. Sets
+        :attr:`last_stats` with ``batch=n``.
         """
         n = batch
         if n is None:
@@ -1770,20 +1683,14 @@ class PlanExecutor:
                 f"1..{self.batch_size} (construct with batch_size={n} "
                 "or larger)"
             )
-        return self._execute(feeds, outputs, n)
+        return self._execute(feeds, n)
 
     def _execute(
-        self,
-        feeds: Mapping[str, np.ndarray],
-        outputs: Iterable[str] | None,
-        n: int,
+        self, feeds: Mapping[str, np.ndarray], n: int
     ) -> dict[str, np.ndarray]:
-        wanted = list(outputs) if outputs is not None else self.graph.sinks
-        unknown = [w for w in wanted if w not in self.graph]
-        if unknown:
-            raise ExecutionError(f"requested outputs never computed: {unknown}")
-        subset = None if outputs is None else wanted
-        plan = self._get_plan(subset, n)
+        plan = self._run_plans.get(n)
+        if plan is None:
+            plan = self._run_plans[n] = self._compile_run_plan(n)
         if plan.overflow_at is not None:
             raise ExecutionError(
                 f"arena overflow at {plan.overflow_at!r}: measured high-water "
@@ -1814,8 +1721,9 @@ class PlanExecutor:
         inline_stall_s = 0.0
         engine_wait_s = 0.0
 
+        sinks = self.graph.sinks
+        want = set(sinks)
         snapshots: dict[str, np.ndarray] = {}
-        want = set(wanted)
         try:
             for (
                 kind,
@@ -1911,17 +1819,18 @@ class PlanExecutor:
             ),
         )
         self.runs += 1
-        return {w: snapshots[w] for w in wanted}
+        return {s: snapshots[s] for s in sinks}
 
     def shadow_check(self):
         """Byte-bounds replay of this executor's compiled step tables.
 
         Delegates to :func:`repro.analysis.shadow.shadow_check`: every
-        pinned plan (width 1, and width ``batch_size``) is walked row
-        by row — views bounds-checked against the declared regions,
-        reads proven covered by earlier writes, and transfer-engine
-        rows modelled for races — without executing a kernel. Returns
-        an :class:`~repro.analysis.diagnostics.AnalysisReport`.
+        compiled table (widths 1 and ``batch_size``, plus any other
+        width already run) is walked row by row — views
+        bounds-checked against the declared regions, reads proven
+        covered by earlier writes, and transfer-engine rows modelled
+        for races — without executing a kernel. Returns an
+        :class:`~repro.analysis.diagnostics.AnalysisReport`.
         """
         from repro.analysis.shadow import shadow_check
 

@@ -164,9 +164,6 @@ def verify_execution(
     sinks = graph.sinks
 
     ref = Executor(graph, params=params).run(feeds, outputs=sinks)
-    # no explicit outputs: the default *is* the sinks, served by the
-    # full-schedule step table pinned at construction (an explicit list
-    # is keyed as a pruned subset and compiles the same table again)
     planned = PlanExecutor(
         graph, model.schedule, model.plan, params=params
     ).run(feeds)

@@ -10,14 +10,14 @@ the *same model* into that single lease.
 Every run is *one stacked* ``run_batch`` call: the requests' feeds are
 stacked along a leading batch axis, every kernel runs once for the
 whole batch (amortising NumPy's per-call dispatch, which dominates on
-micro cells), and the outputs are scattered back to the individual
-futures — each sample bitwise what a run of its own would have
-produced. A lone request is the batch of one. When the pool's
+micro cells), and the graph's sinks are scattered back to the
+individual futures — each sample bitwise what a run of its own would
+have produced. A lone request is the batch of one. When the pool's
 executors are **batch-capable** (``batch_size > 1``), a drained
 micro-batch stacks wider: that requires identical request shapes (same
-output subset, same feed names, spec-shaped feeds); requests that
-differ run back to back at width 1 on the same hot arena, and a
-partial drain runs at its true stacked size — never padded to capacity.
+feed names, spec-shaped feeds); requests that differ run back to back
+at width 1 on the same hot arena, and a partial drain runs at its true
+stacked size — never padded to capacity.
 
 Every response carries a :class:`RequestStats` (queue wait, run time,
 the *actual* number of samples stacked into its run, and attempts);
@@ -35,7 +35,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class ServingStats:
 class _Request:
     model: str
     feeds: Mapping[str, np.ndarray]
-    outputs: list[str] | None
     future: Future
     enqueued_at: float
     #: absolute ``time.monotonic()`` deadline, or ``None`` for no limit
@@ -293,11 +292,11 @@ class RequestScheduler:
         self,
         model: str,
         feeds: Mapping[str, np.ndarray],
-        outputs: Iterable[str] | None = None,
         *,
         deadline_s: float | None = None,
     ) -> Future:
-        """Enqueue one inference; resolves to an :class:`InferenceResult`.
+        """Enqueue one inference; resolves to an :class:`InferenceResult`
+        carrying the graph's sinks.
 
         ``deadline_s`` (seconds from now; default: the scheduler's
         ``deadline_s``) bounds how long the request may wait: if it is
@@ -311,7 +310,6 @@ class RequestScheduler:
         request = _Request(
             model=model,
             feeds=feeds,
-            outputs=list(outputs) if outputs is not None else None,
             future=fut,
             enqueued_at=time.perf_counter(),
             deadline=(
@@ -437,8 +435,8 @@ class RequestScheduler:
         """Partition a drained micro-batch into stackable groups.
 
         Requests stack only when one ``run_batch`` call can serve them
-        all: identical output subset, identical feed names, and every
-        feed a spec-shaped graph input (a malformed request — or one
+        all: they are grouped by their feed names alone, and every feed
+        must be a spec-shaped graph input (a malformed request — or one
         carrying extra non-input feeds whose shapes np.stack could
         trip over — must fail or succeed *alone*, not poison its
         neighbours, so it is left as a singleton and its own width-1
@@ -452,7 +450,7 @@ class RequestScheduler:
                 for name in graph.input_nodes
             }
             self._input_specs[model] = specs
-        groups: dict[tuple, list[_Request]] = {}
+        groups: dict[frozenset[str], list[_Request]] = {}
         singletons: list[list[_Request]] = []
         for req in batch:
             try:
@@ -466,11 +464,7 @@ class RequestScheduler:
             if not stackable:
                 singletons.append([req])
                 continue
-            key = (
-                None if req.outputs is None else tuple(sorted(req.outputs)),
-                names,
-            )
-            groups.setdefault(key, []).append(req)
+            groups.setdefault(names, []).append(req)
         return list(groups.values()) + singletons
 
     def _run_batch(self, model: str, batch: list[_Request], executor) -> None:
@@ -529,9 +523,7 @@ class RequestScheduler:
                                 )
                                 for k in live[0].feeds
                             }
-                            outputs = executor.run_batch(
-                                feeds, outputs=live[0].outputs, batch=len(live)
-                            )
+                            outputs = executor.run_batch(feeds, batch=len(live))
                         except Exception as exc:
                             if len(live) > 1:
                                 # one poisoned batchmate must not fail

@@ -366,15 +366,19 @@ class _SlotPool:
 
 def _slot_bytes_for(models: Iterable) -> int:
     """One slot must hold any request or response payload of ``models``:
-    the sum of every node's (aligned) float64 tensor bytes bounds both
-    the feeds and any requested output subset."""
+    a request carries the graph's inputs, a response its sinks, each
+    tensor float64 and aligned in the slot (4096 bytes at least)."""
     worst = 4096
     for model in models:
-        total = 0
-        for node in model.graph:
-            elems = int(np.prod(node.output.shape, dtype=np.int64))
-            total += _align(max(1, elems) * 8)
-        worst = max(worst, total)
+        graph = model.graph
+        for names in (graph.input_nodes, graph.sinks):
+            worst = max(
+                worst,
+                sum(
+                    _align(max(1, graph.node(name).output.elements) * 8)
+                    for name in names
+                ),
+            )
     return worst
 
 
@@ -504,7 +508,7 @@ class _ShardWorker:
 
     # ------------------------------------------------------------------
     def _on_request(
-        self, req_id: int, model, outputs, descs, req_slot, deadline_s=None
+        self, req_id: int, model, descs, req_slot, deadline_s=None
     ) -> None:
         if self.injector is not None:
             # fault hooks fire before the request is accepted: a kill
@@ -521,9 +525,7 @@ class _ShardWorker:
             return
         try:
             feeds = self.req_ring.read(descs)
-            future = self.scheduler.submit(
-                model, feeds, outputs, deadline_s=deadline_s
-            )
+            future = self.scheduler.submit(model, feeds, deadline_s=deadline_s)
         except Exception as exc:
             self._send_error(req_id, exc, req_slot)
             return
@@ -594,15 +596,13 @@ class _ShardWorker:
                 break  # parent is gone: drain and leave
             kind = msg[0]
             if kind == "req":
-                _, req_id, model, outputs, descs, req_slot, deadline_s = msg
+                _, req_id, model, descs, req_slot, deadline_s = msg
                 if shutdown:
                     self._send_error(
                         req_id, ShardFailedError("shard is draining"), req_slot
                     )
                 else:
-                    self._on_request(
-                        req_id, model, outputs, descs, req_slot, deadline_s
-                    )
+                    self._on_request(req_id, model, descs, req_slot, deadline_s)
             elif kind == "free_resp":
                 self.resp_slots.release(msg[1])
             elif kind == "stats":
@@ -700,7 +700,6 @@ class _Request:
 
     model: str
     feeds: Mapping[str, np.ndarray]
-    outputs: list[str] | None
     future: Future
     #: ``time.perf_counter()`` at first submit — the latency base
     enqueued_at: float
@@ -1162,7 +1161,6 @@ class ShardedScheduler:
         self,
         model: str,
         feeds: Mapping[str, np.ndarray],
-        outputs: Iterable[str] | None = None,
         *,
         deadline_s: float | None = None,
         retries: int | None = None,
@@ -1194,7 +1192,6 @@ class ShardedScheduler:
         request = _Request(
             model=model,
             feeds=feeds,
-            outputs=list(outputs) if outputs is not None else None,
             future=Future(),
             enqueued_at=time.perf_counter(),
             deadline=(
@@ -1282,7 +1279,6 @@ class ShardedScheduler:
                         "req",
                         req_id,
                         request.model,
-                        request.outputs,
                         descs,
                         req_slot,
                         deadline_rem,

@@ -97,8 +97,7 @@ class TestPlanSpill:
         for s, bufs in enumerate(touch):
             for b in bufs:
                 if b in sp.spilled:
-                    w = sp.base.window_at(b, s)
-                    assert w.start <= s < w.end
+                    assert [w for w in sp.windows[b] if w.start <= s < w.end]
 
 
 class TestTiledPlan:

@@ -125,10 +125,10 @@ def _with_row(px, index, row):
     """Swap one row of the width-1 pinned table for a tampered one."""
     from dataclasses import replace
 
-    plan = px._run_plans[(None, 1)]
+    plan = px._run_plans[1]
     rows = list(plan.steps)
     rows[index] = row
-    px._run_plans[(None, 1)] = replace(plan, steps=tuple(rows))
+    px._run_plans[1] = replace(plan, steps=tuple(rows))
 
 
 class TestTransferRows:
@@ -142,7 +142,7 @@ class TestTransferRows:
             seed=0, capacity_bytes=_tiled_capacity(compiled),
             tile_bytes=8192, prefetch=False,
         )
-        steps = px._run_plans[(None, 1)].steps
+        steps = px._run_plans[1].steps
         # the table's first transfer is a writeback through a tile slot
         # nothing has filled yet: scratch -> slot, then slot -> home
         index = next(i for i, r in enumerate(steps) if r[0] == _STEP_MOVE)
@@ -169,7 +169,7 @@ class TestTransferRows:
             tile_bytes=8192, prefetch=True,
         )
         try:
-            steps = px._run_plans[(None, 1)].steps
+            steps = px._run_plans[1].steps
             index = next(
                 i
                 for i, r in enumerate(steps[:-1])
@@ -207,8 +207,8 @@ class TestTransferRows:
                     tile_bytes=tile_bytes, prefetch=prefetch,
                 )
                 try:
-                    for key in px._pinned:
-                        seen |= {r[0] for r in px._run_plans[key].steps}
+                    for plan in px._run_plans.values():
+                        seen |= {r[0] for r in plan.steps}
                     report = px.shadow_check()
                     assert report.ok and len(report) == 0, report.summary()
                 finally:
@@ -218,8 +218,8 @@ class TestTransferRows:
 
     def test_unknown_kind_is_reported_not_skipped(self, compiled):
         px = compiled.executor(seed=0)
-        row = px._run_plans[(None, 1)].steps[-1]
-        _with_row(px, len(px._run_plans[(None, 1)].steps) - 1, (99,) + row[1:])
+        row = px._run_plans[1].steps[-1]
+        _with_row(px, len(px._run_plans[1].steps) - 1, (99,) + row[1:])
         report = px.shadow_check()
         assert any(
             "unknown step kind 99" in d.message

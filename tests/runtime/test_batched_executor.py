@@ -178,15 +178,6 @@ class TestPartialBatches:
                     assert got[name].shape[0] == n
                     np.testing.assert_array_equal(want[name], got[name][b])
 
-    def test_output_subset_prunes_batched_run(self, chain_graph):
-        schedule = Schedule.of(chain_graph, chain_graph.node_names)
-        plan = plan_allocation(chain_graph, schedule)
-        px = PlanExecutor(chain_graph, schedule, plan, batch_size=2)
-        _, stacked = stack_feeds(chain_graph, 2)
-        got = px.run_batch(stacked, outputs=["r"])
-        assert set(got) == {"r"}
-        assert px.last_stats.steps < len(chain_graph)
-
     def test_batch_width_over_capacity_rejected(self, chain_graph):
         schedule = Schedule.of(chain_graph, chain_graph.node_names)
         plan = plan_allocation(chain_graph, schedule)

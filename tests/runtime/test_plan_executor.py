@@ -236,33 +236,6 @@ class TestAliasingEdgeCases:
             with pytest.raises(ExecutionError, match="unsafe"):
                 PlanExecutor(g, schedule, plan_allocation(g, schedule))
 
-    def test_intermediate_snapshot_before_inplace_overwrite(self):
-        """Requesting a tensor that an in-place consumer later clobbers
-        returns the as-produced value (reference semantics)."""
-        b = GraphBuilder("snap")
-        x = b.input("x", (2, 2, 2))
-        b.relu(x, name="r")
-        g = b.build()
-        g.add(
-            Node(
-                name="over",
-                op="sigmoid",
-                inputs=("r",),
-                output=TensorSpec((2, 2, 2)),
-                memory=MemorySemantics(inplace_of=0),
-            )
-        )
-        schedule = Schedule.of(g, g.node_names)
-        plan = plan_allocation(g, schedule)
-        feeds = random_feeds(g)
-        params = init_params(g)
-        ref = Executor(g, params=params).run(feeds, outputs=["r", "over"])
-        got = PlanExecutor(g, schedule, plan, params=params).run(
-            feeds, outputs=["r", "over"]
-        )
-        np.testing.assert_array_equal(ref["r"], got["r"])
-        np.testing.assert_array_equal(ref["over"], got["over"])
-
 
 class TestArenaReuse:
     """The per-executor arena and its scrub policies."""
@@ -426,7 +399,7 @@ class TestDirectWrites:
         px = PlanExecutor(graph, schedule, plan)
         copied = {
             graph.node(row[1]).op
-            for row in px._run_plans[(None, 1)].steps
+            for row in px._run_plans[1].steps
             if row[0] == _STEP_COPY
         }
         assert not copied & CONV_OPS
@@ -545,82 +518,24 @@ class TestDirectWrites:
 
 
 class TestOutputPruning:
-    """Requesting a subset executes (and feeds) only its ancestors —
-    aligned between the reference executor and the plan executor."""
+    """Requesting a subset executes (and feeds) only its ancestors — on
+    the reference executor, the oracle; the plan executor always runs
+    the whole schedule."""
 
-    @pytest.fixture
-    def two_branch(self):
+    def test_subset_needs_only_ancestor_feeds(self):
         b = GraphBuilder("two-branch")
         x = b.input("x", (2, 4, 4))
         y = b.input("y", (2, 4, 4))
-        bx = b.relu(x, name="bx")
-        by = b.relu(y, name="by")
-        b.sigmoid(bx, name="out_x")
-        b.sigmoid(by, name="out_y")
-        return b.build()
-
-    @pytest.mark.parametrize("executor_kind", ["reference", "plan"])
-    def test_subset_needs_only_ancestor_feeds(self, two_branch, executor_kind):
-        g = two_branch
+        b.sigmoid(b.relu(x, name="bx"), name="out_x")
+        b.sigmoid(b.relu(y, name="by"), name="out_y")
+        g = b.build()
         feeds_x = {"x": random_feeds(g)["x"]}
-        if executor_kind == "reference":
-            run = Executor(g).run
-        else:
-            schedule = Schedule.of(g, g.node_names)
-            run = PlanExecutor(g, schedule, plan_allocation(g, schedule)).run
+        run = Executor(g).run
         out = run(feeds_x, outputs=["out_x"])
         assert set(out) == {"out_x"}
         # the full graph still demands the other feed
         with pytest.raises(ExecutionError, match="missing feed"):
             run(feeds_x)
-
-    def test_plan_executor_executes_only_ancestors(self, two_branch):
-        g = two_branch
-        schedule = Schedule.of(g, g.node_names)
-        px = PlanExecutor(g, schedule, plan_allocation(g, schedule))
-        px.run({"x": random_feeds(g)["x"]}, outputs=["out_x"])
-        assert px.last_stats.steps == 3  # x, bx, out_x
-        px.run(random_feeds(g))
-        assert px.last_stats.steps == len(g)
-
-    def test_pruned_outputs_bitwise_match_reference(self, two_branch):
-        g = two_branch
-        params = init_params(g)
-        feeds = random_feeds(g)
-        schedule = Schedule.of(g, g.node_names)
-        px = PlanExecutor(g, schedule, plan_allocation(g, schedule), params=params)
-        for wanted in (["bx"], ["out_y"], ["out_x", "by"]):
-            ref = Executor(g, params=params).run(feeds, outputs=wanted)
-            got = px.run(feeds, outputs=wanted)
-            assert set(ref) == set(got)
-            for name in ref:
-                np.testing.assert_array_equal(ref[name], got[name])
-
-    def test_pruning_keeps_hazard_free_inplace_semantics(self):
-        """Pruning away a later in-place overwriter must not change the
-        returned value of the tensor it would have clobbered."""
-        b = GraphBuilder("prune-inplace")
-        x = b.input("x", (2, 2, 2))
-        b.relu(x, name="r")
-        g = b.build()
-        g.add(
-            Node(
-                name="over",
-                op="sigmoid",
-                inputs=("r",),
-                output=TensorSpec((2, 2, 2)),
-                memory=MemorySemantics(inplace_of=0),
-            )
-        )
-        schedule = Schedule.of(g, g.node_names)
-        plan = plan_allocation(g, schedule)
-        params = init_params(g)
-        feeds = random_feeds(g)
-        px = PlanExecutor(g, schedule, plan, params=params)
-        ref = Executor(g, params=params).run(feeds, outputs=["r"])
-        got = px.run(feeds, outputs=["r"])
-        np.testing.assert_array_equal(ref["r"], got["r"])
-        assert px.last_stats.steps == 2  # 'over' pruned
 
 
 class TestPlanExecutorErrors:
@@ -637,14 +552,6 @@ class TestPlanExecutorErrors:
         plan = plan_allocation(chain_graph, schedule)
         with pytest.raises(ExecutionError, match="missing feed"):
             PlanExecutor(chain_graph, schedule, plan).run({})
-
-    def test_unknown_output_rejected(self, chain_graph):
-        schedule = Schedule.of(chain_graph, chain_graph.node_names)
-        plan = plan_allocation(chain_graph, schedule)
-        with pytest.raises(ExecutionError, match="never computed"):
-            PlanExecutor(chain_graph, schedule, plan).run(
-                random_feeds(chain_graph), outputs=["nope"]
-            )
 
     def test_mixed_itemsize_rejected(self):
         g = Graph("mixed")
@@ -685,17 +592,29 @@ class TestVerifyExecution:
     def test_one_step_table_compile_per_verification(
         self, diamond_graph, monkeypatch
     ):
-        """The sinks are the default outputs: verification must run the
-        full-schedule table pinned at construction, not compile it a
-        second time under an explicit-subset key."""
+        """Verification runs the width-1 table compiled at construction;
+        a batch-capable executor compiles widths 1 and ``batch_size`` up
+        front, every other width once, on its first run."""
         model = CompilationPipeline("greedy").compile(diamond_graph)
         compiles = []
         inner = PlanExecutor._compile_run_plan
 
-        def spy(self, order, pruned_mask, n):
-            compiles.append((len(order), pruned_mask, n))
-            return inner(self, order, pruned_mask, n)
+        def spy(self, n):
+            compiles.append(n)
+            return inner(self, n)
 
         monkeypatch.setattr(PlanExecutor, "_compile_run_plan", spy)
         assert verify_execution(model).equivalent
-        assert compiles == [(len(diamond_graph), 0, 1)]
+        assert compiles == [1]
+
+        px = PlanExecutor(
+            model.graph, model.schedule, model.plan, batch_size=4
+        )
+        assert compiles == [1, 1, 4]
+        feeds = random_feeds(model.graph)
+        for _ in range(2):
+            for n in range(1, 5):
+                px.run_batch(
+                    {k: np.stack([v] * n) for k, v in feeds.items()}, batch=n
+                )
+        assert compiles == [1, 1, 4, 2, 3]

@@ -353,7 +353,7 @@ class TestOnePlacement:
                 params=cell["params"], spill=spill, prefetch=prefetch,
             )
             try:
-                plan = px._run_plans[(None, 1)]
+                plan = px._run_plans[1]
                 tables[prefetch] = (plan, _transfer_jobs(px, plan))
                 assert px.prefetch_active == (
                     prefetch and spill.prefetch is not None
@@ -400,39 +400,6 @@ class TestSpillSemantics:
         )
         batched.run_batch(stacked)
         assert batched.last_stats.spill_bytes_total == 8 * per_sample
-
-    def test_pruned_outputs_stay_bitwise(self, spill_suite):
-        """run(outputs=...) prunes execution; fetch/writeback insertion
-        must follow the executed subset, not the full schedule."""
-        cell = spill_suite("randwire-c10-b")
-        spill = _spill_plan(cell, 0.5)
-        assert not spill.is_trivial
-        graph = cell["graph"]
-        feeds, _, _ = _references(cell, 1)
-        # an intermediate (non-sink) node roughly mid-schedule
-        mid = [
-            name
-            for name in cell["schedule"]
-            if graph.succs(name) and graph.node(name).op != "input"
-        ]
-        target = mid[len(mid) // 2]
-        px = PlanExecutor(
-            cell["graph"], cell["schedule"], cell["plan"],
-            params=cell["params"], spill=spill,
-        )
-        got = px.run(feeds[0], outputs=[target])
-        want = cell["ref"].run(feeds[0], outputs=[target])
-        np.testing.assert_array_equal(want[target], got[target])
-        # pruned traffic never exceeds the full run's
-        full_traffic = PlanExecutor(
-            cell["graph"], cell["schedule"], cell["plan"],
-            params=cell["params"], spill=spill,
-        )
-        full_traffic.run(feeds[0])
-        assert (
-            px.last_stats.spill_bytes_total
-            <= full_traffic.last_stats.spill_bytes_total
-        )
 
     def test_traffic_report_units(self, spill_suite):
         cell = spill_suite("randwire-c10-b")

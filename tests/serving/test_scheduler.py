@@ -46,14 +46,6 @@ class TestDispatch:
         assert result.stats.model == "chain"
         assert result.stats.run_s > 0
 
-    def test_output_subset_request(self, registry):
-        graph = registry.get("chain").graph
-        feeds = random_feeds(graph)
-        pool = ArenaPool(registry)
-        with RequestScheduler(registry, pool, workers=1) as server:
-            result = server.submit("chain", feeds, outputs=["r"]).result(timeout=30)
-        assert set(result.outputs) == {"r"}
-
     def test_unknown_model_fails_fast(self, registry):
         pool = ArenaPool(registry)
         with RequestScheduler(registry, pool, workers=1) as server:
@@ -81,7 +73,6 @@ class TestMicroBatching:
         return _Request(
             model=model,
             feeds={},
-            outputs=None,
             future=Future(),
             enqueued_at=time.perf_counter(),
         )
@@ -129,11 +120,10 @@ class TestStackedBatching:
     """Batch-capable executors turn a drained micro-batch into ONE
     stacked run with per-request scatter."""
 
-    def _request(self, graph, seed, outputs=None, feeds=None) -> _Request:
+    def _request(self, graph, seed, feeds=None) -> _Request:
         return _Request(
             model="diamond",
             feeds=feeds if feeds is not None else random_feeds(graph, seed=seed),
-            outputs=outputs,
             future=Future(),
             enqueued_at=time.perf_counter(),
         )
@@ -189,32 +179,6 @@ class TestStackedBatching:
         assert executor.last_stats.batch == 3
         assert server.stats().batches == 1
         assert server.stats().mean_batch == 3.0
-
-    def test_mixed_output_subsets_grouped_separately(self, registry):
-        graph = registry.get("diamond").graph
-        params = init_params(graph, 0)
-        pool = ArenaPool(registry, batch_size=8)
-        server = RequestScheduler(registry, pool, workers=1, max_batch=8)
-        subset = [graph.sinks[0]]
-        requests = [
-            self._request(graph, seed=0),
-            self._request(graph, seed=1, outputs=list(subset)),
-            self._request(graph, seed=2),
-            self._request(graph, seed=3, outputs=list(subset)),
-        ]
-        executor = pool.acquire("diamond")
-        try:
-            server._run_batch("diamond", requests, executor)
-        finally:
-            pool.release("diamond", executor)
-        ref = Executor(graph, params=params)
-        for i, req in enumerate(requests):
-            result = req.future.result(timeout=5)
-            assert result.stats.batch_size == 2  # two groups of two
-            want = ref.run(random_feeds(graph, seed=i), outputs=req.outputs)
-            assert set(result.outputs) == set(want)
-            for name in want:
-                np.testing.assert_array_equal(want[name], result.outputs[name])
 
     def test_malformed_request_fails_alone(self, registry):
         """A bad request in a drained batch must not poison the
@@ -358,7 +322,6 @@ class TestErrorPaths:
         return _Request(
             model="diamond",
             feeds=feeds if feeds is not None else random_feeds(graph, seed=seed),
-            outputs=None,
             future=Future(),
             enqueued_at=time.perf_counter(),
         )
@@ -368,10 +331,10 @@ class TestErrorPaths:
         (stand-in for a data-dependent kernel exception)."""
         real_run_batch = executor.run_batch
 
-        def run_batch(feeds, outputs=None, batch=None):
+        def run_batch(feeds, batch=None):
             if any(np.any(np.asarray(v) == self.POISON) for v in feeds.values()):
                 raise ExecutionError(f"poisoned feed in a batch of {batch}")
-            return real_run_batch(feeds, outputs=outputs, batch=batch)
+            return real_run_batch(feeds, batch=batch)
 
         executor.run_batch = run_batch
 

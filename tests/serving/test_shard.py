@@ -11,6 +11,8 @@ import pytest
 
 from repro.compiler import CompilationPipeline
 from repro.exceptions import ServingError
+from repro.graph.builder import GraphBuilder
+from repro.models.suite import get_cell
 from repro.runtime.executor import Executor, init_params, random_feeds
 from repro.serving import (
     ModelRegistry,
@@ -19,7 +21,7 @@ from repro.serving import (
     rendezvous_shard,
     run_load,
 )
-from repro.serving.shard import _ALIGN, _SlotPool, _TensorRing
+from repro.serving.shard import _ALIGN, _SlotPool, _TensorRing, _slot_bytes_for
 
 
 @pytest.fixture
@@ -122,13 +124,21 @@ class TestTensorRing:
         try:
             small = ring.write(0, {"t": np.zeros(1024)})
             large = ring.write(0, {"t": np.zeros(1024 * 1024)})
-            msg_small = pickle.dumps(("req", 1, "model", None, small, 0))
-            msg_large = pickle.dumps(("req", 2, "model", None, large, 0))
+            msg_small = pickle.dumps(("req", 1, "model", small, 0, None))
+            msg_large = pickle.dumps(("req", 2, "model", large, 0, None))
             assert abs(len(msg_large) - len(msg_small)) <= 16
             assert len(msg_large) < 512
         finally:
             ring.close()
             ring.unlink()
+
+    def test_slot_holds_the_larger_of_inputs_and_sinks(self):
+        # a request slot carries a model's feeds and a response slot its
+        # sinks; nothing else crosses the ring
+        for key, want in (("randwire-c100-a", 131072), ("swiftnet-a", 200704)):
+            model = CompilationPipeline("greedy").compile(get_cell(key).factory())
+            assert _slot_bytes_for([model]) == want
+        assert _slot_bytes_for([]) == 4096
 
     def test_slot_pool_backpressure_and_peak(self):
         pool = _SlotPool(2)
@@ -191,15 +201,29 @@ class TestShardedServing:
             assert s.served.pool.hits > 0
             assert s.req_ring_peak >= 1
 
-    def test_output_subset_crosses_the_ring(self, registry):
-        graph = registry.get("chain").graph
-        sink = graph.sinks[0]
-        feeds = random_feeds(graph, seed=3)
+    def test_sinks_larger_than_inputs_round_trip(self):
+        """A response slot holds the graph's sinks, not just its feeds:
+        a graph whose outputs outweigh its inputs comes back bitwise."""
+        b = GraphBuilder("fan-out")
+        x = b.input("x", (1, 4, 4))
+        b.conv2d(x, 64, kernel=1, name="wide_a")
+        b.conv2d(x, 64, kernel=3, name="wide_b")
+        registry = ModelRegistry()
+        registry.register(
+            CompilationPipeline("greedy").compile(b.build()), name="fan-out"
+        )
+        graph = registry.get("fan-out").graph
+        ref = Executor(graph, params=init_params(graph, 0))
         with ShardedScheduler(registry, shards=2, workers=1) as server:
-            result = server.submit("chain", feeds, outputs=[sink]).result(
-                timeout=60
-            )
-        assert set(result.outputs) == {sink}
+            # 128 B of feeds, two 8 KiB sinks
+            assert server._slot_bytes == 2 * 8192
+            for seed in range(3):
+                feeds = random_feeds(graph, seed=seed)
+                result = server.submit("fan-out", feeds).result(timeout=60)
+                want = ref.run(feeds)
+                assert set(result.outputs) == set(want) == set(graph.sinks)
+                for k in want:
+                    np.testing.assert_array_equal(want[k], result.outputs[k])
 
     def test_unknown_model_fails_fast(self, registry):
         with ShardedScheduler(registry, shards=2, workers=1) as server:
