@@ -79,6 +79,22 @@ class TestCleanExecutors:
         report = px.shadow_check()
         assert report.ok and len(report) == 0, report.summary()
 
+    def test_width_first_run_later_is_walked(self, compiled):
+        """A width compiled on its first run is a table like the two
+        built at construction: the replay walks it too."""
+        import numpy as np
+
+        from repro.runtime import random_feeds
+
+        px = compiled.executor(seed=0, batch_size=4)
+        feeds = random_feeds(compiled.graph, seed=0)
+        px.run_batch({k: np.stack([v, v]) for k, v in feeds.items()}, batch=2)
+        report = px.shadow_check()
+        assert report.ok and len(report) == 0, report.summary()
+        assert report.checks == (
+            "shadow@batch1", "shadow@batch2", "shadow@batch4"
+        )
+
     def test_outputs_unaffected_by_checking(self, compiled):
         import numpy as np
 
@@ -96,19 +112,27 @@ class TestCleanExecutors:
             np.testing.assert_array_equal(before[k], after[k])
 
 
+def _understate_arena(px, arena_bytes):
+    """Declare a smaller arena on the executor's own copy of its plan
+    (the module's compiled model stays intact for later tests)."""
+    from dataclasses import replace
+
+    px.plan = replace(px.plan, arena_bytes=arena_bytes)
+
+
 class TestSeededCorruption:
     def test_understated_region_is_flagged(self, compiled):
         px = compiled.executor(seed=0)
         # shrink the declared arena budget under the executor's real
         # bindings: every view past the new byte line must turn OOB
-        object.__setattr__(px.plan, "arena_bytes", px.plan.arena_bytes // 2)
+        _understate_arena(px, px.plan.arena_bytes // 2)
         report = px.shadow_check()
         assert not report.ok
         assert "SHADOW_OOB" in report.codes()
 
     def test_diagnostics_name_real_sites(self, compiled):
         px = compiled.executor(seed=0)
-        object.__setattr__(px.plan, "arena_bytes", 1)
+        _understate_arena(px, 1)
         report = px.shadow_check()
         found = report.by_code("SHADOW_OOB")
         assert found and all(d.node is not None for d in found)
@@ -121,14 +145,14 @@ def _tiled_capacity(model):
     return max(tile_floor, min(whole - 1, tile_floor * 2))
 
 
-def _with_row(px, index, row):
-    """Swap one row of the width-1 pinned table for a tampered one."""
+def _with_row(px, index, row, n=1):
+    """Swap one row of the width-``n`` table for a tampered one."""
     from dataclasses import replace
 
-    plan = px._run_plans[1]
+    plan = px._run_plans[n]
     rows = list(plan.steps)
     rows[index] = row
-    px._run_plans[1] = replace(plan, steps=tuple(rows))
+    px._run_plans[n] = replace(plan, steps=tuple(rows))
 
 
 class TestTransferRows:
@@ -220,6 +244,25 @@ class TestTransferRows:
         px = compiled.executor(seed=0)
         row = px._run_plans[1].steps[-1]
         _with_row(px, len(px._run_plans[1].steps) - 1, (99,) + row[1:])
+        report = px.shadow_check()
+        assert any(
+            "unknown step kind 99" in d.message
+            for d in report.by_code("SHADOW_REGION")
+        )
+
+    def test_tampered_width_first_run_later_is_reported(self, compiled):
+        """Only the width-3 table, compiled by its first run, is
+        tampered: the diagnostic can come from nowhere else."""
+        import numpy as np
+
+        from repro.runtime import random_feeds
+
+        px = compiled.executor(seed=0, batch_size=4)
+        feeds = random_feeds(compiled.graph, seed=0)
+        px.run_batch({k: np.stack([v] * 3) for k, v in feeds.items()}, batch=3)
+        assert px.shadow_check().ok
+        steps = px._run_plans[3].steps
+        _with_row(px, len(steps) - 1, (99,) + steps[-1][1:], n=3)
         report = px.shadow_check()
         assert any(
             "unknown step kind 99" in d.message

@@ -382,6 +382,65 @@ class TestOnePlacement:
         )
 
 
+class TestStaticWindows:
+    """Every run replays the whole schedule, so a window is always
+    entered at its start step and left at its last: the transfers are
+    read off the spill plan's windows alone and are the same at every
+    batch width — per-sample traffic is a constant of the plan."""
+
+    @pytest.mark.parametrize("key", [c.key for c in suite_cells()])
+    def test_traffic_is_a_constant_of_the_plan(self, spill_suite, key):
+        cell = spill_suite(key)
+        spill = _spill_plan(cell, 0.5)
+        assert not spill.is_trivial
+        pos = {name: i for i, name in enumerate(cell["schedule"])}
+        # a buffer's first window opens where it is produced; every
+        # later one is fetched once, at its start
+        fetched = {
+            (b, w.start) for b in spill.spilled for w in spill.windows[b][1:]
+        }
+        # only a window with a successor can need a writeback
+        leavable = {
+            (b, w.end - 1) for b in spill.spilled for w in spill.windows[b][:-1]
+        }
+        _, stacked, _ = _references(cell, 3)
+        px = PlanExecutor(
+            cell["graph"], cell["schedule"], cell["plan"],
+            params=cell["params"], batch_size=3, spill=spill, prefetch=False,
+        )
+        try:
+            transfers = {}
+            for n in (1, 2, 3):
+                px.run_batch({k: v[:n] for k, v in stacked.items()}, batch=n)
+                plan = px._run_plans[n]
+                names = [row[1] for row in plan.steps]
+                fetches, writebacks = [], []
+                for i, name in enumerate(names):
+                    if name.startswith("<fetch:b"):
+                        after = next(m for m in names[i:] if m in pos)
+                        fetches.append((int(name[8:-1]), pos[after]))
+                    elif name.startswith("<writeback:b"):
+                        before = next(m for m in reversed(names[:i]) if m in pos)
+                        writebacks.append((int(name[12:-1]), pos[before]))
+                assert sorted(fetches) == sorted(fetched)
+                assert set(writebacks) <= leavable
+                assert len(writebacks) == len(set(writebacks))
+                assert plan.spill_fetches == len(fetches)
+                assert plan.spill_writebacks == len(writebacks)
+                transfers[n] = (
+                    [m for m in names if m not in pos],
+                    plan.spill_bytes_in,
+                    plan.spill_bytes_out,
+                    plan.spill_accesses,
+                )
+                assert px.last_stats.spill_bytes_total == n * (
+                    plan.spill_bytes_in + plan.spill_bytes_out
+                )
+            assert transfers[1] == transfers[2] == transfers[3]
+        finally:
+            px.close()
+
+
 class TestSpillSemantics:
     def test_batched_traffic_is_n_times_solo(self, spill_suite):
         cell = spill_suite("randwire-c100-c")
