@@ -65,7 +65,7 @@ def run() -> list[dict]:
     rows = []
     for key in CELLS:
         graph = get_cell(key).factory()
-        model = CompilationPipeline("serenity-fast").compile(graph)
+        model = CompilationPipeline("serenity").compile(graph)
         params = init_params(model.graph)
         feeds = random_feeds(model.graph)
 

@@ -5,8 +5,8 @@ byte-bounds cross-check in :mod:`repro.analysis.shadow`) reports
 through one record type: a :class:`Diagnostic` names the violated
 invariant (``code``), where it was observed (schedule step, buffer id,
 byte range) and how bad it is (``severity``). Consumers — the CLI's
-``verify-plan`` subcommand, :meth:`CompiledModel.load`, the portfolio
-compiler's winner screening — only ever look at the structured fields,
+``verify-plan`` subcommand, :meth:`CompiledModel.load`, the
+``compile-batch`` verdict — only ever look at the structured fields,
 so a new check integrates by emitting a new code, never by teaching
 callers a new exception type.
 """

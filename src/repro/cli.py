@@ -8,8 +8,8 @@ Subcommands
                    arena, reporting measured peak vs plan
 ``schedule``       compile one benchmark cell (or a saved graph) and print
                    the schedule report
-``compile-batch``  portfolio-compile many graphs in parallel with the
-                   persistent scheduling cache
+``compile-batch``  compile many graphs with one strategy, over worker
+                   processes and the persistent scheduling cache
 ``verify-plan``    statically verify compiled artifacts without running
                    a kernel
 ``serve``          load artifacts — or compile cells/graphs on the spot
@@ -314,20 +314,22 @@ def _cmd_verify_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile_batch(args: argparse.Namespace) -> int:
-    from repro.exceptions import SchedulingError
+    import json
+    import time
+
+    from repro.analysis.verifier import analyze_model
+    from repro.compiler import CompilationPipeline
+    from repro.exceptions import ReproError
     from repro.graph.serialization import load_graph
     from repro.scheduler.cache import ScheduleCache
     from repro.scheduler.device import KNOWN_DEVICES
-    from repro.scheduler.portfolio import PortfolioCompiler
-    from repro.scheduler.registry import default_portfolio
 
-    graphs = []
-    if args.cells:
-        for key in args.cells:
-            graphs.append(get_cell(key).factory())
-    if args.graphs:
-        for path in args.graphs:
-            graphs.append(load_graph(path))
+    try:
+        graphs = [get_cell(key).factory() for key in args.cells or []]
+        graphs += [load_graph(path) for path in args.graphs or []]
+    except (ReproError, OSError, json.JSONDecodeError, KeyError) as exc:
+        print(f"error: cannot load graph: {exc}", file=sys.stderr)
+        return 2
     if not graphs:  # default: the whole benchmark suite
         graphs = [spec.factory() for spec in BENCHMARK_SUITE.values()]
 
@@ -335,30 +337,58 @@ def _cmd_compile_batch(args: argparse.Namespace) -> int:
         removed = ScheduleCache(args.cache_dir).clear()
         print(f"cleared {removed} cache entries")
     cache = None if args.no_cache else ScheduleCache(args.cache_dir)
-
-    strategies = default_portfolio()
-    if args.strategies:
-        strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        if not strategies:
-            print("error: --strategies names no strategies", file=sys.stderr)
-            return 2
     device = KNOWN_DEVICES[args.device] if args.device else None
+    pipeline = CompilationPipeline(args.strategy, cache=cache, device=device)
 
+    t0 = time.perf_counter()
     try:
-        compiler = PortfolioCompiler(
-            strategies,
-            workers=args.workers,
-            cache=cache,
-            device=device,
-        )
-    except SchedulingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        models = pipeline.compile_batch(graphs, workers=args.workers)
+    except ReproError as exc:
+        print(f"error: compilation failed: {exc}", file=sys.stderr)
         return 2
-    report = compiler.compile_batch(graphs)
-    print(report.summary())
+    wall_s = time.perf_counter() - t0
+
+    print("batch compilation report")
+    print(f"  graphs {len(models)}, workers {args.workers}, "
+          f"strategy {args.strategy}")
+    if device is not None:
+        print(f"  device: {device.name} ({device.sram_kib:.0f}KB budget)")
+    print()
+    print(f"  {'graph':<18s} {'peak KB':>9s} {'arena KB':>9s} {'time':>8s}"
+          f"  {'fits':<5s} cache")
+    for model in models:
+        meta = model.meta
+        fits = "-" if device is None else ("yes" if meta["fits"] else "no")
+        print(f"  {model.graph.name:<18s} {meta['peak_bytes'] / 1024:>9.1f}"
+              f" {model.arena_bytes / 1024:>9.1f}"
+              f" {meta['compile_time_s']:>7.2f}s  {fits:<5s}"
+              f" {'hit' if meta['cached'] else 'miss'}")
+    print()
+    hits = sum(1 for m in models if m.meta["cached"])
+    cached = (
+        f"cache hits {hits}/{len(models)} ({100.0 * hits / len(models):.1f}%)"
+        if cache is not None
+        else "no cache"
+    )
+    print(f"  wall time {wall_s:.2f}s; {cached}")
+    recomputed = [
+        m.graph.name for m in models if m.meta.get("recomputed_in_process")
+    ]
+    if recomputed:
+        print("  worker pool broke; recomputed in-process: "
+              + ", ".join(recomputed))
+    if device is not None:
+        n_fit = sum(1 for m in models if m.meta["fits"])
+        print(f"  deployable on {device.name}: {n_fit}/{len(models)}")
     if cache is not None:
         print(f"  cache: {cache.root}")
-    return 0
+
+    # every plan must analyze clean before the batch is reported good
+    failed = [r for r in (analyze_model(m, level="basic") for m in models)
+              if not r.ok]
+    for report in failed:
+        print(report.summary(), file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _serving_budget(args: argparse.Namespace):
@@ -523,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--device",
         choices=sorted(KNOWN_DEVICES),
         help="target device budget — compile: recorded in the artifact, "
-        "exit 1 if the plan exceeds it; compile-batch: race with early "
-        "cancellation against it",
+        "exit 1 if the plan exceeds it; compile-batch: report which "
+        "graphs fit it",
     )
 
     verified = shared()
@@ -688,11 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "compile-batch",
-        help="portfolio-compile a batch of graphs in parallel",
-        description="Race a portfolio of scheduling strategies over many "
-        "graphs, fanning out over worker processes and memoising every "
-        "outcome in the persistent schedule cache. With no --cell/--graph "
-        "arguments the full benchmark suite is compiled.",
+        help="compile a batch of graphs in parallel",
+        description="Compile many graphs with one scheduling strategy, "
+        "one job per graph over worker processes, memoising every "
+        "schedule in the persistent schedule cache; exit 1 if any plan "
+        "fails static verification. With no --cell/--graph arguments "
+        "the full benchmark suite is compiled.",
         parents=[many_sources, on_device, cached],
     )
     p_batch.add_argument(
@@ -702,8 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (<=1 compiles in-process; default 0)",
     )
     p_batch.add_argument(
-        "--strategies",
-        help="comma-separated strategy names (default: the standard portfolio)",
+        "--strategy",
+        choices=strategy_names(),
+        default="serenity",
+        help="scheduling strategy (default: serenity)",
     )
     p_batch.add_argument(
         "--clear-cache",

@@ -1,8 +1,8 @@
 """The unified compile pipeline: graph in, :class:`CompiledModel` out.
 
 There is one path from a graph to an artifact, and every front door —
-:class:`CompilationPipeline`, the portfolio compiler, the experiment
-harness, ``Serenity().compile`` — walks it:
+:class:`CompilationPipeline` (one graph, or a batch over worker
+processes), the experiment harness, ``Serenity().compile`` — walks it:
 
 1. **strategy execution** — any strategy from
    :mod:`repro.scheduler.registry` (rewriting, when the strategy
@@ -21,21 +21,23 @@ harness, ``Serenity().compile`` — walks it:
    and compared bitwise against the reference executor).
 
 The artifact is what ``serenity run`` (or any future runtime) executes
-as-is. Because cache keys and helpers are shared with the
-:class:`~repro.scheduler.portfolio.PortfolioCompiler` and
-:mod:`repro.experiments.common`, any of them warms the cache for the
-others.
+as-is. Because cache keys and helpers
+(:mod:`repro.scheduler.portfolio`) are shared with
+:mod:`repro.experiments.common`, either warms the cache for the other.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from typing import Any, Sequence
 
 from repro.allocator.arena import plan_allocation
 from repro.compiler.model import CompiledModel
 from repro.graph.graph import Graph
-from repro.graph.serialization import graph_signature
+from repro.graph.serialization import graph_from_dict, graph_signature, graph_to_dict
 from repro.scheduler.cache import ScheduleCache
 from repro.scheduler.device import DeviceSpec
 from repro.scheduler.portfolio import outcome_from_cache, store_outcome
@@ -167,6 +169,54 @@ class CompilationPipeline:
             self._verify(model)
         return model
 
+    def compile_batch(
+        self, graphs: Sequence[Graph], workers: int = 0
+    ) -> list[CompiledModel]:
+        """Compile every graph, in order.
+
+        ``workers <= 1`` compiles in-process; ``>= 2`` runs one job per
+        graph over that many worker processes. Only documents cross the
+        process boundary: a graph document goes in, the artifact
+        document comes out and is re-checked by
+        :meth:`CompiledModel.from_doc`. If a worker dies (OOM-killed,
+        segfaulted, ...) it takes the pool with it; the graphs without
+        a result are then compiled in-process and their artifacts carry
+        ``meta["recomputed_in_process"] = True``.
+        """
+        graphs = list(graphs)
+        if workers <= 1:
+            return [self.compile(graph) for graph in graphs]
+        settings = (
+            self.spec.name,
+            {
+                "allocator": self.allocator,
+                "device": self.device,
+                "cache": self.cache,
+                "verify": self.verify,
+            },
+        )
+        docs: list[dict[str, Any] | None] = [None] * len(graphs)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(_compile_task, settings, graph_to_dict(graph))
+                    for graph in graphs
+                ]
+                for i, fut in enumerate(futures):
+                    docs[i] = fut.result()
+        except BrokenProcessPool:
+            pass
+        return [
+            CompiledModel.from_doc(doc)
+            if doc is not None
+            else self._recompute(graph)
+            for graph, doc in zip(graphs, docs)
+        ]
+
+    def _recompute(self, graph: Graph) -> CompiledModel:
+        model = self.compile(graph)
+        return replace(model, meta={**model.meta, "recomputed_in_process": True})
+
     def _verify(self, model: CompiledModel) -> None:
         from repro.exceptions import ExecutionError
         from repro.runtime.verify import verify_execution
@@ -177,6 +227,19 @@ class CompilationPipeline:
                 f"compiled plan for {model.graph.name!r} diverges from the "
                 f"reference executor (max abs error {report.max_abs_error:g})"
             )
+
+
+def _compile_task(
+    settings: tuple[str, dict[str, Any]], doc: dict[str, Any]
+) -> dict[str, Any]:
+    """Worker-side compile: graph document in, artifact document out.
+
+    The strategy is resolved from the worker's own registry, so no
+    callables are pickled.
+    """
+    strategy, options = settings
+    pipeline = CompilationPipeline(strategy, **options)
+    return pipeline.compile(graph_from_dict(doc)).to_doc()
 
 
 def compiled_model_from_report(

@@ -31,16 +31,10 @@ from repro.scheduler.memory import (
     peak_of,
     simulate_schedule,
 )
-from repro.scheduler.portfolio import (
-    BatchReport,
-    PortfolioCompiler,
-    PortfolioResult,
-    schedule_from_entry,
-)
+from repro.scheduler.portfolio import schedule_from_entry
 from repro.scheduler.registry import (
     StrategyOutcome,
     StrategySpec,
-    default_portfolio,
     get_strategy,
     register_strategy,
     run_strategy,
@@ -105,10 +99,6 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "strategy_names",
-    "default_portfolio",
     "run_strategy",
-    "PortfolioCompiler",
-    "PortfolioResult",
-    "BatchReport",
     "schedule_from_entry",
 ]

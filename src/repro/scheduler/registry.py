@@ -1,14 +1,13 @@
-"""Named scheduling strategies — the portfolio's building blocks.
+"""Named scheduling strategies.
 
-A *strategy* is a named recipe that turns a graph into a schedule:
-``SerenityConfig`` variants (the paper's pipeline at different search
-budgets), the greedy list scheduler, simulated annealing, and the
-memory-oblivious Kahn/DFS baselines. The registry gives each one a
-stable name so that
+A *strategy* is a named recipe that turns a graph into a schedule: the
+paper's pipeline with and without rewriting, the greedy list scheduler,
+and the memory-oblivious Kahn/DFS baselines. The registry gives each
+one a stable name so that
 
-* the :class:`~repro.scheduler.portfolio.PortfolioCompiler` can race
-  them across worker processes (workers resolve strategies by name —
-  nothing but strings crosses the process boundary), and
+* :meth:`~repro.compiler.pipeline.CompilationPipeline.compile_batch`
+  can compile in worker processes (workers resolve the strategy by
+  name — only documents cross the process boundary), and
 * the persistent :class:`~repro.scheduler.cache.ScheduleCache` can key
   cached schedules by ``(graph signature, strategy key)``.
 
@@ -40,7 +39,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.exceptions import SchedulingError
 from repro.graph.graph import Graph
-from repro.scheduler.annealing import anneal_schedule
 from repro.scheduler.divide import DivideAndConquerScheduler
 from repro.scheduler.greedy import greedy_schedule
 from repro.scheduler.memory import BufferModel, simulate_schedule
@@ -57,7 +55,6 @@ __all__ = [
     "get_strategy",
     "strategy_names",
     "iter_strategies",
-    "default_portfolio",
     "measure",
     "run_strategy",
 ]
@@ -67,19 +64,15 @@ __all__ = [
 class StrategySpec:
     """One registered scheduling strategy.
 
-    ``rank`` orders strategies from cheapest to most expensive; the
-    portfolio races them in that order so that when a device budget is
-    given, a cheap strategy that already fits can cancel the expensive
-    search still in flight. ``version`` salts the persistent-cache key:
-    bump it whenever the strategy's behaviour changes, or stale cached
-    schedules would be served for the old behaviour.
+    ``version`` salts the persistent-cache key: bump it whenever the
+    strategy's behaviour changes, or stale cached schedules would be
+    served for the old behaviour.
     """
 
     name: str
     summary: str
     run: Callable[[Graph], Schedule]
     rewrites: bool = False
-    rank: int = 50
     version: str = "1"
 
     @property
@@ -102,7 +95,7 @@ class StrategyOutcome:
     time_s: float
     cached: bool = False
     #: the first-fit layout ``arena_bytes`` was read from (``None`` on
-    #: outcomes rebuilt from a worker's result dict)
+    #: outcomes assembled by hand rather than by :func:`measure`)
     plan: "AllocationPlan | None" = field(default=None, compare=False, repr=False)
 
     def fits(self, budget_bytes: int) -> bool:
@@ -118,7 +111,6 @@ def register_strategy(
     *,
     summary: str,
     rewrites: bool = False,
-    rank: int = 50,
     version: str = "1",
 ) -> Callable[[Callable[[Graph], Schedule]], Callable[[Graph], Schedule]]:
     """Decorator registering ``fn`` as the strategy ``name``."""
@@ -131,7 +123,6 @@ def register_strategy(
             summary=summary,
             run=fn,
             rewrites=rewrites,
-            rank=rank,
             version=version,
         )
         return fn
@@ -149,23 +140,13 @@ def get_strategy(name: str) -> StrategySpec:
 
 
 def strategy_names() -> list[str]:
-    """All registered names, cheapest strategy first."""
-    return [s.name for s in sorted(_REGISTRY.values(), key=lambda s: (s.rank, s.name))]
+    """All registered names, in registration order (cheapest first)."""
+    return list(_REGISTRY)
 
 
 def iter_strategies() -> Iterator[StrategySpec]:
     for name in strategy_names():
         yield _REGISTRY[name]
-
-
-def default_portfolio() -> tuple[str, ...]:
-    """The strategy set the portfolio compiler races by default.
-
-    Annealing is registered but excluded here: it costs thousands of
-    schedule simulations yet is dominated by the exact DP on every
-    suite cell (see ``benchmarks/bench_scheduler_ablation.py``).
-    """
-    return ("kahn", "dfs", "greedy", "serenity-fast", "serenity-dp", "serenity")
 
 
 def measure(
@@ -219,39 +200,21 @@ def _divide_and_conquer(max_states_per_step: int | None) -> Callable[[Graph], Sc
 register_strategy(
     "kahn",
     summary="Kahn topological order, insertion tie-break (TFLite baseline)",
-    rank=0,
 )(kahn_schedule)
 
 register_strategy(
     "dfs",
     summary="depth-first topological order (eager codegen baseline)",
-    rank=1,
 )(dfs_schedule)
 
 register_strategy(
     "greedy",
     summary="greedy memory-aware list scheduler",
-    rank=10,
 )(greedy_schedule)
-
-register_strategy(
-    "serenity-fast",
-    summary="rewriting + divide-and-conquer DP at a small state budget",
-    rewrites=True,
-    rank=20,
-    version="2",
-)(_divide_and_conquer(max_states_per_step=2_000))
-
-register_strategy(
-    "anneal",
-    summary="simulated annealing over topological orders",
-    rank=30,
-)(lambda graph: anneal_schedule(graph, iterations=1_200, restarts=2).schedule)
 
 register_strategy(
     "serenity-dp",
     summary="divide-and-conquer DP + adaptive budgeting, no rewriting",
-    rank=40,
     version="2",
 )(_divide_and_conquer(max_states_per_step=50_000))
 
@@ -259,6 +222,5 @@ register_strategy(
     "serenity",
     summary="full SERENITY: rewriting + divide-and-conquer DP + budgeting",
     rewrites=True,
-    rank=60,
     version="2",
 )(_divide_and_conquer(max_states_per_step=50_000))

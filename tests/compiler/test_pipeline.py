@@ -14,7 +14,6 @@ from repro.compiler import (
 from repro.exceptions import ExecutionError, GraphError, SchedulingError
 from repro.scheduler.cache import ScheduleCache
 from repro.scheduler.device import SPARKFUN_EDGE, DeviceSpec
-from repro.scheduler.portfolio import PortfolioCompiler
 from repro.scheduler.registry import get_strategy
 from repro.scheduler.serenity import Serenity, SerenityConfig
 
@@ -32,7 +31,7 @@ class TestPipeline:
         assert model.source_signature == model.signature  # no rewriting
 
     def test_rewriting_strategy_changes_signature(self, concat_depthwise_graph):
-        model = CompilationPipeline("serenity-fast").compile(
+        model = CompilationPipeline("serenity").compile(
             concat_depthwise_graph
         )
         assert len(model.graph) != len(concat_depthwise_graph)
@@ -74,10 +73,12 @@ class TestCacheInterop:
         assert warm.schedule.order == cold.schedule.order
         assert warm.plan.offsets == cold.plan.offsets
 
-    def test_portfolio_entries_served_to_pipeline(self, tmp_path, diamond_graph):
-        """compile-batch warms the exact keys the pipeline looks up."""
+    def test_batch_entries_served_to_pipeline(self, tmp_path, diamond_graph):
+        """compile-batch's workers warm the exact keys the pipeline looks up."""
         cache = ScheduleCache(tmp_path)
-        PortfolioCompiler(["greedy"], cache=cache).compile(diamond_graph)
+        CompilationPipeline("greedy", cache=cache).compile_batch(
+            [diamond_graph], workers=2
+        )
         model = CompilationPipeline("greedy", cache=cache).compile(diamond_graph)
         assert model.meta["cached"]
 
@@ -109,7 +110,7 @@ class TestArtifactRoundTrip:
     def test_loaded_model_executes(self, tmp_path, diamond_graph):
         from repro.runtime import random_feeds, verify_execution
 
-        model = CompilationPipeline("serenity-fast").compile(diamond_graph)
+        model = CompilationPipeline("serenity").compile(diamond_graph)
         path = model.save(tmp_path / "m.json")
         loaded = CompiledModel.load(path)
         assert verify_execution(loaded).equivalent

@@ -38,35 +38,22 @@ class TestCLI:
         assert main(["schedule"]) == 2
 
     def test_compile_batch_cells(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "compile-batch",
-                    "--cell", "swiftnet-c",
-                    "--cell", "swiftnet-b",
-                    "--cache-dir", str(tmp_path),
-                ]
-            )
-            == 0
-        )
+        args = [
+            "compile-batch",
+            "--cell", "swiftnet-c",
+            "--cell", "swiftnet-b",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
         out = capsys.readouterr().out
-        assert "portfolio compilation report" in out
+        assert "batch compilation report" in out
+        assert "strategy serenity" in out
         assert "swiftnet-c" in out and "swiftnet-b" in out
-        assert "cache hits 0/12" in out
+        assert "cache hits 0/2" in out
 
         # warm rerun through the same cache dir: every lookup hits
-        assert (
-            main(
-                [
-                    "compile-batch",
-                    "--cell", "swiftnet-c",
-                    "--cell", "swiftnet-b",
-                    "--cache-dir", str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "cache hits 12/12 (100.0%)" in capsys.readouterr().out
+        assert main(args) == 0
+        assert "cache hits 2/2 (100.0%)" in capsys.readouterr().out
 
     def test_compile_batch_device_and_no_cache(self, capsys):
         assert (
@@ -76,14 +63,15 @@ class TestCLI:
                     "--cell", "swiftnet-c",
                     "--device", "SparkFun Edge",
                     "--no-cache",
-                    "--strategies", "kahn,greedy,serenity",
+                    "--strategy", "greedy",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
+        assert "strategy greedy" in out
         assert "deployable on SparkFun Edge: 1/1" in out
-        assert "serenity" in out  # cancelled by the budget race
+        assert "no cache" in out
 
     def test_compile_batch_saved_graph(self, tmp_path, capsys, diamond_graph):
         from repro.graph.serialization import save_graph
@@ -95,10 +83,78 @@ class TestCLI:
         )
         assert "diamond" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", [None, "{}", "not json"])
+    def test_compile_batch_bad_graph_file(self, tmp_path, capsys, content):
+        """A missing, format-less or unparsable --graph file is a usage
+        error (exit 2), as for `compile`, not a traceback."""
+        path = tmp_path / "g.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["compile-batch", "--graph", str(path), "--no-cache"]) == 2
+        assert "error: cannot load graph:" in capsys.readouterr().err
+
+    def test_compile_batch_unknown_strategy_exits(self):
+        with pytest.raises(SystemExit):
+            main(["compile-batch", "--strategy", "made-up", "--no-cache"])
+
+    def test_compile_batch_rejects_unverifiable_plan(self, monkeypatch, capsys):
+        """A plan with error-severity findings is printed and fails the
+        batch (exit 1); nothing falls back to another strategy."""
+        from dataclasses import replace
+
+        from repro.compiler import CompilationPipeline
+
+        inner = CompilationPipeline.compile_batch
+
+        def shrink_arena(self, graphs, workers=0):
+            return [
+                replace(m, plan=replace(m.plan, arena_bytes=m.arena_bytes // 2))
+                for m in inner(self, graphs, workers)
+            ]
+
+        monkeypatch.setattr(CompilationPipeline, "compile_batch", shrink_arena)
+        assert main(["compile-batch", "--cell", "swiftnet-c", "--no-cache"]) == 1
+        assert "ERROR" in capsys.readouterr().err
+
+    def test_compile_batch_suite_over_the_pool(self, monkeypatch, capsys):
+        """The whole suite through two worker processes: every cell's
+        peak and arena are the recorded SERENITY goldens."""
+        import json
+        from pathlib import Path
+
+        from repro.compiler import CompilationPipeline
+        from repro.models.suite import BENCHMARK_SUITE
+
+        got = []
+        inner = CompilationPipeline.compile_batch
+
+        def tap(self, graphs, workers=0):
+            models = inner(self, graphs, workers)
+            got.extend(models)
+            return models
+
+        monkeypatch.setattr(CompilationPipeline, "compile_batch", tap)
+        assert main(["compile-batch", "--no-cache", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        golden = json.loads(
+            (Path(__file__).parents[1] / "scheduler" / "dp_golden.json").read_text()
+        )
+        assert len(got) == len(BENCHMARK_SUITE)
+        for cell, model in zip(BENCHMARK_SUITE, got):
+            want = golden[f"{cell}/serenity"]
+            assert model.meta["peak_bytes"] == want["peak_bytes"], cell
+            assert model.arena_bytes == want["arena_bytes"], cell
+            assert "recomputed_in_process" not in model.meta
+            row = next(line for line in out.splitlines() if f" {cell} " in line)
+            assert row.split()[1:3] == [
+                f"{want['peak_bytes'] / 1024:.1f}",
+                f"{want['arena_bytes'] / 1024:.1f}",
+            ]
+
     def test_list_includes_strategies(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "scheduling strategies" in out and "serenity-fast" in out
+        assert "scheduling strategies" in out and "serenity-dp" in out
 
     def test_experiment_fig2(self, capsys):
         assert main(["experiment", "fig2"]) == 0
@@ -212,7 +268,7 @@ class TestCompileRun:
     def test_run_executes_artifact(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         main(["compile", "--cell", "swiftnet-c", "-o", str(out),
-              "--strategy", "serenity-fast", "--no-cache"])
+              "--strategy", "serenity", "--no-cache"])
         capsys.readouterr()
         assert main(["run", str(out), "--verify"]) == 0
         text = capsys.readouterr().out

@@ -78,10 +78,10 @@ class TestSuiteParity:
         assert_parity(graph, schedule, plan)
 
     def test_rewritten_cell_parity(self):
-        # serenity-fast rewrites: inplace partial-conv chains and view
+        # serenity rewrites: inplace partial-conv chains and view
         # gather concats execute inside the arena
         spec = next(c for c in suite_cells() if c.key == "swiftnet-c")
-        graph, schedule, plan = compile_with(spec.factory(), "serenity-fast")
+        graph, schedule, plan = compile_with(spec.factory(), "serenity")
         assert any(n.memory.aliases for n in graph)
         assert_parity(graph, schedule, plan)
 
@@ -389,7 +389,7 @@ class TestDirectWrites:
         assert px.last_stats.copy_writes == 0  # both convs bind the arena
 
     @pytest.mark.parametrize("key", [c.key for c in suite_cells()])
-    @pytest.mark.parametrize("strategy", ["greedy", "serenity-fast"])
+    @pytest.mark.parametrize("strategy", ["greedy", "serenity"])
     def test_no_suite_conv_takes_the_copy_path(self, key, strategy):
         """Unspilled, every conv-family node (the rewriter's in-place
         partial chains included) is a direct row; what is left on the

@@ -55,6 +55,14 @@ class TestAnnealing:
         long = anneal_schedule(hourglass_graph, iterations=2000, seed=7)
         assert long.peak_bytes <= short.peak_bytes
 
+    def test_anneal_strategy(self, diamond_graph):
+        """A full-length run (1 200 iterations, 2 restarts) returns a
+        valid order whose reported peak is the independent replay's."""
+        res = anneal_schedule(diamond_graph, iterations=1_200, restarts=2)
+        res.schedule.validate(diamond_graph)
+        replay = simulate_schedule(diamond_graph, res.schedule)
+        assert res.peak_bytes == replay.peak_bytes
+
     def test_single_node_graph(self):
         g = random_dag_graph(1, 0)
         res = anneal_schedule(g, iterations=10)

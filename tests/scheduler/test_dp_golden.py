@@ -8,9 +8,10 @@ downset-mask order and Algorithm 2's hard budget became ``min(Kahn,
 greedy)``: every order, peak, arena and probe count stayed, and only
 ``segment_states_expanded`` fell. Any later DP implementation must
 reproduce it byte for byte: the schedule order (as a sha256), both
-peaks, and the per-segment search counters of the three DP-backed
-strategies. ``serenity-fast`` (2 000-state cap) is here because its
-probes walk the timeout -> halve-tau -> no-solution path of Algorithm 2.
+peaks, and the per-segment search counters of the two DP-backed
+strategies, plus ``dnc-2000``: the divide-and-conquer scheduler at a
+2 000-state cap on the rewritten graph, called directly, whose probes
+walk the timeout -> halve-tau -> no-solution path of Algorithm 2.
 
 A mismatch means the tie-break contract documented in
 ``repro.scheduler.dp`` was broken; re-record only together with a
@@ -26,16 +27,19 @@ from pathlib import Path
 import pytest
 
 from repro.models.suite import BENCHMARK_SUITE
+from repro.rewriting.rewriter import rewrite_graph
+from repro.scheduler import registry
 from repro.scheduler.divide import DivideAndConquerScheduler
-from repro.scheduler.registry import run_strategy
 
-STRATEGIES = ("serenity", "serenity-dp", "serenity-fast")
+#: registry strategies, then the direct 2 000-state run
+STRATEGIES = ("serenity", "serenity-dp", "dnc-2000")
 GOLDEN_PATH = Path(__file__).with_name("dp_golden.json")
 
 
 def measure(cell: str, strategy: str) -> dict:
-    """Run ``strategy`` through the registry, tapping the D&C result the
-    registry discards for its per-segment counters."""
+    """Run ``strategy`` (through the registry, except ``dnc-2000``),
+    tapping the D&C result the registry discards for its per-segment
+    counters."""
     tapped = []
     inner = DivideAndConquerScheduler.schedule
 
@@ -43,9 +47,17 @@ def measure(cell: str, strategy: str) -> dict:
         tapped.append(inner(self, graph))
         return tapped[-1]
 
+    graph = BENCHMARK_SUITE[cell].factory()
     DivideAndConquerScheduler.schedule = tap
     try:
-        outcome = run_strategy(strategy, BENCHMARK_SUITE[cell].factory())
+        if strategy == "dnc-2000":
+            target = rewrite_graph(graph).graph
+            tight = DivideAndConquerScheduler(max_states_per_step=2_000)
+            outcome = registry.measure(
+                strategy, target, tight.schedule(target).schedule, 0.0
+            )
+        else:
+            outcome = registry.run_strategy(strategy, graph)
     finally:
         DivideAndConquerScheduler.schedule = inner
     (dnc,) = tapped

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 
+from repro.compiler import CompilationPipeline
 from repro.graph.serialization import graph_signature
 from repro.scheduler.cache import CacheEntry, ScheduleCache
-from repro.scheduler.portfolio import PortfolioCompiler
 from repro.scheduler.registry import get_strategy, run_strategy
 
 from tests.conftest import random_dag_graph
@@ -106,44 +106,44 @@ class TestCacheCompilerIntegration:
         assert graph_signature(g) == graph_signature(relabeled)
 
         cache = ScheduleCache(tmp_path)
-        compiler = PortfolioCompiler(["kahn"], workers=0, cache=cache)
-        cold = compiler.compile(g)
-        warm = compiler.compile(relabeled)
-        assert not cold.cache_hit
-        assert warm.cache_hit
+        pipeline = CompilationPipeline("kahn", cache=cache)
+        cold = pipeline.compile(g)
+        warm = pipeline.compile(relabeled)
+        assert not cold.meta["cached"]
+        assert warm.meta["cached"]
         # the served schedule must be valid FOR THE RELABELED GRAPH and
         # must be the stored schedule under the renaming
-        warm.winner.schedule.validate(relabeled)
-        assert warm.winner.schedule.order == tuple(
-            mapping[n] for n in cold.winner.schedule.order
+        warm.schedule.validate(relabeled)
+        assert warm.schedule.order == tuple(
+            mapping[n] for n in cold.schedule.order
         )
-        assert warm.winner.peak_bytes == cold.winner.peak_bytes
+        assert warm.meta["peak_bytes"] == cold.meta["peak_bytes"]
 
     def test_corrupted_entry_falls_back_to_recompute(self, tmp_path):
         graph = random_dag_graph(8, seed=7)
         cache = ScheduleCache(tmp_path)
-        compiler = PortfolioCompiler(["greedy"], workers=0, cache=cache)
-        cold = compiler.compile(graph)
+        pipeline = CompilationPipeline("greedy", cache=cache)
+        cold = pipeline.compile(graph)
 
         # vandalise the entry on disk
         spec = get_strategy("greedy")
         path = cache._path(graph_signature(graph), spec.cache_key)
         path.write_text("\x00garbage")
 
-        warm = compiler.compile(graph)
-        assert not warm.cache_hit  # fell back to recompute, no crash
-        assert warm.winner.schedule.order == cold.winner.schedule.order
+        warm = pipeline.compile(graph)
+        assert not warm.meta["cached"]  # fell back to recompute, no crash
+        assert warm.schedule.order == cold.schedule.order
         # and the recompute healed the cache
-        healed = compiler.compile(graph)
-        assert healed.cache_hit
+        healed = pipeline.compile(graph)
+        assert healed.meta["cached"]
 
     def test_poisoned_entry_with_invalid_order_recomputes(self, tmp_path):
         """A syntactically valid entry whose order is not a topological
         order of this graph must be rejected, not replayed."""
         graph = random_dag_graph(8, seed=3)
         cache = ScheduleCache(tmp_path)
-        compiler = PortfolioCompiler(["kahn"], workers=0, cache=cache)
-        cold = compiler.compile(graph)
+        pipeline = CompilationPipeline("kahn", cache=cache)
+        cold = pipeline.compile(graph)
 
         spec = get_strategy("kahn")
         entry = cache.get(graph_signature(graph), spec.cache_key)
@@ -158,29 +158,27 @@ class TestCacheCompilerIntegration:
         )
         cache.put(poisoned)
 
-        warm = compiler.compile(graph)
-        assert not warm.cache_hit
-        assert warm.winner.peak_bytes == cold.winner.peak_bytes
+        warm = pipeline.compile(graph)
+        assert not warm.meta["cached"]
+        assert warm.meta["peak_bytes"] == cold.meta["peak_bytes"]
 
     def test_warm_hit_rate_and_identical_peaks(self, tmp_path):
         graphs = [random_dag_graph(8, s) for s in range(4)]
         cache = ScheduleCache(tmp_path)
-        compiler = PortfolioCompiler(
-            ["kahn", "greedy", "serenity-dp"], workers=0, cache=cache
-        )
-        cold = compiler.compile_batch(graphs)
-        warm = compiler.compile_batch(graphs)
-        assert cold.hit_rate == 0.0
-        assert warm.hit_rate == 1.0
-        for a, b in zip(cold.results, warm.results):
-            assert b.cache_hit
-            assert a.winner.peak_bytes == b.winner.peak_bytes
+        for strategy in ("kahn", "greedy", "serenity-dp"):
+            pipeline = CompilationPipeline(strategy, cache=cache)
+            cold = pipeline.compile_batch(graphs)
+            warm = pipeline.compile_batch(graphs)
+            assert not any(m.meta["cached"] for m in cold)
+            assert all(m.meta["cached"] for m in warm)
+            for a, b in zip(cold, warm):
+                assert a.meta["peak_bytes"] == b.meta["peak_bytes"]
 
     def test_cache_shared_with_run_strategy_semantics(self, tmp_path):
         """What the cache replays equals what a fresh run produces."""
         graph = random_dag_graph(10, seed=11)
         cache = ScheduleCache(tmp_path)
-        PortfolioCompiler(["serenity-dp"], workers=0, cache=cache).compile(graph)
+        CompilationPipeline("serenity-dp", cache=cache).compile(graph)
         entry = cache.get(
             graph_signature(graph), get_strategy("serenity-dp").cache_key
         )
