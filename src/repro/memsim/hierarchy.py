@@ -92,8 +92,9 @@ class TrafficReport:
     #: transfer wall-clock the compute stream waited on (runtime only;
     #: the offline simulator counts bytes, not seconds)
     stall_s: float = 0.0
-    #: transfer wall-clock overlapped behind compute by the prefetch
-    #: engine (zero for inline spill execution)
+    #: transfer time overlapped behind compute by the prefetch engine:
+    #: its copy wall-clock plus modeled link seconds, less the waits
+    #: (zero for inline spill execution)
     hidden_s: float = 0.0
     #: transfer granularity the counted traffic moved at (``None`` =
     #: whole-buffer staging)

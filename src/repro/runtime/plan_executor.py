@@ -320,9 +320,10 @@ class PlanExecutionStats:
     measured_peak_bytes: int
     #: off-chip traffic this run executed (all samples; all zero without
     #: a spill plan): ``capacity_bytes`` is the on-chip promise it was
-    #: held to, ``stall_s`` inline copies (modeled link time included)
-    #: plus waits on in-flight prefetch jobs, ``hidden_s`` what the
-    #: engine overlapped behind compute
+    #: held to, ``stall_s`` the wall-clock the compute thread spent on
+    #: inline copies and waits for in-flight prefetch jobs (each up to
+    #: its link deadline), ``hidden_s`` the engine's busy time (copying
+    #: plus modeled link seconds) that no such wait covered
     traffic: TrafficReport
     #: whether this run reused the bytes of a previous run's arena
     arena_reused: bool = False
@@ -409,6 +410,29 @@ def _tile_pieces(
     return out
 
 
+def sleep_until(due: float) -> None:
+    """Block until ``time.perf_counter()`` reads ``due``: the one place
+    modeled link time is waited out (at most one host sleep's
+    overshoot per call)."""
+    delay = due - time.perf_counter()
+    if delay > 0.0:
+        time.sleep(delay)
+
+
+def _copy_hops(
+    hops: tuple[tuple[np.ndarray, np.ndarray, bool], ...],
+    link: OffchipLink | None,
+) -> float:
+    """Run one transfer's hops in order; returns the modeled link
+    seconds its linked hops owe (0 without a link)."""
+    owed = 0.0
+    for dst, src, linked in hops:
+        dst[...] = src
+        if linked and link is not None:
+            owed += link.transfer_s(dst.nbytes)
+    return owed
+
+
 class _TransferEngine:
     """One background "DMA engine": a daemon thread draining a FIFO of
     copies.
@@ -422,30 +446,32 @@ class _TransferEngine:
     linked)`` executed in order: a plain whole-buffer copy is one
     linked hop, a tile piece is two (off-chip <-> tile slot, link-timed;
     tile slot <-> scratch, a plain on-chip move). NumPy copies release
-    the GIL for the bulk of the move (and a modeled
-    :class:`~repro.memsim.hierarchy.OffchipLink` sleeps, which also
-    releases it), so engine transfers genuinely overlap compute."""
+    the GIL for the bulk of the move, so engine transfers genuinely
+    overlap compute.
 
-    def __init__(
-        self, link: OffchipLink | None = None, *, batch_sleeps: bool = False
-    ) -> None:
+    A modeled :class:`~repro.memsim.hierarchy.OffchipLink` is a FIFO
+    timeline of deadlines, not a sleep per job: the drain thread only
+    copies, then stamps job k ``due_k = max(copied_k, due_{k-1}) +
+    link_k`` (never earlier than its own copy plus its link time, nor
+    than the previous job's delivery plus its link time). A waiter
+    blocks until the job's copies are done, then sleeps once, until its
+    ``due``."""
+
+    def __init__(self, link: OffchipLink | None = None) -> None:
         self.link = link
-        #: pay modeled link time in >= quantum sleeps (tile streaming:
-        #: many tiny jobs whose individual sleeps would drown in
-        #: ``time.sleep`` syscall overhead); whole-buffer staging keeps
-        #: one sleep per job
-        self.batch_sleeps = batch_sleeps
         #: monotone job counters: job k is the k-th submitted copy
         self.enqueued = 0
         self.completed = 0
-        #: wall-clock the engine spent moving bytes
+        #: seconds the engine spent on its jobs: wall-clock copying
+        #: plus the modeled link time of their linked hops
         self.busy_s = 0.0
         self._q: deque[tuple[tuple[np.ndarray, np.ndarray, bool], ...]] = (
             deque()
         )
-        #: threads currently blocked on a completion — sleep batching
-        #: only defers completions nobody is observing
-        self._waiters = 0
+        #: ``(job, due)`` of copied jobs no waiter has slept out yet, in
+        #: job order (so dues ascend); ``wait`` pops them
+        self._due: deque[tuple[int, float]] = deque()
+        self._last_due = 0.0
         self._cond = threading.Condition()
         self._closed = False
         self._failure: BaseException | None = None
@@ -474,35 +500,30 @@ class _TransferEngine:
             return self.enqueued
 
     def wait(self, job: int) -> float:
-        """Block until job number ``job`` has completed; returns the
-        wall-clock seconds spent waiting (the compute stall)."""
+        """Block until job number ``job`` has been copied and its
+        modeled link time is over; returns the wall-clock seconds spent
+        waiting (the compute stall)."""
         t0 = time.perf_counter()
         with self._cond:
-            self._waiters += 1
-            try:
-                while self.completed < job and self._failure is None:
-                    self._cond.wait()
-            finally:
-                self._waiters -= 1
+            while self.completed < job and self._failure is None:
+                self._cond.wait()
             if self.completed < job:
                 raise ExecutionError(
                     f"transfer engine failed: {self._failure!r}"
                 )
+            due = 0.0  # stays 0 if an earlier wait slept it out
+            while self._due and self._due[0][0] <= job:
+                due = self._due.popleft()[1]
+        sleep_until(due)
         return time.perf_counter() - t0
 
     def quiesce(self) -> None:
         """Wait until the queue is empty (no error propagation) — used
         to leave no transfer in flight after a failed run."""
-        with self._cond:
-            self._waiters += 1
-            try:
-                while (
-                    self.completed < self.enqueued
-                    and self._failure is None
-                ):
-                    self._cond.wait()
-            finally:
-                self._waiters -= 1
+        try:
+            self.wait(self.enqueued)
+        except ExecutionError:
+            pass
 
     def close(self) -> None:
         """Idempotent shutdown: the drain thread finishes queued jobs
@@ -511,67 +532,29 @@ class _TransferEngine:
             self._closed = True
             self._cond.notify_all()
 
-    #: modeled link time is paid in sleeps no shorter than this: a
-    #: host ``time.sleep`` costs ~100us of scheduler overhead however
-    #: short, which would bill a tile-granularity run 5x its modeled
-    #: link time. Jobs whose sleep is deferred stay *incomplete* until
-    #: the accumulated debt is slept off, so stall accounting can only
-    #: round up (by < one quantum per wait), never undercount — and
-    #: batching only ever defers completions nobody is observing: the
-    #: moment a thread blocks in wait()/quiesce(), the debt is flushed
-    #: after every job, restoring per-job completion granularity.
-    _SLEEP_QUANTUM_S = 2.5e-4
-
     def _drain(self) -> None:
-        debt = 0.0  # modeled link seconds owed but not yet slept
-        batch = 0  # jobs copied but not yet marked complete
         while True:
             with self._cond:
-                while not self._q and not self._closed and not batch:
+                while not self._q and not self._closed:
                     self._cond.wait()
-                if not self._q and not batch:
+                if not self._q:
                     return  # closed and drained
-                hops = self._q.popleft() if self._q else None
-                queue_empty = not self._q
-            if hops is not None:
-                t0 = time.perf_counter()
-                try:
-                    for dst, src, linked in hops:
-                        dst[...] = src
-                        if linked and self.link is not None:
-                            debt += self.link.transfer_s(dst.nbytes)
-                except BaseException as exc:  # propagate to the next wait
-                    with self._cond:
-                        self._failure = exc
-                        self._cond.notify_all()
-                    return
-                batch += 1
+                hops = self._q.popleft()
+            t0 = time.perf_counter()
+            try:
+                owed = _copy_hops(hops, self.link)
+            except BaseException as exc:  # propagate to the next wait
                 with self._cond:
-                    self.busy_s += time.perf_counter() - t0
-                    waited_on = self._waiters > 0
-            else:
-                with self._cond:
-                    waited_on = self._waiters > 0
-            if batch and (
-                queue_empty
-                or waited_on
-                or self.link is None
-                or not self.batch_sleeps
-                or debt >= self._SLEEP_QUANTUM_S
-            ):
-                slept = 0.0
-                if debt > 0.0:
-                    # bill what was slept, not what was owed: wait()
-                    # returns wall-clock, overshoot included
-                    t0 = time.perf_counter()
-                    time.sleep(debt)
-                    slept = time.perf_counter() - t0
-                with self._cond:
-                    self.busy_s += slept
-                    self.completed += batch
+                    self._failure = exc
                     self._cond.notify_all()
-                debt = 0.0
-                batch = 0
+                return
+            copied = time.perf_counter()
+            with self._cond:
+                self.busy_s += copied - t0 + owed
+                self.completed += 1
+                self._last_due = max(copied, self._last_due) + owed
+                self._due.append((self.completed, self._last_due))
+                self._cond.notify_all()
 
 
 @dataclass(frozen=True)
@@ -661,9 +644,9 @@ class PlanExecutor:
     flight. ``prefetch=False`` keeps the base layout and runs the same
     transfer jobs, placed by the same rules, on the compute thread.
     ``link`` attaches a modeled
-    :class:`~repro.memsim.hierarchy.OffchipLink` so every transfer
-    (inline or overlapped) costs the modeled wall-clock instead of a
-    host memcpy. Executors with an active engine own a daemon thread;
+    :class:`~repro.memsim.hierarchy.OffchipLink` so no transfer
+    (inline or overlapped) lands sooner than the modeled link would
+    deliver it, not at host memcpy speed. Executors with an active engine own a daemon thread;
     :meth:`close` releases it (pools do this when discarding).
     """
 
@@ -758,7 +741,7 @@ class PlanExecutor:
             else {}
         )
         self._engine: _TransferEngine | None = (
-            _TransferEngine(link, batch_sleeps=spill.tile_bytes is not None)
+            _TransferEngine(link)
             if layout is not None and layout is spill.prefetch
             else None
         )
@@ -1720,6 +1703,10 @@ class PlanExecutor:
             busy0 = engine.busy_s
         inline_stall_s = 0.0
         engine_wait_s = 0.0
+        #: a run of consecutive MOVE rows is one inline stall: it starts
+        #: at ``move_t0`` and ends at the link deadline ``move_due``
+        move_t0: float | None = None
+        move_due = 0.0
 
         sinks = self.graph.sinks
         want = set(sinks)
@@ -1735,6 +1722,18 @@ class PlanExecutor:
                 node_params,
                 shape,
             ) in plan.steps:
+                if kind == _STEP_MOVE:
+                    # a transfer the compute stream waits out (the
+                    # inline stall), timed by the engine's link rule
+                    if move_t0 is None:
+                        move_t0 = time.perf_counter()
+                    owed = _copy_hops(attrs, link)
+                    move_due = max(time.perf_counter(), move_due) + owed
+                    continue
+                if move_t0 is not None:
+                    sleep_until(move_due)
+                    inline_stall_s += time.perf_counter() - move_t0
+                    move_t0 = None
                 if kind == _STEP_ENQUEUE:
                     engine.submit_hops(attrs)  # type: ignore[union-attr]
                     continue
@@ -1742,17 +1741,6 @@ class PlanExecutor:
                     engine_wait_s += engine.wait(  # type: ignore[union-attr]
                         base + attrs
                     )
-                    continue
-                if kind == _STEP_MOVE:
-                    # a transfer the compute stream waits out (the
-                    # inline stall); only linked hops pay the off-chip
-                    # link, a slot<->scratch hop is an on-chip move
-                    t0 = time.perf_counter()
-                    for dst, src, linked in attrs:
-                        dst[...] = src
-                        if linked and link is not None:
-                            time.sleep(link.transfer_s(dst.nbytes))
-                    inline_stall_s += time.perf_counter() - t0
                     continue
                 if kind == _STEP_DIRECT:
                     fn()
@@ -1779,6 +1767,9 @@ class PlanExecutor:
                     site[...] = value
                 if name in want:
                     snapshots[name] = site.copy()
+            if move_t0 is not None:
+                sleep_until(move_due)
+                inline_stall_s += time.perf_counter() - move_t0
             if engine is not None and plan.total_jobs:
                 # end-of-run drain: writebacks due past the last step
                 # must land before the caller (or the next run) reads

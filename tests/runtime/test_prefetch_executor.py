@@ -3,19 +3,25 @@
 The spill parity matrix in ``test_spill_executor.py`` already runs with
 prefetch on by default; this file pins what prefetch *adds* — inline
 and overlapped runs stay bitwise-identical, stall-vs-hidden time is
-accounted sanely under a modeled link, and the background transfer
-engine shuts down cleanly.
+accounted sanely under a modeled link, the background transfer
+engine pays that link by deadline (never faster than modeled, one sleep
+per wait, no bookkeeping left behind) and shuts down cleanly.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.allocator.arena import plan_allocation
 from repro.allocator.spill import min_capacity_bytes, plan_spill
+from repro.exceptions import ExecutionError
 from repro.memsim import OffchipLink
 from repro.models.suite import get_cell
 from repro.runtime.executor import init_params, random_feeds
-from repro.runtime.plan_executor import PlanExecutor
+from repro.runtime.plan_executor import PlanExecutor, _TransferEngine
 from repro.scheduler.registry import run_strategy
 
 
@@ -37,14 +43,16 @@ def cell():
     }
 
 
-def _executor(cell, *, prefetch: bool, link=None, batch_size: int = 1):
+def _executor(
+    cell, *, prefetch: bool, link=None, batch_size: int = 1, spill=None
+):
     return PlanExecutor(
         cell["graph"],
         cell["schedule"],
         cell["plan"],
         params=cell["params"],
         batch_size=batch_size,
-        spill=cell["spill"],
+        spill=spill if spill is not None else cell["spill"],
         prefetch=prefetch,
         link=link,
     )
@@ -140,3 +148,139 @@ class TestLifecycle:
         px = _executor(cell, prefetch=False)
         assert not px.prefetch_active
         px.close()
+
+
+#: one link-timed hop of this many bytes per engine job
+JOB_BYTES = 8192
+
+
+def _job(nbytes: int = JOB_BYTES):
+    src = np.ones(nbytes // 4, dtype=np.float32)
+    return ((np.empty_like(src), src, True),)
+
+
+def _finish(fns, timeout_s: float = 10.0) -> list:
+    """Run each of ``fns`` on its own thread, all at once; assert every
+    one returns in time and hand back each one's exception (``None``
+    when it returned) — a hang fails, never blocks."""
+    errors: list = [None] * len(fns)
+
+    def body(i):
+        try:
+            fns[i]()
+        except BaseException as exc:  # re-raised by the caller's asserts
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=body, args=(i,), daemon=True)
+        for i in range(len(fns))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout_s)
+        assert not t.is_alive(), f"a call did not return in {timeout_s} s"
+    return errors
+
+
+class TestTransferEngine:
+    """The engine pays the modeled link by FIFO deadline: each
+    assertion holds under any thread scheduling."""
+
+    #: slow enough that link time dwarfs the host copies (128 us/job)
+    LINK = OffchipLink(bandwidth_bytes_per_s=64e6)
+    JOBS = 32
+
+    def test_link_is_never_faster_than_modeled(self):
+        """Job k is never waited out sooner than k jobs' link time
+        after the first submit — checked on four engines at once
+        (eight threads) under a short switch interval."""
+        per_job = self.LINK.transfer_s(JOB_BYTES)
+
+        def drive():
+            engine = _TransferEngine(self.LINK)
+            try:
+                t0 = time.perf_counter()
+                for _ in range(self.JOBS):
+                    engine.submit_hops(_job())
+                early = []
+                for k in [*range(1, self.JOBS, 3), self.JOBS]:
+                    engine.wait(k)
+                    if time.perf_counter() - t0 < k * per_job:
+                        early.append(k)
+            finally:
+                engine.close()
+            assert not early, f"jobs {early} beat the modeled link"
+            assert engine.busy_s >= self.JOBS * per_job
+            assert engine.completed == self.JOBS and not engine._due
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = _finish([drive] * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [None] * 4, errors
+
+    def test_one_wait_sleeps_at_most_once(self, monkeypatch):
+        sleeps = []
+        real_sleep = time.sleep
+
+        def counting_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", counting_sleep)
+        engine = _TransferEngine(self.LINK)
+        try:
+            for _ in range(self.JOBS):
+                engine.submit_hops(_job())
+            assert _finish([lambda: engine.wait(self.JOBS)]) == [None]
+        finally:
+            engine.close()
+        assert len(sleeps) <= 1
+
+    def test_failed_hop_surfaces_at_the_next_wait(self):
+        engine = _TransferEngine(self.LINK)
+        try:
+            engine.submit_hops(_job())
+            # a 3-element destination cannot take 4 elements: raises
+            engine.submit_hops(
+                ((np.empty(3, np.float32), np.ones(4, np.float32), True),)
+            )
+            [exc] = _finish([lambda: engine.wait(2)])
+            assert isinstance(exc, ExecutionError)
+            assert _finish([engine.quiesce]) == [None]
+            with pytest.raises(ExecutionError):
+                engine.submit_hops(_job())
+        finally:
+            engine.close()
+
+    def test_no_deadline_outlives_its_run(self, cell):
+        tile_floor = min_capacity_bytes(
+            cell["graph"], cell["schedule"], tile_bytes=JOB_BYTES
+        )
+        tiled = plan_spill(
+            cell["graph"],
+            cell["schedule"],
+            cell["plan"],
+            max(tile_floor * 2, cell["plan"].arena_bytes // 4),
+            tile_bytes=JOB_BYTES,
+        )
+        assert tiled.prefetch is not None and tiled.tile_bytes == JOB_BYTES
+        px = _executor(
+            cell,
+            prefetch=True,
+            link=OffchipLink(bandwidth_bytes_per_s=10e9),
+            spill=tiled,
+        )
+        try:
+            assert px.prefetch_active
+            feeds = random_feeds(cell["graph"], seed=0)
+            for _ in range(100):
+                px.run(feeds)
+            engine = px._engine
+            assert engine.enqueued == engine.completed > 100
+            assert not engine._due
+        finally:
+            px.close()
