@@ -174,7 +174,6 @@ def measure_fresh(registry: ModelRegistry, requests: int = REQUESTS) -> dict:
         t1 = time.perf_counter()
         executor = model.executor(seed=0)
         executor.run(feeds)
-        executor.close()
         latencies.append(time.perf_counter() - t1)
     wall_s = time.perf_counter() - t0
     p50_s, p99_s = np.percentile(latencies, [50, 99])

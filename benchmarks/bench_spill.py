@@ -22,7 +22,7 @@ the serving budget — exactly the request the pool used to refuse with
 An executor-level capacity sweep (100% / 75% / floor of the planned
 peak) records the traffic curve, asserting zero bytes at full capacity,
 monotonically non-decreasing traffic as capacity shrinks, and bitwise
-parity at every point — solo **and** batched (prefetch engine on).
+parity at every point — solo **and** batched (prefetch on).
 
 A **tile-staging sweep** (the PR-10 acceptance) drives the same model
 at a budget *strictly below* the whole-buffer staging floor: the
@@ -98,7 +98,7 @@ def build_registry() -> ModelRegistry:
 def measure_capacity_sweep(registry: ModelRegistry) -> list[dict]:
     """Executor-level traffic at 100% / 75% / floor capacity, each
     point bitwise-verified against the reference executor — solo and
-    as one stacked ``run_batch`` (the prefetch engine active on both)."""
+    as one stacked ``run_batch`` (prefetch active on both)."""
     model = registry.get(CELL)
     graph = model.graph
     params = init_params(graph, seed=0)
@@ -122,7 +122,6 @@ def measure_capacity_sweep(registry: ModelRegistry) -> list[dict]:
             0 if np.array_equal(want[k], got[k]) else 1 for k in want
         )
         traffic = px.last_stats.traffic
-        px.close()
         bx = model.executor(
             params=params, capacity_bytes=cap, batch_size=BATCH_WIDTH
         )
@@ -132,7 +131,6 @@ def measure_capacity_sweep(registry: ModelRegistry) -> list[dict]:
             for i in range(BATCH_WIDTH)
             for k in want_set[i]
         )
-        bx.close()
         rows.append(
             {
                 "capacity": label,
@@ -181,7 +179,6 @@ def measure_prefetch_ab(registry: ModelRegistry) -> dict:
         times.append(time.perf_counter() - t0)
     t_compute = min(times)  # the reproducible (noise-free) estimate
     traffic_bytes = px.last_stats.traffic.total_bytes
-    px.close()
     link = OffchipLink(
         bandwidth_bytes_per_s=LINK_COMPUTE_RATIO * traffic_bytes / t_compute
     )
@@ -277,7 +274,6 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
         0 if np.array_equal(want[k], got[k]) else 1 for k in want
     )
     traffic = px.last_stats.traffic
-    px.close()
 
     # tiled *serving* strictly below the whole-buffer floor
     served = run_load(
@@ -307,7 +303,6 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
         times.append(time.perf_counter() - t0)
     t_compute = min(times)
     calib_bytes = px.last_stats.traffic.total_bytes
-    px.close()
     link = OffchipLink(
         bandwidth_bytes_per_s=LINK_COMPUTE_RATIO * calib_bytes / t_compute
     )
@@ -326,7 +321,6 @@ def measure_tile_staging(registry: ModelRegistry) -> dict:
         assert all(np.array_equal(want[k], out[k]) for k in want)
         stall[label] = best
         moved[label] = ex.last_stats.traffic.total_bytes
-        ex.close()
 
     return {
         "tile_bytes": TILE_BYTES,

@@ -132,9 +132,9 @@ class StagingLayout:
     staging interval's *head* extended by that window's lead: window
     N+1's slot is already reserved while window N still computes, so
     windows whose extended intervals overlap land on disjoint offsets
-    and the executor may issue the fetch up to ``lead`` steps early on
-    a background transfer engine. Writebacks need no reservation at all
-    — the executor retires every one of them asynchronously and
+    and the executor may issue the fetch up to ``lead`` steps early as
+    a prefetch job on the modeled link. Writebacks need no reservation
+    at all — the executor retires every one of them asynchronously and
     synchronizes only when the slot's bytes are demonstrably reused —
     so even a zero-lead prefetch layout (identical to the base)
     overlaps writeback traffic. Leads are assigned per-window — a

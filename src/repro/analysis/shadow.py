@@ -17,13 +17,15 @@ over the real addresses, without invoking a single kernel:
   observable: a fetch reads home bytes that only a preceding writeback
   can have produced;
 * transfers are walked as what they are, hop lists ``((dst, src,
-  linked), ...)``: a ``_STEP_MOVE`` row is its hops in order on the
-  compute thread (a later hop may read what the previous one wrote),
-  and the transfer engine is modelled exactly as the executor drives
-  it — ``_STEP_ENQUEUE`` registers its hops as in-flight copies,
+  linked), ...)``: a ``_STEP_MOVE`` row is its hops in order (a later
+  hop may read what the previous one wrote). Prefetch jobs are proven
+  against the asynchronous DMA contract of a device, which is stricter
+  than the executor (that copies each job at its enqueue row, one
+  legal interleaving of the contract): ``_STEP_ENQUEUE`` registers its
+  hops as in-flight copies that may land any time before their sync,
   ``_STEP_SYNC`` completes every job up to its watermark, the FIFO
-  serialises engine jobs against each other — no synchronous row may
-  touch an in-flight destination, or write an in-flight source
+  serialises jobs against each other — no synchronous row may touch an
+  in-flight destination, or write an in-flight source
   (``SHADOW_RACE``).
 
 Because views are compared by their actual byte bounds (via NumPy's
@@ -52,7 +54,7 @@ __all__ = ["shadow_check"]
 
 
 class _Pending:
-    """One in-flight transfer-engine job (enqueued, not yet synced)."""
+    """One in-flight prefetch job (enqueued, not yet synced)."""
 
     __slots__ = ("job", "name", "dst", "src")
 
@@ -287,7 +289,7 @@ def _walk_plan(px: Any, plan: Any, n: int, diags: list[Diagnostic]) -> None:
             for rname, lo, hi in writes:
                 _range_add(written[rname], lo, hi)
     # leftover pending jobs are legal: the run loop drains the FIFO
-    # (waits for job ``total_jobs``) before returning
+    # (waits for its last job) before returning
 
 
 def shadow_check(px: Any) -> AnalysisReport:

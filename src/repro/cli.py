@@ -584,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     transfers = shared(tiled)
     transfers.add_argument(
         "--no-prefetch", action="store_true",
-        help="run spill transfers inline instead of overlapping them on "
-        "the background prefetch engine",
+        help="run spill transfers inline instead of overlapping them "
+        "with compute as prefetch jobs",
     )
     transfers.add_argument(
         "--offchip-mbps", type=float, metavar="MBPS",

@@ -190,9 +190,9 @@ class CompiledModel:
         with measured traffic — outputs stay bitwise identical.
         ``tile_bytes`` streams spilled buffers tile by tile instead of
         whole (dropping the admissible capacity floor to the largest
-        tile working set). ``prefetch=False`` runs those transfers on
-        the compute thread instead of overlapping them on the
-        background engine;
+        tile working set). ``prefetch=False`` runs those transfers
+        inline instead of overlapping them with compute as prefetch
+        jobs;
         ``link`` (an :class:`~repro.memsim.OffchipLink`) models the
         transfer path's bandwidth/latency.
         """

@@ -92,9 +92,9 @@ class TrafficReport:
     #: transfer wall-clock the compute stream waited on (runtime only;
     #: the offline simulator counts bytes, not seconds)
     stall_s: float = 0.0
-    #: transfer time overlapped behind compute by the prefetch engine:
-    #: its copy wall-clock plus modeled link seconds, less the waits
-    #: (zero for inline spill execution)
+    #: modeled link seconds of prefetch jobs overlapped behind compute:
+    #: their link seconds less the part waits found undelivered (zero
+    #: for inline spill execution and without a link)
     hidden_s: float = 0.0
     #: transfer granularity the counted traffic moved at (``None`` =
     #: whole-buffer staging)

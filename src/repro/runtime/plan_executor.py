@@ -93,9 +93,9 @@ every staging-window entry after the buffer's first write) and
 **writeback** transfers (produced bytes → home, at dirty window exits
 whose data is needed again) — one encoding (a hop list), one piece rule
 for whole buffers and tiles alike, and one placement; the step
-kind only says who runs it, the compute thread (a move row) or the
-background engine (an enqueue row, with sync rows where compute must
-wait). Off-chip traffic is *executed*, not merely estimated — and
+kind only says when its modeled link time is waited out, at once (a
+move row) or at a later sync row (an enqueue row: a prefetch job in
+flight on the modeled off-chip link). Off-chip traffic is *executed*, not merely estimated — and
 counted per run as a :class:`~repro.memsim.hierarchy.TrafficReport`
 (``last_stats.traffic``), the Fig 11 simulator's record. Because fetch
 and writeback copy bytes verbatim, outputs stay **bitwise identical**
@@ -123,9 +123,7 @@ silently corrupting memory.
 from __future__ import annotations
 
 import bisect
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import prod
@@ -312,7 +310,7 @@ class PlanExecutionStats:
 
     #: step-table rows executed: one per kernel, one per transfer job
     #: (one piece of a tile or of a whole buffer, however many hops)
-    #: and one per engine sync
+    #: and one per prefetch sync
     steps: int
     #: the plan's promised capacity (per sample — one arena row)
     arena_bytes: int
@@ -322,8 +320,10 @@ class PlanExecutionStats:
     #: a spill plan): ``capacity_bytes`` is the on-chip promise it was
     #: held to, ``stall_s`` the wall-clock the compute thread spent on
     #: inline copies and waits for in-flight prefetch jobs (each up to
-    #: its link deadline), ``hidden_s`` the engine's busy time (copying
-    #: plus modeled link seconds) that no such wait covered
+    #: its link deadline), ``hidden_s`` the modeled link seconds of the
+    #: prefetch jobs minus their modeled exposure at those waits
+    #: (``max(0, due - arrival)`` per wait) — never a host copy, never
+    #: a sleep's overshoot, at most the jobs' link seconds
     traffic: TrafficReport
     #: whether this run reused the bytes of a previous run's arena
     arena_reused: bool = False
@@ -361,9 +361,17 @@ _STEP_INPUT, _STEP_DIRECT, _STEP_COPY = 0, 1, 2
 #: linked), ...)`` carried in the row's ``attrs``: hops run in order,
 #: ``linked`` hops cross the off-chip link (and pay its modeled time),
 #: the rest are on-chip moves between a tile slot and a spilled
-#: buffer's scratch backing store. MOVE runs the hops on the compute
-#: thread, ENQUEUE hands them to the transfer engine as one job, SYNC
-#: waits until engine job #attrs (1-based) is done.
+#: buffer's scratch backing store. MOVE and ENQUEUE rows both copy their
+#: hops at once and stamp a link deadline (:func:`_copy_hops`); they
+#: differ only in when it is waited out. A run of MOVE rows waits its
+#: deadline out before the next row (the inline stall). ENQUEUE issues
+#: the run's next prefetch job: the link delivers jobs in FIFO order,
+#: and only a SYNC row — wait until job #attrs (1-based) is delivered
+#: — or the end of the run waits a job's deadline out. The plans are
+#: proven race-free against the stricter asynchronous contract (a job
+#: may copy any time between its ENQUEUE and its SYNC, see
+#: :mod:`repro.analysis.shadow`); copying at the ENQUEUE row is one
+#: legal interleaving of it.
 _STEP_MOVE, _STEP_ENQUEUE, _STEP_SYNC = 3, 4, 5
 
 
@@ -410,13 +418,16 @@ def _tile_pieces(
     return out
 
 
-def sleep_until(due: float) -> None:
+def sleep_until(due: float) -> float:
     """Block until ``time.perf_counter()`` reads ``due``: the one place
     modeled link time is waited out (at most one host sleep's
-    overshoot per call)."""
+    overshoot per call). Returns the modeled wait, ``max(0, due -
+    now)``, which excludes that overshoot."""
     delay = due - time.perf_counter()
-    if delay > 0.0:
-        time.sleep(delay)
+    if delay <= 0.0:
+        return 0.0
+    time.sleep(delay)
+    return delay
 
 
 def _copy_hops(
@@ -424,137 +435,15 @@ def _copy_hops(
     link: OffchipLink | None,
 ) -> float:
     """Run one transfer's hops in order; returns the modeled link
-    seconds its linked hops owe (0 without a link)."""
+    seconds its linked hops owe (0 without a link). A transfer is due
+    ``max(copied, previous due) + owed``: the link is never faster than
+    modeled, and delivers in order."""
     owed = 0.0
     for dst, src, linked in hops:
         dst[...] = src
         if linked and link is not None:
             owed += link.transfer_s(dst.nbytes)
     return owed
-
-
-class _TransferEngine:
-    """One background "DMA engine": a daemon thread draining a FIFO of
-    copies.
-
-    A single queue gives every transfer a total order, which makes all
-    engine-vs-engine hazards (writeback before the next fetch of the
-    same home; slot handoff between ping/pong windows; tile-slot reuse
-    between consecutive tile pieces) safe by construction — the compute
-    thread only needs explicit waits where a kernel consumes bytes
-    still in flight. A job is a sequence of **hops** ``(dst, src,
-    linked)`` executed in order: a plain whole-buffer copy is one
-    linked hop, a tile piece is two (off-chip <-> tile slot, link-timed;
-    tile slot <-> scratch, a plain on-chip move). NumPy copies release
-    the GIL for the bulk of the move, so engine transfers genuinely
-    overlap compute.
-
-    A modeled :class:`~repro.memsim.hierarchy.OffchipLink` is a FIFO
-    timeline of deadlines, not a sleep per job: the drain thread only
-    copies, then stamps job k ``due_k = max(copied_k, due_{k-1}) +
-    link_k`` (never earlier than its own copy plus its link time, nor
-    than the previous job's delivery plus its link time). A waiter
-    blocks until the job's copies are done, then sleeps once, until its
-    ``due``."""
-
-    def __init__(self, link: OffchipLink | None = None) -> None:
-        self.link = link
-        #: monotone job counters: job k is the k-th submitted copy
-        self.enqueued = 0
-        self.completed = 0
-        #: seconds the engine spent on its jobs: wall-clock copying
-        #: plus the modeled link time of their linked hops
-        self.busy_s = 0.0
-        self._q: deque[tuple[tuple[np.ndarray, np.ndarray, bool], ...]] = (
-            deque()
-        )
-        #: ``(job, due)`` of copied jobs no waiter has slept out yet, in
-        #: job order (so dues ascend); ``wait`` pops them
-        self._due: deque[tuple[int, float]] = deque()
-        self._last_due = 0.0
-        self._cond = threading.Condition()
-        self._closed = False
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._drain, daemon=True, name="repro-offchip-dma"
-        )
-        self._thread.start()
-
-    def submit_hops(
-        self, hops: tuple[tuple[np.ndarray, np.ndarray, bool], ...]
-    ) -> int:
-        """Queue one job (its hops run in order); returns its 1-based
-        job number."""
-        with self._cond:
-            if self._closed:
-                raise ExecutionError(
-                    "transfer engine is closed (executor was released)"
-                )
-            if self._failure is not None:
-                raise ExecutionError(
-                    f"transfer engine failed: {self._failure!r}"
-                )
-            self._q.append(hops)
-            self.enqueued += 1
-            self._cond.notify_all()
-            return self.enqueued
-
-    def wait(self, job: int) -> float:
-        """Block until job number ``job`` has been copied and its
-        modeled link time is over; returns the wall-clock seconds spent
-        waiting (the compute stall)."""
-        t0 = time.perf_counter()
-        with self._cond:
-            while self.completed < job and self._failure is None:
-                self._cond.wait()
-            if self.completed < job:
-                raise ExecutionError(
-                    f"transfer engine failed: {self._failure!r}"
-                )
-            due = 0.0  # stays 0 if an earlier wait slept it out
-            while self._due and self._due[0][0] <= job:
-                due = self._due.popleft()[1]
-        sleep_until(due)
-        return time.perf_counter() - t0
-
-    def quiesce(self) -> None:
-        """Wait until the queue is empty (no error propagation) — used
-        to leave no transfer in flight after a failed run."""
-        try:
-            self.wait(self.enqueued)
-        except ExecutionError:
-            pass
-
-    def close(self) -> None:
-        """Idempotent shutdown: the drain thread finishes queued jobs
-        and exits; further submits are rejected."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def _drain(self) -> None:
-        while True:
-            with self._cond:
-                while not self._q and not self._closed:
-                    self._cond.wait()
-                if not self._q:
-                    return  # closed and drained
-                hops = self._q.popleft()
-            t0 = time.perf_counter()
-            try:
-                owed = _copy_hops(hops, self.link)
-            except BaseException as exc:  # propagate to the next wait
-                with self._cond:
-                    self._failure = exc
-                    self._cond.notify_all()
-                return
-            copied = time.perf_counter()
-            with self._cond:
-                self.busy_s += copied - t0 + owed
-                self.completed += 1
-                self._last_due = max(copied, self._last_due) + owed
-                self._due.append((self.completed, self._last_due))
-                self._cond.notify_all()
 
 
 @dataclass(frozen=True)
@@ -582,8 +471,6 @@ class _RunPlan:
     spill_bytes_in: int = 0
     spill_bytes_out: int = 0
     spill_accesses: int = 0
-    #: transfer-engine jobs this plan submits per run (prefetch mode)
-    total_jobs: int = 0
 
 
 def _workspace_view(
@@ -638,16 +525,16 @@ class PlanExecutor:
 
     ``prefetch`` (default on) uses the spill plan's ping/pong
     :class:`~repro.allocator.spill.StagingLayout` when it carries one:
-    fetches are issued early and writebacks drained late on a
-    background transfer engine, so transfer time hides behind compute
-    and only surfaces as stall when a kernel needs bytes still in
-    flight. ``prefetch=False`` keeps the base layout and runs the same
-    transfer jobs, placed by the same rules, on the compute thread.
+    fetches are issued early and writebacks retired late as prefetch
+    jobs on the modeled link, so link time hides behind compute and
+    only surfaces as stall when a kernel needs a job the link has not
+    delivered yet. ``prefetch=False`` keeps the base layout and runs the
+    same transfer jobs, placed by the same rules, as inline moves.
     ``link`` attaches a modeled
     :class:`~repro.memsim.hierarchy.OffchipLink` so no transfer
     (inline or overlapped) lands sooner than the modeled link would
-    deliver it, not at host memcpy speed. Executors with an active engine own a daemon thread;
-    :meth:`close` releases it (pools do this when discarding).
+    deliver it, not at host memcpy speed. Every run executes on the
+    caller's thread; an executor holds no resource but its arrays.
     """
 
     def __init__(
@@ -725,7 +612,7 @@ class PlanExecutor:
         # prefetch layout when the plan carries one and the caller wants
         # overlap, else the base (inline) layout — window (start, end)
         # bounds are identical, only offsets and the per-window leads
-        # differ. Running the prefetch layout engages the engine even
+        # differ. Running the prefetch layout issues prefetch jobs even
         # when every lead is zero: writeback overlap needs no lead.
         layout = spill.layout(prefetch) if spill is not None else None
         self._layout = layout
@@ -739,11 +626,6 @@ class PlanExecutor:
             }
             if layout is not None
             else {}
-        )
-        self._engine: _TransferEngine | None = (
-            _TransferEngine(link)
-            if layout is not None and layout is spill.prefetch
-            else None
         )
         self._region_offset: Mapping[int, int] = (
             layout.resident_offsets if layout is not None else plan.offsets
@@ -918,24 +800,13 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     @property
     def prefetch_active(self) -> bool:
-        """True when runs overlap transfers on a background engine
-        (False again once :meth:`close` shuts the engine down)."""
-        return self._engine is not None and not self._engine._closed
+        """True when runs use the plan's prefetch layout (transfers as
+        prefetch jobs that overlap compute)."""
+        return self._layout is not None and self._layout is self.spill.prefetch
 
     def close(self) -> None:
-        """Release the background transfer engine, if any (idempotent).
-
-        Serving pools call this when an executor is discarded; a closed
-        executor rejects further prefetch runs."""
-        engine = self._engine
-        if engine is not None:
-            engine.close()
-
-    def __del__(self) -> None:  # backstop for unpooled executors
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Nothing to release: runs hold no thread or handle. Kept so
+        callers that release executors keep working."""
 
     @property
     def arena_nbytes(self) -> int:
@@ -1376,7 +1247,7 @@ class PlanExecutor:
                 elif not has_later:
                     dirty.discard(b)
                 staged_extent.pop(b, None)
-        steps, total_jobs = self._place_transfers(
+        steps = self._place_transfers(
             kernel_rows, fetch_events, wb_events, win_ranges, n
         )
         return _RunPlan(
@@ -1390,7 +1261,6 @@ class PlanExecutor:
             spill_bytes_in=bytes_in,
             spill_bytes_out=bytes_out,
             spill_accesses=accesses,
-            total_jobs=total_jobs,
         )
 
     def _place_transfers(
@@ -1400,27 +1270,26 @@ class PlanExecutor:
         wb_events: list,
         win_ranges: dict[tuple[int, int], list[tuple[int, int]]],
         n: int,
-    ) -> tuple[tuple[tuple, ...], int]:
+    ) -> tuple[tuple, ...]:
         """Interleave the collected transfer events with the kernel rows.
 
         Every transfer is a job (a hop list, :meth:`_transfer_row`)
         placed once: a fetch up to its window's ``lead`` schedule
         positions early (never before the same buffer's previous
         writeback — the FIFO then orders the home accesses), a
-        writeback right after its window's last step. With the engine,
-        jobs are ENQUEUE rows; one SYNC per step waits for the highest
-        job the step depends on (fetches at window entry, writebacks
-        when a slot reservation expires or a compute-thread fetch needs
-        the home bytes) and leftover jobs drain at end of run. A
-        zero-lead whole-buffer fetch runs on the compute thread as a
-        MOVE row, while *every* tile piece rides the engine — the FIFO
-        totally orders all tile-slot accesses, which is what makes the
-        single engine-private slot race-free. Without an engine every
-        lead is zero, so the same rules put each fetch immediately
-        before its kernel row and each writeback immediately after, and
-        the jobs run as MOVE rows where they would have been enqueued:
-        no sync rows, no engine jobs. Returns ``(steps, total engine
-        jobs per run)``.
+        writeback right after its window's last step. With prefetch,
+        jobs are ENQUEUE rows of one FIFO (the asynchronous DMA
+        contract the plan is proven against); one SYNC per step waits
+        for the highest job the step depends on (fetches at window
+        entry, writebacks when a slot reservation expires or an inline
+        fetch needs the home bytes) and leftover jobs drain at end of
+        run. A zero-lead whole-buffer fetch is an inline MOVE row, while
+        *every* tile piece is a FIFO job — the FIFO totally orders all
+        tile-slot accesses, which is what makes the single private tile
+        slot race-free. Without prefetch every lead is zero, so the same
+        rules put each fetch immediately before its kernel row and each
+        writeback immediately after, and the jobs run as MOVE rows where
+        they would have been enqueued: no sync rows, no prefetch jobs.
         """
         n_exec = len(kernel_rows)
         # full per-buffer writeback history (exit step indices, both
@@ -1590,7 +1459,7 @@ class PlanExecutor:
         # [writeback jobs] per step; the FIFO completes in submit
         # order, so one wait on the highest needed job covers every
         # earlier one (``guaranteed`` skips redundant syncs)
-        queued = self._engine is not None
+        queued = self.prefetch_active
         job_kind = _STEP_ENQUEUE if queued else _STEP_MOVE
         steps: list[tuple] = []
         guaranteed = 0
@@ -1609,7 +1478,7 @@ class PlanExecutor:
             steps.append(row)
             for b, w, _due, piece in eng_w.get(oi, ()):
                 steps.append(self._transfer_row(job_kind, b, w, piece, n, False))
-        return tuple(steps), job if queued else 0
+        return tuple(steps)
 
     def run(self, feeds: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Execute the whole schedule inside the executor's persistent
@@ -1690,99 +1559,85 @@ class PlanExecutor:
             # zero is also what the pad borders must hold
             self._workspace.fill(0.0)
 
-        engine = self._engine
         link = self._link
-        base = 0
-        busy0 = 0.0
-        if engine is not None:
-            # leave no orphan job from an earlier failed run in flight,
-            # then measure this run's jobs/busy-time against a clean
-            # baseline
-            engine.quiesce()
-            base = engine.enqueued
-            busy0 = engine.busy_s
-        inline_stall_s = 0.0
-        engine_wait_s = 0.0
+        stall_s = 0.0
         #: a run of consecutive MOVE rows is one inline stall: it starts
         #: at ``move_t0`` and ends at the link deadline ``move_due``
         move_t0: float | None = None
         move_due = 0.0
+        #: ``dues[k]`` is the link deadline of this run's prefetch job k
+        #: (``dues[0]`` a sentinel); the link delivers in FIFO order
+        dues = [0.0]
+        #: link seconds of the prefetch jobs, and the part of them the
+        #: waits found not yet delivered
+        owed_s = exposed_s = 0.0
 
         sinks = self.graph.sinks
         want = set(sinks)
         snapshots: dict[str, np.ndarray] = {}
-        try:
-            for (
-                kind,
-                name,
-                site,
-                fn,
-                args,
-                attrs,
-                node_params,
-                shape,
-            ) in plan.steps:
-                if kind == _STEP_MOVE:
-                    # a transfer the compute stream waits out (the
-                    # inline stall), timed by the engine's link rule
-                    if move_t0 is None:
-                        move_t0 = time.perf_counter()
-                    owed = _copy_hops(attrs, link)
-                    move_due = max(time.perf_counter(), move_due) + owed
-                    continue
-                if move_t0 is not None:
-                    sleep_until(move_due)
-                    inline_stall_s += time.perf_counter() - move_t0
-                    move_t0 = None
-                if kind == _STEP_ENQUEUE:
-                    engine.submit_hops(attrs)  # type: ignore[union-attr]
-                    continue
-                if kind == _STEP_SYNC:
-                    engine_wait_s += engine.wait(  # type: ignore[union-attr]
-                        base + attrs
-                    )
-                    continue
-                if kind == _STEP_DIRECT:
-                    fn()
-                elif kind == _STEP_COPY:
-                    value = fn(args, attrs, node_params)
-                    if tuple(value.shape) != shape:
-                        raise ExecutionError(
-                            f"kernel produced shape {value.shape} for "
-                            f"{name!r}, spec says {n} sample(s) of "
-                            f"{shape[1:]}"
-                        )
-                    site[...] = value
-                else:  # _STEP_INPUT
-                    if name not in feeds:
-                        raise ExecutionError(
-                            f"missing feed for input {name!r}"
-                        )
-                    value = np.asarray(feeds[name], dtype=_EXEC_DTYPE)
-                    if tuple(value.shape) != shape:
-                        raise ExecutionError(
-                            f"feed {name!r} has shape {value.shape}, "
-                            f"expected {n} sample(s) of {shape[1:]}"
-                        )
-                    site[...] = value
-                if name in want:
-                    snapshots[name] = site.copy()
+        for (
+            kind,
+            name,
+            site,
+            fn,
+            args,
+            attrs,
+            node_params,
+            shape,
+        ) in plan.steps:
+            if kind == _STEP_MOVE:
+                if move_t0 is None:
+                    move_t0 = time.perf_counter()
+                owed = _copy_hops(attrs, link)
+                move_due = max(time.perf_counter(), move_due) + owed
+                continue
             if move_t0 is not None:
                 sleep_until(move_due)
-                inline_stall_s += time.perf_counter() - move_t0
-            if engine is not None and plan.total_jobs:
-                # end-of-run drain: writebacks due past the last step
-                # must land before the caller (or the next run) reads
-                # the spill region
-                engine_wait_s += engine.wait(base + plan.total_jobs)
-        except BaseException:
-            if engine is not None:
-                engine.quiesce()
-            raise
+                stall_s += time.perf_counter() - move_t0
+                move_t0 = None
+            if kind == _STEP_ENQUEUE:
+                owed = _copy_hops(attrs, link)
+                owed_s += owed
+                dues.append(max(time.perf_counter(), dues[-1]) + owed)
+                continue
+            if kind == _STEP_SYNC:
+                t0 = time.perf_counter()
+                exposed_s += sleep_until(dues[attrs])
+                stall_s += time.perf_counter() - t0
+                continue
+            if kind == _STEP_DIRECT:
+                fn()
+            elif kind == _STEP_COPY:
+                value = fn(args, attrs, node_params)
+                if tuple(value.shape) != shape:
+                    raise ExecutionError(
+                        f"kernel produced shape {value.shape} for "
+                        f"{name!r}, spec says {n} sample(s) of "
+                        f"{shape[1:]}"
+                    )
+                site[...] = value
+            else:  # _STEP_INPUT
+                if name not in feeds:
+                    raise ExecutionError(f"missing feed for input {name!r}")
+                value = np.asarray(feeds[name], dtype=_EXEC_DTYPE)
+                if tuple(value.shape) != shape:
+                    raise ExecutionError(
+                        f"feed {name!r} has shape {value.shape}, "
+                        f"expected {n} sample(s) of {shape[1:]}"
+                    )
+                site[...] = value
+            if name in want:
+                snapshots[name] = site.copy()
+        if move_t0 is not None:
+            sleep_until(move_due)
+            stall_s += time.perf_counter() - move_t0
+        if len(dues) > 1:
+            # end-of-run drain: the run ends once the link has
+            # delivered its last job, so no deadline outlives it
+            t0 = time.perf_counter()
+            exposed_s += sleep_until(dues[-1])
+            stall_s += time.perf_counter() - t0
 
-        hidden_s = 0.0
-        if engine is not None:
-            hidden_s = max(0.0, (engine.busy_s - busy0) - engine_wait_s)
         self.last_stats = PlanExecutionStats(
             steps=len(plan.steps),
             arena_bytes=self.plan.arena_bytes,
@@ -1796,8 +1651,8 @@ class PlanExecutor:
                 writebacks=plan.spill_writebacks * n,
                 bypass_bytes=0,
                 accesses=plan.spill_accesses * n,
-                stall_s=inline_stall_s + engine_wait_s,
-                hidden_s=hidden_s,
+                stall_s=stall_s,
+                hidden_s=max(0.0, owed_s - exposed_s),
                 tile_bytes=self._tile_bytes,
             ),
             arena_reused=self.runs > 0,
@@ -1819,8 +1674,9 @@ class PlanExecutor:
         compiled table (widths 1 and ``batch_size``, plus any other
         width already run) is walked row by row — views
         bounds-checked against the declared regions, reads proven
-        covered by earlier writes, and transfer-engine rows modelled
-        for races — without executing a kernel. Returns an
+        covered by earlier writes, and prefetch rows modelled for
+        races under the asynchronous DMA contract — without executing
+        a kernel. Returns an
         :class:`~repro.analysis.diagnostics.AnalysisReport`.
         """
         from repro.analysis.shadow import shadow_check

@@ -63,7 +63,7 @@ class LoadReport:
     preloaded: bool = False
     #: over-budget admission policy the pool ran with
     spill: str = "never"
-    #: whether spilled executors ran with the background prefetch engine
+    #: whether spilled executors overlapped transfers as prefetch jobs
     prefetch: bool = True
     #: staging tile size spilled executors streamed at (``None`` =
     #: whole-buffer staging)

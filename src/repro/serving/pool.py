@@ -89,8 +89,8 @@ class PoolStats:
     #: admissions degraded to off-chip staging instead of being
     #: refused; trivial everything-fits plans do not count)
     spilled_builds: int = 0
-    #: spilled executors whose transfers run on the background prefetch
-    #: engine (double-buffered staging) rather than inline
+    #: spilled executors whose transfers overlap compute as prefetch
+    #: jobs (double-buffered staging) rather than run inline
     prefetch_builds: int = 0
 
     @property
@@ -138,10 +138,10 @@ class ArenaPool:
         admitting models at capacities below the whole-buffer floor
         (the Fig 11 small-capacity regime, live).
     prefetch:
-        ``True`` (default) runs spilled executors' transfers on the
-        background prefetch engine when their plan carries a
-        double-buffered layout; ``False`` runs the same transfers on
-        the compute thread, stalling on every one.
+        ``True`` (default) overlaps spilled executors' transfers with
+        compute as prefetch jobs when their plan carries a
+        double-buffered layout; ``False`` runs the same transfers
+        inline, stalling on every one.
     link:
         Optional :class:`~repro.memsim.OffchipLink` modeling the
         off-chip transfer path's bandwidth/latency on every pooled
@@ -270,7 +270,7 @@ class ArenaPool:
                 continue
             queue = self._idle.get(name)
             while queue and self._resident_bytes + needed > self.budget_bytes:
-                queue.popleft().close()
+                queue.popleft()
                 self._resident_bytes -= self._arena_cost(name)
                 self._evictions += 1
             if not queue:
@@ -362,7 +362,6 @@ class ArenaPool:
                     self._cold_order.append(name)
                 queue.append(executor)
             else:
-                executor.close()
                 self._resident_bytes -= self._arena_cost(name)
             self._cond.notify_all()
 
@@ -420,7 +419,6 @@ class ArenaPool:
                 raise
             with self._cond:
                 if self._closed:
-                    executor.close()
                     self._resident_bytes -= cost
                     self._cond.notify_all()
                     raise ServingError("pool is closed")
@@ -453,9 +451,7 @@ class ArenaPool:
         with self._cond:
             self._closed = True
             for name, queue in self._idle.items():
-                while queue:
-                    queue.popleft().close()
-                    self._resident_bytes -= self._arena_cost(name)
+                self._resident_bytes -= self._arena_cost(name) * len(queue)
             self._idle.clear()
             self._cold_order.clear()
             self._cond.notify_all()

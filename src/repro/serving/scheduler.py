@@ -107,7 +107,7 @@ class ServingStats:
     #: transfer seconds executor runs stalled on (inline copies plus
     #: barrier waits on in-flight prefetch jobs; run-level sums)
     spill_stall_s: float = 0.0
-    #: transfer seconds the prefetch engines hid behind compute
+    #: modeled link seconds prefetch jobs hid behind compute
     spill_hidden_s: float = 0.0
     #: shard processes respawned by supervision (0 without sharding)
     restarts: int = 0

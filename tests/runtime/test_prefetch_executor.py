@@ -3,12 +3,13 @@
 The spill parity matrix in ``test_spill_executor.py`` already runs with
 prefetch on by default; this file pins what prefetch *adds* — inline
 and overlapped runs stay bitwise-identical, stall-vs-hidden time is
-accounted sanely under a modeled link, the background transfer
-engine pays that link by deadline (never faster than modeled, one sleep
-per wait, no bookkeeping left behind) and shuts down cleanly.
+accounted from the modeled link (never a host copy), the link is paid
+by deadline (never faster than modeled, one sleep per wait, no
+deadline outlives its run), a failing transfer raises from its own row
+and leaves the executor usable, and no run starts a thread.
 """
 
-import sys
+import dataclasses
 import threading
 import time
 
@@ -17,12 +18,21 @@ import pytest
 
 from repro.allocator.arena import plan_allocation
 from repro.allocator.spill import min_capacity_bytes, plan_spill
-from repro.exceptions import ExecutionError
 from repro.memsim import OffchipLink
 from repro.models.suite import get_cell
-from repro.runtime.executor import init_params, random_feeds
-from repro.runtime.plan_executor import PlanExecutor, _TransferEngine
+from repro.runtime import plan_executor
+from repro.runtime.executor import Executor, init_params, random_feeds
+from repro.runtime.plan_executor import (
+    _STEP_ENQUEUE,
+    _STEP_MOVE,
+    _STEP_SYNC,
+    PlanExecutor,
+)
 from repro.scheduler.registry import run_strategy
+
+
+#: staging tile size of the cell's tiled plan
+TILE_BYTES = 8192
 
 
 @pytest.fixture(scope="module")
@@ -34,28 +44,50 @@ def cell():
     cap = max(plan.arena_bytes // 2, floor)
     spill = plan_spill(graph, schedule, plan, cap)
     assert not spill.is_trivial and spill.prefetch is not None
+    tile_floor = min_capacity_bytes(graph, schedule, tile_bytes=TILE_BYTES)
+    tiled = plan_spill(
+        graph,
+        schedule,
+        plan,
+        max(tile_floor * 2, plan.arena_bytes // 4),
+        tile_bytes=TILE_BYTES,
+    )
+    assert tiled.prefetch is not None and tiled.tile_bytes == TILE_BYTES
     return {
         "graph": graph,
         "schedule": schedule,
         "plan": plan,
         "params": init_params(graph, seed=0),
         "spill": spill,
+        "tiled": tiled,
     }
 
 
 def _executor(
-    cell, *, prefetch: bool, link=None, batch_size: int = 1, spill=None
+    cell, *, prefetch: bool, link=None, batch_size: int = 1, mode="spill"
 ):
+    """``mode`` picks the cell's whole-buffer (``"spill"``) or tiled
+    (``"tiled"``) plan."""
     return PlanExecutor(
         cell["graph"],
         cell["schedule"],
         cell["plan"],
         params=cell["params"],
         batch_size=batch_size,
-        spill=spill if spill is not None else cell["spill"],
+        spill=cell[mode],
         prefetch=prefetch,
         link=link,
     )
+
+
+def _prefetch_link_s(px: PlanExecutor, link: OffchipLink) -> list[float]:
+    """Modeled link seconds of each prefetch job of a width-1 run, in
+    FIFO order, read off the compiled step table."""
+    return [
+        sum(link.transfer_s(dst.nbytes) for dst, _src, linked in row[5] if linked)
+        for row in px._run_plans[1].steps
+        if row[0] == _STEP_ENQUEUE
+    ]
 
 
 class TestPrefetchParity:
@@ -124,14 +156,45 @@ class TestStallHiddenAccounting:
         finally:
             px.close()
 
+    @pytest.mark.parametrize("mode", ["spill", "tiled"])
+    def test_no_link_hides_nothing(self, cell, mode):
+        """Hidden time is modeled link time: host copies are never
+        billed as hidden, so without a link nothing is."""
+        px = _executor(cell, prefetch=True, mode=mode)
+        feeds = random_feeds(cell["graph"], seed=0)
+        for _ in range(3):
+            px.run(feeds)
+            assert px.last_stats.spill_hidden_s == 0.0
+            assert px.last_stats.traffic.hidden_fraction == 0.0
+
+    @pytest.mark.parametrize("bandwidth", [10e9, 200e6])
+    @pytest.mark.parametrize("mode", ["spill", "tiled"])
+    def test_hidden_is_at_most_the_link_seconds(self, cell, mode, bandwidth):
+        """A run hides at most the link seconds of its prefetch jobs,
+        whatever its copies or sleeps cost on the host."""
+        link = OffchipLink(bandwidth_bytes_per_s=bandwidth)
+        px = _executor(cell, prefetch=True, link=link, mode=mode)
+        owed = sum(_prefetch_link_s(px, link))
+        assert owed > 0.0
+        feeds = random_feeds(cell["graph"], seed=0)
+        for _ in range(3):
+            px.run(feeds)
+            assert 0.0 <= px.last_stats.spill_hidden_s <= owed
+
 
 class TestLifecycle:
     def test_close_is_idempotent(self, cell):
+        """``close`` releases nothing a run needs: the executor keeps
+        its layout and runs on, bitwise."""
+        feeds = random_feeds(cell["graph"], seed=1)
         px = _executor(cell, prefetch=True)
-        px.run(random_feeds(cell["graph"], seed=1))
+        want = px.run(feeds)
         px.close()
         px.close()
-        assert not px.prefetch_active
+        assert px.prefetch_active
+        got = px.run(feeds)
+        for name in want:
+            np.testing.assert_array_equal(want[name], got[name])
 
     def test_prefetch_inactive_without_spill(self, cell):
         px = PlanExecutor(
@@ -142,87 +205,101 @@ class TestLifecycle:
             prefetch=True,
         )
         assert not px.prefetch_active
-        px.close()
 
     def test_prefetch_inactive_when_disabled(self, cell):
         px = _executor(cell, prefetch=False)
         assert not px.prefetch_active
-        px.close()
+
+    def test_prefetching_executors_start_no_thread(self, cell):
+        """20 prefetching executors built, run and dropped leave the
+        process's thread count where it was."""
+        before = threading.active_count()
+        feeds = random_feeds(cell["graph"], seed=2)
+        for i in range(20):
+            px = _executor(
+                cell,
+                prefetch=True,
+                link=OffchipLink(bandwidth_bytes_per_s=10e9),
+                mode=("spill", "tiled")[i % 2],
+            )
+            assert px.prefetch_active
+            px.run(feeds)
+            names = [t.name for t in threading.enumerate()]
+            assert "repro-offchip-dma" not in names
+            assert threading.active_count() == before, names
+            del px
+        assert threading.active_count() == before
 
 
-#: one link-timed hop of this many bytes per engine job
-JOB_BYTES = 8192
+class TestLinkDeadlines:
+    """Prefetch jobs copy at their ENQUEUE row and are delivered by
+    FIFO link deadline; each assertion is a bound that holds however
+    the host schedules the run."""
 
-
-def _job(nbytes: int = JOB_BYTES):
-    src = np.ones(nbytes // 4, dtype=np.float32)
-    return ((np.empty_like(src), src, True),)
-
-
-def _finish(fns, timeout_s: float = 10.0) -> list:
-    """Run each of ``fns`` on its own thread, all at once; assert every
-    one returns in time and hand back each one's exception (``None``
-    when it returned) — a hang fails, never blocks."""
-    errors: list = [None] * len(fns)
-
-    def body(i):
-        try:
-            fns[i]()
-        except BaseException as exc:  # re-raised by the caller's asserts
-            errors[i] = exc
-
-    threads = [
-        threading.Thread(target=body, args=(i,), daemon=True)
-        for i in range(len(fns))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout_s)
-        assert not t.is_alive(), f"a call did not return in {timeout_s} s"
-    return errors
-
-
-class TestTransferEngine:
-    """The engine pays the modeled link by FIFO deadline: each
-    assertion holds under any thread scheduling."""
-
-    #: slow enough that link time dwarfs the host copies (128 us/job)
+    #: slow enough that link time dwarfs the host copies
     LINK = OffchipLink(bandwidth_bytes_per_s=64e6)
-    JOBS = 32
 
-    def test_link_is_never_faster_than_modeled(self):
-        """Job k is never waited out sooner than k jobs' link time
-        after the first submit — checked on four engines at once
-        (eight threads) under a short switch interval."""
-        per_job = self.LINK.transfer_s(JOB_BYTES)
+    def test_link_is_never_faster_than_modeled(self, cell, monkeypatch):
+        """Every wait for job k returns no sooner than the link seconds
+        of jobs 1..k after job 1 started copying, and a run hides its
+        link seconds less the modeled part of its waits."""
+        px = _executor(cell, prefetch=True, link=self.LINK, mode="tiled")
+        steps = px._run_plans[1].steps
+        # tile pieces are all prefetch jobs: every sleep_until call is
+        # a SYNC row's wait or the end-of-run drain
+        assert _STEP_MOVE not in {row[0] for row in steps}
+        per_job = _prefetch_link_s(px, self.LINK)
+        waited = [row[5] for row in steps if row[0] == _STEP_SYNC]
+        waited.append(len(per_job))
+        assert len(per_job) > 100 and len(waited) > 10
+        first_hops = next(row[5] for row in steps if row[0] == _STEP_ENQUEUE)
 
-        def drive():
-            engine = _TransferEngine(self.LINK)
-            try:
-                t0 = time.perf_counter()
-                for _ in range(self.JOBS):
-                    engine.submit_hops(_job())
-                early = []
-                for k in [*range(1, self.JOBS, 3), self.JOBS]:
-                    engine.wait(k)
-                    if time.perf_counter() - t0 < k * per_job:
-                        early.append(k)
-            finally:
-                engine.close()
+        copy_hops, sleep_until = plan_executor._copy_hops, plan_executor.sleep_until
+        started: list[float] = []
+        returned: list[float] = []
+        modeled: list[float] = []
+
+        def timed_copy(hops, link):
+            if hops is first_hops:
+                started.append(time.perf_counter())
+            return copy_hops(hops, link)
+
+        def timed_sleep(due):
+            out = sleep_until(due)
+            returned.append(time.perf_counter())
+            modeled.append(out)
+            return out
+
+        monkeypatch.setattr(plan_executor, "_copy_hops", timed_copy)
+        monkeypatch.setattr(plan_executor, "sleep_until", timed_sleep)
+        feeds = random_feeds(cell["graph"], seed=0)
+        for run in range(3):
+            px.run(feeds)
+            this_run = slice(run * len(waited), (run + 1) * len(waited))
+            assert px.last_stats.spill_hidden_s == pytest.approx(
+                sum(per_job) - sum(modeled[this_run]), abs=1e-9
+            )
+            t0 = started[run]
+            ends = returned[this_run]
+            early = [
+                k
+                for k, end in zip(waited, ends)
+                if end - t0 < sum(per_job[:k])
+            ]
             assert not early, f"jobs {early} beat the modeled link"
-            assert engine.busy_s >= self.JOBS * per_job
-            assert engine.completed == self.JOBS and not engine._due
+        assert len(returned) == 3 * len(waited)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            errors = _finish([drive] * 4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == [None] * 4, errors
-
-    def test_one_wait_sleeps_at_most_once(self, monkeypatch):
+    def test_one_wait_sleeps_at_most_once(self, cell, monkeypatch):
+        """A run sleeps at most once per wait: per SYNC row, per run of
+        inline moves and for the end-of-run drain."""
+        px = _executor(cell, prefetch=True, link=self.LINK)
+        kinds = [row[0] for row in px._run_plans[1].steps]
+        assert _STEP_MOVE in kinds and _STEP_SYNC in kinds
+        move_runs = sum(
+            k == _STEP_MOVE and prev != _STEP_MOVE
+            for prev, k in zip([None, *kinds], kinds)
+        )
+        waits = kinds.count(_STEP_SYNC) + move_runs + 1
         sleeps = []
         real_sleep = time.sleep
 
@@ -231,56 +308,49 @@ class TestTransferEngine:
             real_sleep(seconds)
 
         monkeypatch.setattr(time, "sleep", counting_sleep)
-        engine = _TransferEngine(self.LINK)
-        try:
-            for _ in range(self.JOBS):
-                engine.submit_hops(_job())
-            assert _finish([lambda: engine.wait(self.JOBS)]) == [None]
-        finally:
-            engine.close()
-        assert len(sleeps) <= 1
+        px.run(random_feeds(cell["graph"], seed=0))
+        assert 0 < len(sleeps) <= waits
 
-    def test_failed_hop_surfaces_at_the_next_wait(self):
-        engine = _TransferEngine(self.LINK)
-        try:
-            engine.submit_hops(_job())
-            # a 3-element destination cannot take 4 elements: raises
-            engine.submit_hops(
-                ((np.empty(3, np.float32), np.ones(4, np.float32), True),)
-            )
-            [exc] = _finish([lambda: engine.wait(2)])
-            assert isinstance(exc, ExecutionError)
-            assert _finish([engine.quiesce]) == [None]
-            with pytest.raises(ExecutionError):
-                engine.submit_hops(_job())
-        finally:
-            engine.close()
+    def test_no_deadline_outlives_its_run(self, cell, monkeypatch):
+        """Each run returns only once its last prefetch job is
+        delivered — no sooner than the link seconds of all its jobs
+        after the first one started copying — so no deadline is left
+        for the next run to pay."""
+        px = _executor(cell, prefetch=True, link=self.LINK, mode="tiled")
+        owed = sum(_prefetch_link_s(px, self.LINK))
+        copy_hops = plan_executor._copy_hops
+        copies: list[float] = []
 
-    def test_no_deadline_outlives_its_run(self, cell):
-        tile_floor = min_capacity_bytes(
-            cell["graph"], cell["schedule"], tile_bytes=JOB_BYTES
-        )
-        tiled = plan_spill(
-            cell["graph"],
-            cell["schedule"],
-            cell["plan"],
-            max(tile_floor * 2, cell["plan"].arena_bytes // 4),
-            tile_bytes=JOB_BYTES,
-        )
-        assert tiled.prefetch is not None and tiled.tile_bytes == JOB_BYTES
-        px = _executor(
-            cell,
-            prefetch=True,
-            link=OffchipLink(bandwidth_bytes_per_s=10e9),
-            spill=tiled,
-        )
-        try:
-            assert px.prefetch_active
-            feeds = random_feeds(cell["graph"], seed=0)
-            for _ in range(100):
-                px.run(feeds)
-            engine = px._engine
-            assert engine.enqueued == engine.completed > 100
-            assert not engine._due
-        finally:
-            px.close()
+        def timed_copy(hops, link):
+            copies.append(time.perf_counter())
+            return copy_hops(hops, link)
+
+        monkeypatch.setattr(plan_executor, "_copy_hops", timed_copy)
+        feeds = random_feeds(cell["graph"], seed=0)
+        for _ in range(5):
+            copies.clear()
+            px.run(feeds)
+            assert time.perf_counter() - copies[0] >= owed
+            assert px.last_stats.spill_hidden_s <= owed
+
+    @pytest.mark.parametrize("mode", ["spill", "tiled"])
+    def test_failed_hop_raises_from_run(self, cell, mode):
+        """A hop that cannot copy raises from its own row, out of
+        ``run``; the executor's next run is bitwise the reference."""
+        px = _executor(cell, prefetch=True, mode=mode)
+        good = px._run_plans[1]
+        jobs = [i for i, row in enumerate(good.steps) if row[0] == _STEP_ENQUEUE]
+        at = jobs[len(jobs) // 2]
+        # a 3-element destination cannot take 4 elements
+        bad_hop = ((np.empty((1, 3)), np.ones((1, 4)), True),)
+        steps = list(good.steps)
+        steps[at] = steps[at][:5] + (bad_hop,) + steps[at][6:]
+        px._run_plans[1] = dataclasses.replace(good, steps=tuple(steps))
+        feeds = random_feeds(cell["graph"], seed=4)
+        with pytest.raises(ValueError, match="broadcast"):
+            px.run(feeds)
+        px._run_plans[1] = good
+        got = px.run(feeds)
+        want = Executor(cell["graph"], params=cell["params"]).run(feeds)
+        for name, value in want.items():
+            np.testing.assert_array_equal(value, got[name])

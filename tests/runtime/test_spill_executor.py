@@ -308,7 +308,7 @@ def _transfer_jobs(px: PlanExecutor, plan):
 
 
 class TestOnePlacement:
-    """A transfer is placed once. Without an engine every lead is zero,
+    """A transfer is placed once. Without prefetch every lead is zero,
     so the placement puts each fetch right before the kernel row that
     first touches its window and each writeback right after the one
     that last touches it — positions derived here from the spill
@@ -362,7 +362,6 @@ class TestOnePlacement:
                 px.close()
 
         plan, jobs = tables[False]
-        assert plan.total_jobs == 0
         assert {row[0] for row in plan.steps} <= {
             _STEP_INPUT, _STEP_DIRECT, _STEP_COPY, _STEP_MOVE
         }

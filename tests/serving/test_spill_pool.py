@@ -1,5 +1,7 @@
 """Off-chip-aware serving: spill knob on the pool, stats surfacing."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,30 @@ class TestSpilledAdmission:
             assert executor.last_stats.spill_bytes_total > 0
         finally:
             pool.release(name, executor)
+
+
+    def test_evicted_prefetching_executors_start_no_thread(self, registry):
+        """20 prefetching executors built, run and evicted by the pool
+        leave the process's thread count where it was."""
+        budget = _tight_budget(registry)
+        pool = ArenaPool(registry, budget, spill="auto")
+        names = registry.names()
+        before = threading.active_count()
+        try:
+            for i in range(20):
+                name = names[i % len(names)]
+                with pool.lease(name) as executor:
+                    assert executor.prefetch_active
+                    executor.run(random_feeds(registry.get(name).graph, seed=i))
+                    running = [t.name for t in threading.enumerate()]
+                    assert "repro-offchip-dma" not in running
+                    assert threading.active_count() == before, running
+            stats = pool.stats()
+            assert stats.prefetch_builds == 20
+            assert stats.evictions >= 19
+        finally:
+            pool.close()
+        assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
