@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.exceptions import ExecutionError
 from repro.graph.graph import Graph
@@ -21,9 +22,13 @@ from repro.graph.node import Node
 from repro.ops.base import normalize_pair
 from repro.runtime.kernels import KERNELS
 
-__all__ = ["Executor", "init_params", "random_feeds"]
+__all__ = ["EXEC_DTYPE", "Executor", "cast_params", "init_params", "random_feeds"]
 
 Params = dict[str, dict[str, np.ndarray]]
+
+#: the compute dtype of both executors: the planned tensors' float32,
+#: so a host arena holds exactly the bytes its plan prices
+EXEC_DTYPE = np.dtype(np.float32)
 
 
 def _node_rng(seed: int, name: str) -> np.random.Generator:
@@ -75,7 +80,7 @@ def _param_shapes(graph: Graph, node: Node) -> dict[str, tuple[int, ...]]:
 
 def init_params(graph: Graph, seed: int = 0) -> Params:
     """Random parameters for every parameterised node (deterministic in
-    ``seed`` and node names)."""
+    ``seed`` and node names), in :data:`EXEC_DTYPE`."""
     params: Params = {}
     for node in graph:
         shapes = _param_shapes(graph, node)
@@ -83,19 +88,28 @@ def init_params(graph: Graph, seed: int = 0) -> Params:
             continue
         rng = _node_rng(seed, node.name)
         params[node.name] = {
-            key: rng.standard_normal(shape).astype(np.float64) * 0.1
+            key: (rng.standard_normal(shape) * 0.1).astype(EXEC_DTYPE)
             for key, shape in shapes.items()
         }
     return params
 
 
+def cast_params(params: Params, dtype: DTypeLike) -> Params:
+    """``params`` with every tensor in ``dtype`` (entries already in it
+    are kept, not copied)."""
+    return {
+        name: {key: np.asarray(value, dtype=dtype) for key, value in entry.items()}
+        for name, entry in params.items()
+    }
+
+
 def random_feeds(graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
-    """Random activations for every ``input`` node."""
+    """Random activations for every ``input`` node, in :data:`EXEC_DTYPE`."""
     feeds = {}
     for name in graph.input_nodes:
         spec = graph.node(name).output
         rng = _node_rng(seed ^ 0x5EED, name)
-        feeds[name] = rng.standard_normal(spec.shape)
+        feeds[name] = rng.standard_normal(spec.shape).astype(EXEC_DTYPE)
     return feeds
 
 
@@ -105,15 +119,20 @@ class Executor:
 
     >>> ex = Executor(graph)
     >>> outputs = ex.run(random_feeds(graph))
+
+    Feeds and parameters are computed in ``dtype``: caller-supplied
+    parameters are cast once, here, and feeds as they arrive.
     """
 
     graph: Graph
     params: Params = field(default_factory=dict)
     seed: int = 0
+    dtype: DTypeLike = EXEC_DTYPE
 
     def __post_init__(self) -> None:
-        if not self.params:
-            self.params = init_params(self.graph, self.seed)
+        self.params = cast_params(
+            self.params or init_params(self.graph, self.seed), self.dtype
+        )
 
     def _needed(self, wanted: list[str]) -> set[str]:
         """Nodes reachable backwards from ``wanted`` (inclusive)."""
@@ -158,7 +177,7 @@ class Executor:
             if node.op == "input":
                 if node.name not in feeds:
                     raise ExecutionError(f"missing feed for input {node.name!r}")
-                value = np.asarray(feeds[node.name], dtype=np.float64)
+                value = np.asarray(feeds[node.name], dtype=self.dtype)
                 if tuple(value.shape) != node.output.shape:
                     raise ExecutionError(
                         f"feed {node.name!r} has shape {value.shape}, "

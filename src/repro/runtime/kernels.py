@@ -112,11 +112,11 @@ def _view(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
 
 
 #: most im2col column elements (plus fused intermediate) produced at
-#: once per sample: 64 KiB of float64. Whole-map columns fall out of L2
+#: once per sample: 32 KiB of float32. Whole-map columns fall out of L2
 #: on the suite's larger maps; of the block sizes measured end to end
-#: (64 KiB ... 512 KiB: larger is 7-20% faster) this is the one that
-#: keeps ``compile-suite`` ``peak_rss_mb`` well inside its bound
-#: (CHANGES.md, PR 14, has the numbers)
+#: in float64 (8K ... 64K elements: larger is 7-20% faster) this is
+#: the one that keeps ``compile-suite`` ``peak_rss_mb`` well inside its
+#: bound (CHANGES.md has the numbers)
 COLS_BLOCK_ELEMS = 1 << 13
 
 

@@ -19,7 +19,8 @@ The executor tracks the arena's measured high-water mark while it runs
 and raises if it ever exceeds ``AllocationPlan.arena_bytes`` — the
 plan's promise is checked on every execution, not assumed. Outputs are
 bitwise-identical to the reference executor (same kernels, same
-parameters, same float64 compute dtype); the parity suite in
+parameters, same compute dtype,
+:data:`~repro.runtime.executor.EXEC_DTYPE`); the parity suite in
 ``tests/runtime/test_plan_executor.py`` asserts exactly that across the
 whole benchmark suite.
 
@@ -138,7 +139,7 @@ from repro.graph.graph import Graph
 from repro.graph.node import Node
 from repro.memsim.hierarchy import OffchipLink, TrafficReport
 from repro.memsim.trace import tile_spans
-from repro.runtime.executor import Params, init_params
+from repro.runtime.executor import EXEC_DTYPE, Params, cast_params, init_params
 from repro.runtime.kernels import (
     CONV_OPS,
     KERNELS,
@@ -156,10 +157,6 @@ __all__ = [
     "intra_buffer_offsets",
     "write_hazards",
 ]
-
-#: the reference executor computes in float64; the arena does the same
-#: so the two produce bitwise-identical outputs
-_EXEC_DTYPE = np.dtype(np.float64)
 
 
 def _view_operand_offsets(graph: Graph, node: Node) -> list[int]:
@@ -501,7 +498,9 @@ class PlanExecutor:
     Parameters mirror the reference executor: ``params`` defaults to the
     deterministic per-node random initialisation, so the same
     ``(graph, seed)`` pair yields bitwise-identical outputs under both
-    executors.
+    executors. Caller-supplied ``params`` are cast to
+    :data:`~repro.runtime.executor.EXEC_DTYPE` once, here, as the
+    reference executor casts them.
 
     The arena is owned by the executor and reused across runs. ``scrub``
     picks what happens to its stale bytes between runs:
@@ -563,7 +562,11 @@ class PlanExecutor:
         self.graph = graph
         self.schedule = schedule
         self.plan = plan
-        self.params = params if params is not None else init_params(graph, seed)
+        self.params = (
+            cast_params(params, EXEC_DTYPE)
+            if params is not None
+            else init_params(graph, seed)
+        )
         self.model = model or BufferModel.of(graph)
         self.scrub = scrub
         self.batch_size = batch_size
@@ -769,11 +772,11 @@ class PlanExecutor:
     def _alloc_arena(self) -> None:
         """Allocate the zeroed region(s) every site view binds into."""
         self._arena = np.zeros(
-            (self.batch_size, self._arena_elems), dtype=_EXEC_DTYPE
+            (self.batch_size, self._arena_elems), dtype=EXEC_DTYPE
         )
         #: off-chip home bytes of spilled buffers (empty without spill)
         self._spill_arena = np.zeros(
-            (self.batch_size, self._spill_elems), dtype=_EXEC_DTYPE
+            (self.batch_size, self._spill_elems), dtype=EXEC_DTYPE
         )
         #: tile mode: per-buffer backing stores kernels bind into while
         #: tiles stream through the (single, tile-sized) staging slot —
@@ -781,7 +784,7 @@ class PlanExecutor:
         #: tile by tile, with the same per-tile traffic accounting as
         #: the Fig 11 simulator
         self._scratch: dict[int, np.ndarray] = {
-            b: np.zeros((self.batch_size, self._buf_elems[b]), _EXEC_DTYPE)
+            b: np.zeros((self.batch_size, self._buf_elems[b]), EXEC_DTYPE)
             for b in (
                 sorted(self._spilled) if self._tile_bytes is not None else ()
             )
@@ -791,7 +794,7 @@ class PlanExecutor:
         #: the arena and its capacity accounting. Zeroed like the arena:
         #: the pad maps' borders must read zero and are never written
         self._workspace = np.zeros(
-            self.batch_size * self._workspace_elems, dtype=_EXEC_DTYPE
+            self.batch_size * self._workspace_elems, dtype=EXEC_DTYPE
         )
         #: per-node (n, ...) views over the first n rows, keyed by
         #: batch width and built lazily per width
@@ -1619,7 +1622,7 @@ class PlanExecutor:
             else:  # _STEP_INPUT
                 if name not in feeds:
                     raise ExecutionError(f"missing feed for input {name!r}")
-                value = np.asarray(feeds[name], dtype=_EXEC_DTYPE)
+                value = np.asarray(feeds[name], dtype=EXEC_DTYPE)
                 if tuple(value.shape) != shape:
                     raise ExecutionError(
                         f"feed {name!r} has shape {value.shape}, "

@@ -250,9 +250,7 @@ class ArenaPool:
         admission, release and eviction. A spill-planned executor is
         priced at its **resident** bytes per row: only the on-chip
         region competes for the budget; its off-chip home region does
-        not. (The NumPy executor simulates in float64, so its host
-        allocation can be larger than the plan for narrower dtypes;
-        budgets model the device, not the simulator's heap.)
+        not.
         """
         spill = self._spill_plan_for(name)
         if spill is not None:

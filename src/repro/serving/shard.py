@@ -367,7 +367,9 @@ class _SlotPool:
 def _slot_bytes_for(models: Iterable) -> int:
     """One slot must hold any request or response payload of ``models``:
     a request carries the graph's inputs, a response its sinks, each
-    tensor float64 and aligned in the slot (4096 bytes at least)."""
+    tensor aligned in the slot (4096 bytes at least). Tensors are sized
+    at 8 bytes an element: responses are float32, but a caller may
+    still submit float64 feeds, which travel as they arrive."""
     worst = 4096
     for model in models:
         graph = model.graph

@@ -60,8 +60,9 @@ class TestCastGraph:
         assert fit_to_device(cast_graph(g, "int8"), tiny).fits
 
     def test_executable_after_cast(self, chain_graph):
-        """The executor still runs a cast graph (it computes in float64
-        internally; dtype drives the memory model)."""
+        """The executor still runs a cast graph (it computes in its own
+        float32 whatever the graph's dtypes; they drive the memory
+        model)."""
         from repro.runtime.executor import Executor, random_feeds
 
         g8 = cast_graph(chain_graph, "int8")

@@ -51,6 +51,11 @@ class TestChannelWiseIdentity:
     def test_seed_insensitive(self, concat_conv_graph, seed):
         _assert_identity(concat_conv_graph, seed=seed)
 
+    def test_oracle_runs_in_float64(self, concat_conv_graph):
+        """A float32 run of the split convolution differs by about 2e-7;
+        only a float64 oracle gets below 1e-12."""
+        assert _assert_identity(concat_conv_graph).max_abs_error < 1e-12
+
 
 class TestKernelWiseIdentity:
     def test_two_branches_multiplier2(self, concat_depthwise_graph):
